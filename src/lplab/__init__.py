@@ -1,5 +1,7 @@
 """lplab: a numerical laboratory for isometric group actions on finite lp spaces."""
 
+__version__ = "0.1.0"
+
 from .spaces import LpSpace, duality_map, mazur_map
 from .geometry import (
     ModulusTable,
@@ -73,7 +75,5 @@ from .induction import (
     superrigidity_pipeline,
 )
 from .errors import Refusal
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

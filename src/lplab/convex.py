@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .cocycle import AffineAction, OrbitCapExceeded, orbit_ball
+from .cocycle import AffineAction, OrbitCapExceeded, _diameter, orbit_ball
 from .groups import TableGroup
-from .spaces import LpSpace, as_vector, duality_map
+from .spaces import LpSpace, as_vector, duality_map, norm_grad, norm_pow, norms, pow_grad, weighted_lstsq
 
 __all__ = [
     "AffineSubspace",
@@ -75,33 +75,30 @@ class Ball:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
 
-def _norm_grad_raw(space: LpSpace, r: np.ndarray) -> np.ndarray:
-    """Gradient of ||r|| wrt r away from 0 (zero vector returned at 0)."""
-    n = space.norm(r)
-    if n < 1e-300:
-        return np.zeros_like(r)
-    return space.weights * np.sign(r) * np.abs(r) ** (space.p - 1.0) / n ** (space.p - 1.0)
+def _transpose_times(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row k is mats[k].T @ rows[k]: one stacked matmul, bit-identical to the per-term products."""
+    return (rows[:, None, :] @ mats)[:, 0]
 
 
-def _minimax_value(space: LpSpace, terms, y: np.ndarray) -> float:
-    return max(space.norm(a @ y + b) if a is not None else space.norm(y + b) for a, b in terms)
+def _minimax_value(space: LpSpace, mats: np.ndarray, shifts: np.ndarray, y: np.ndarray) -> float:
+    """max_i ||A_i y + b_i|| for the stacked terms A = ``mats``, b = ``shifts``."""
+    return float(np.max(norms(space.weights, space.p, mats @ y + shifts)))
 
 
-def _minimize_minimax(space: LpSpace, terms, y0: np.ndarray, ball=None, gtol: float = 1e-12):
-    """Minimize max_i ||A_i y + b_i|| (A_i = None means identity).
+def _minimize_minimax(space: LpSpace, mats: np.ndarray, shifts: np.ndarray, y0: np.ndarray, ball=None,
+                      gtol: float = 1e-12):
+    """Minimize max_i ||A_i y + b_i|| over stacked terms.
 
+    ``mats`` holds the A_i as a (T, dim, dim) array and ``shifts`` the b_i
+    as (T, dim); a term's identity matrix is passed like any other.
     ``ball`` is an optional (center, radius) trust constraint.  Softmax
     continuation with warm starts, then an epigraph SQP polish; returns the
     best point found by true objective value.
     """
     w, p = space.weights, space.p
-    mats = [(np.eye(space.dim) if a is None else a, b) for a, b in terms]
-
-    def dists(y):
-        return np.array([space.norm(a @ y + b) for a, b in mats])
 
     def value(y):
-        return float(np.max(dists(y)))
+        return _minimax_value(space, mats, shifts, y)
 
     y = np.asarray(y0, dtype=float).copy()
     scale = max(value(y), 1e-9)
@@ -113,21 +110,22 @@ def _minimize_minimax(space: LpSpace, terms, y0: np.ndarray, ball=None, gtol: fl
         t_eff = temp * scale
 
         def f_grad(yv):
-            ds = np.array([space.norm(a @ yv + b) for a, b in mats])
+            resid = mats @ yv + shifts
+            ds = norms(w, p, resid)
             mx = ds.max()
             soft = np.exp((ds - mx) / t_eff)
             total = soft.sum()
             val = mx + t_eff * np.log(total)
             grad = np.zeros_like(yv)
-            for (a, b), s in zip(mats, soft):
+            for g, s in zip(_transpose_times(mats, norm_grad(w, p, resid)), soft):
                 if s > 1e-300:
-                    grad += (s / total) * (a.T @ _norm_grad_raw(space, a @ yv + b))
+                    grad += (s / total) * g
             if ball is not None:
                 excess = space.norm(yv - center) - radius
                 if excess > 0:
                     beta = 100.0 * scale / radius
                     val += beta * excess**2
-                    grad += 2.0 * beta * excess * _norm_grad_raw(space, yv - center)
+                    grad += 2.0 * beta * excess * norm_grad(w, p, yv - center)
             return val, grad
 
         res = optimize.minimize(f_grad, y, jac=True, method="L-BFGS-B",
@@ -141,30 +139,24 @@ def _minimize_minimax(space: LpSpace, terms, y0: np.ndarray, ball=None, gtol: fl
     best_y, best_val = y, value(y)
 
     # epigraph polish: min t  s.t.  t**p >= ||A_i y + b_i||**p  (+ ball)
-    def pack_constraints():
-        cons = []
-        for a, b in mats:
-            def cfun(z, a=a, b=b):
-                yv, t = z[:-1], z[-1]
-                return t**p - np.sum(w * np.abs(a @ yv + b) ** p)
+    def cfun(z):
+        yv, t = z[:-1], z[-1]
+        return t**p - norm_pow(w, p, mats @ yv + shifts)
 
-            def cjac(z, a=a, b=b):
-                yv, t = z[:-1], z[-1]
-                r = a @ yv + b
-                gy = -p * (a.T @ (w * np.sign(r) * np.abs(r) ** (p - 1.0)))
-                return np.concatenate([gy, [p * max(t, 1e-300) ** (p - 1.0)]])
+    def cjac(z):
+        yv, t = z[:-1], z[-1]
+        gy = -p * _transpose_times(mats, pow_grad(w, p, mats @ yv + shifts))
+        return np.hstack([gy, np.full((len(gy), 1), p * max(t, 1e-300) ** (p - 1.0))])
 
-            cons.append({"type": "ineq", "fun": cfun, "jac": cjac})
-        if ball is not None:
-            def bfun(z):
-                return radius**p - np.sum(w * np.abs(z[:-1] - center) ** p)
+    cons = [{"type": "ineq", "fun": cfun, "jac": cjac}]
+    if ball is not None:
+        def bfun(z):
+            return radius**p - norm_pow(w, p, z[:-1] - center)
 
-            def bjac(z):
-                r = z[:-1] - center
-                return np.concatenate([-p * (w * np.sign(r) * np.abs(r) ** (p - 1.0)), [0.0]])
+        def bjac(z):
+            return np.concatenate([-p * pow_grad(w, p, z[:-1] - center), [0.0]])
 
-            cons.append({"type": "ineq", "fun": bfun, "jac": bjac})
-        return cons
+        cons.append({"type": "ineq", "fun": bfun, "jac": bjac})
 
     z0 = np.concatenate([best_y, [best_val * (1.0 + 1e-10) + 1e-14]])
     try:
@@ -172,7 +164,7 @@ def _minimize_minimax(space: LpSpace, terms, y0: np.ndarray, ball=None, gtol: fl
             lambda z: z[-1],
             z0,
             jac=lambda z: np.concatenate([np.zeros(space.dim), [1.0]]),
-            constraints=pack_constraints(),
+            constraints=cons,
             method="SLSQP",
             options={"ftol": 1e-14, "maxiter": 400},
         )
@@ -208,10 +200,8 @@ def circumcenter(points, space: LpSpace, tol: float = 1e-9):
     if pts.shape[0] == 2:
         mid = (pts[0] + pts[1]) / 2.0
         return mid, space.norm(pts[0] - pts[1]) / 2.0
-    terms = [(None, -pt) for pt in pts]
-    y0 = pts.mean(axis=0)
-    center, radius = _minimize_minimax(space, terms, y0, gtol=tol * 1e-2)
-    return center, radius
+    mats = np.tile(np.eye(space.dim), (pts.shape[0], 1, 1))
+    return _minimize_minimax(space, mats, -pts, pts.mean(axis=0), gtol=tol * 1e-2)
 
 
 def nearest_point(cset, x, space: LpSpace, tol: float = 1e-10) -> np.ndarray:
@@ -231,28 +221,26 @@ def nearest_point(cset, x, space: LpSpace, tol: float = 1e-10) -> np.ndarray:
     raise TypeError(f"unsupported convex set {type(cset).__name__}")
 
 
-def _weighted_lstsq(space: LpSpace, basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    sq = np.sqrt(space.weights)
-    sol, *_ = np.linalg.lstsq(basis * sq[:, None], rhs * sq, rcond=None)
-    return sol
+def _residual_pow(space: LpSpace, x: np.ndarray, mat: np.ndarray):
+    """c -> (||x - mat @ c||**p, its gradient in c): the nearest-point objective."""
+    w, p = space.weights, space.p
+
+    def f_grad(c):
+        r = x - mat @ c
+        return norm_pow(w, p, r), -p * (mat.T @ pow_grad(w, p, r))
+
+    return f_grad
+
 
 def _project_affine(cset: AffineSubspace, x, space, tol) -> np.ndarray:
     basis = cset.basis
     if basis.size == 0:
         return cset.base.copy()
     resid0 = x - cset.base
-    c2 = _weighted_lstsq(space, basis, resid0)
+    c2 = weighted_lstsq(space.weights, basis, resid0)
     if space.p == 2.0:
         return cset.base + basis @ c2
-    w, p = space.weights, space.p
-
-    def f_grad(c):
-        r = resid0 - basis @ c
-        val = np.sum(w * np.abs(r) ** p)
-        grad = -p * (basis.T @ (w * np.sign(r) * np.abs(r) ** (p - 1.0)))
-        return val, grad
-
-    res = optimize.minimize(f_grad, c2, jac=True, method="L-BFGS-B",
+    res = optimize.minimize(_residual_pow(space, resid0, basis), c2, jac=True, method="L-BFGS-B",
                             options={"ftol": 1e-18, "gtol": tol * 1e-2, "maxiter": 2000})
     return cset.base + basis @ res.x
 
@@ -272,17 +260,9 @@ def _project_hull(cset: ConvexHull, x, space, tol) -> np.ndarray:
         return pts[0].copy()
     if _hull_contains(pts, x):
         return x.copy()
-    w, p = space.weights, space.p
-
-    def f_grad(lam):
-        r = x - pts.T @ lam
-        val = np.sum(w * np.abs(r) ** p)
-        grad = -p * (pts @ (w * np.sign(r) * np.abs(r) ** (p - 1.0)))
-        return val, grad
-
     cons = [{"type": "eq", "fun": lambda lam: np.sum(lam) - 1.0, "jac": lambda lam: np.ones(m)}]
     res = optimize.minimize(
-        f_grad, np.full(m, 1.0 / m), jac=True, method="SLSQP",
+        _residual_pow(space, x, pts.T), np.full(m, 1.0 / m), jac=True, method="SLSQP",
         bounds=[(0.0, 1.0)] * m, constraints=cons,
         options={"ftol": 1e-16, "maxiter": 500},
     )
@@ -390,13 +370,9 @@ def fixed_point_circumcenter(
             return FixedPointResult("unbounded", None, np.nan, cap, np.nan)
         orbit = ball.points
     center, _ = circumcenter(orbit, space)
-    diam = 0.0
-    for i in range(len(orbit)):
-        for j in range(i + 1, len(orbit)):
-            diam = max(diam, space.norm(orbit[i] - orbit[j]))
     disp = action.max_displacement(center)
     status = "fixed" if disp <= fix_tol else "not-fixed"
-    return FixedPointResult(status, center, disp, len(orbit), diam)
+    return FixedPointResult(status, center, disp, len(orbit), _diameter(orbit, space))
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,18 +435,13 @@ def fisher_margulis_iterate(
         raise ValueError("C must be positive")
     x = space.random_vector(np.random.default_rng(seed)) if x0 is None else as_vector(x0, space.dim)
 
-    affine_maps = [(np.eye(space.dim), np.zeros(space.dim))]
-    for word in words:
-        affine_maps.append((rep.operator(word), action.cocycle.value(word)))
-    pair_terms = []
-    for i in range(len(affine_maps)):
-        for j in range(i + 1, len(affine_maps)):
-            mi, ti = affine_maps[i]
-            mj, tj = affine_maps[j]
-            pair_terms.append((mi - mj, ti - tj))
+    mats = np.array([np.eye(space.dim)] + [rep.operator(word) for word in words])
+    shifts = np.array([np.zeros(space.dim)] + [action.cocycle.value(word) for word in words])
+    i, j = np.triu_indices(len(mats), 1)  # every pair i < j, in row order
+    pair_mats, pair_shifts = mats[i] - mats[j], shifts[i] - shifts[j]
 
     def diam(y):
-        return _minimax_value(space, pair_terms, y)
+        return _minimax_value(space, pair_mats, pair_shifts, y)
 
     rng = np.random.default_rng(seed)
     trace = [FisherMargulisStep(point=x.copy(), diameter=diam(x))]
@@ -481,13 +452,13 @@ def fisher_margulis_iterate(
             status = "fixed"
             break
         ball = (x, c_mult * r_n)
-        best_y, best_val = _minimize_minimax(space, pair_terms, x, ball=ball)
+        best_y, best_val = _minimize_minimax(space, pair_mats, pair_shifts, x, ball=ball)
         for _ in range(restarts - 1):
             start = x + (c_mult * r_n) * rng.uniform(-1, 1, space.dim) * 0.7
             off = space.norm(start - x)
             if off > c_mult * r_n:
                 start = x + (start - x) * (c_mult * r_n / off)
-            cand_y, cand_val = _minimize_minimax(space, pair_terms, start, ball=ball)
+            cand_y, cand_val = _minimize_minimax(space, pair_mats, pair_shifts, start, ball=ball)
             if cand_val < best_val:
                 best_y, best_val = cand_y, cand_val
         if best_val < r_n / 2.0:

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import linalg, stats
 
 from .representation import Representation, canonical_complement
+from .spaces import norm_grad, norms
 
 __all__ = ["GapEstimate", "kazhdan_gap"]
 
@@ -33,14 +34,6 @@ class GapEstimate:
     @property
     def infinite(self) -> bool:
         return not np.isfinite(self.upper)
-
-
-def _norm_gradient(weights, p, u):
-    n_pow = np.sum(weights * np.abs(u) ** p)
-    if n_pow <= 0.0:
-        return np.zeros_like(u)
-    n = n_pow ** (1.0 / p)
-    return weights * np.sign(u) * np.abs(u) ** (p - 1.0) / n ** (p - 1.0)
 
 
 def _sphere_directions(m: int, count: int, seed: int) -> np.ndarray:
@@ -94,22 +87,20 @@ def kazhdan_gap(
     w, p = space.weights, space.p
     eye = np.eye(space.dim)
     disp_ops = [(rep.operator(word) - eye) @ basis for word in words]
-
-    def norms(c):
-        return np.array([np.sum(w * np.abs(a @ c) ** p) ** (1.0 / p) for a in disp_ops])
+    # rows 0..K-1 of ops @ c are the K displacements, the last row is the vector itself
+    ops = np.array(disp_ops + [basis])
 
     def ratio(c):
-        d = np.sum(w * np.abs(basis @ c) ** p) ** (1.0 / p)
-        return float(np.max(norms(c)) / d)
+        vals = norms(w, p, ops @ c)
+        return float(np.max(vals[:-1]) / vals[-1])
 
     def subgrad(c):
-        vals = norms(c)
-        i = int(np.argmax(vals))
-        num = vals[i]
-        den_vec = basis @ c
-        den = np.sum(w * np.abs(den_vec) ** p) ** (1.0 / p)
-        g_num = disp_ops[i].T @ _norm_gradient(w, p, disp_ops[i] @ c)
-        g_den = basis.T @ _norm_gradient(w, p, den_vec)
+        rows = ops @ c
+        vals = norms(w, p, rows)
+        i = int(np.argmax(vals[:-1]))
+        num, den = vals[i], vals[-1]
+        grad_num, grad_den = norm_grad(w, p, rows[[i, -1]])
+        g_num, g_den = ops[i].T @ grad_num, basis.T @ grad_den
         return (g_num * den - num * g_den) / den**2
 
     rng = np.random.default_rng(seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .spaces import LpSpace, as_vector
+from .spaces import LpSpace, as_vector, norm_pow, pow_grad, weighted_lstsq
 
 __all__ = [
     "ModulusEstimate",
@@ -218,17 +218,15 @@ def quotient_norm(space: LpSpace, basis, v, tol: float = 1e-10) -> QuotientNormR
         # norm squared: better conditioned than norm**p when the optimum
         # residual vanishes (v in the subspace)
         r = v + basis @ c
-        pow_sum = np.sum(w * np.abs(r) ** p)
+        pow_sum = norm_pow(w, p, r)
         if pow_sum < 1e-300:
             return 0.0, np.zeros(k)
         nrm = pow_sum ** (1.0 / p)
-        grad = 2.0 * (basis.T @ (w * np.sign(r) * np.abs(r) ** (p - 1.0))) / nrm ** (p - 2.0)
+        grad = 2.0 * (basis.T @ pow_grad(w, p, r)) / nrm ** (p - 2.0)
         return nrm * nrm, grad
 
-    sq = np.sqrt(w)
-    c0, *_ = np.linalg.lstsq(basis * sq[:, None], -v * sq, rcond=None)
     res = optimize.minimize(
-        f_and_grad, c0, jac=True, method="L-BFGS-B",
+        f_and_grad, weighted_lstsq(w, basis, -v), jac=True, method="L-BFGS-B",
         options={"ftol": 1e-18, "gtol": tol * 1e-2, "maxiter": 2000},
     )
     point = v + basis @ res.x

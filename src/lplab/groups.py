@@ -254,7 +254,6 @@ def product_group(g1: TableGroup, g2: TableGroup, rename2: dict | None = None) -
     m1, m2 = g1.order, g2.order
     i1 = np.arange(m1 * m2) // m2
     i2 = np.arange(m1 * m2) % m2
-    table = g1.table[np.ix_(i1, i1)] * 0  # allocate
     table = g1.table[i1[:, None], i1[None, :]] * m2 + g2.table[i2[:, None], i2[None, :]]
     identity = g1.identity * m2 + g2.identity
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__version__ = "0.1.0"
+from . import __version__
 
-__all__ = ["Report", "format_float", "to_json", "report_csv_rows", "sweep_csv"]
+__all__ = ["Report", "format_float", "report_csv_rows", "sweep_csv"]
 
 
 def format_float(x: float) -> str:
@@ -79,10 +79,6 @@ class Report:
         if self.status == "fail":
             return 1
         return 2
-
-
-def to_json(report: Report) -> str:
-    return report.to_json()
 
 
 def _flatten(prefix: str, obj, out):

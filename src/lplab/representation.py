@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .groups import PresentedGroup, TableGroup, group_from_permutations, word_letters
+from .groups import TableGroup, group_from_permutations, word_letters
 from .lamperti import LampertiIsometry
 from .spaces import LpSpace, as_vector
 
@@ -171,7 +171,7 @@ def fixed_subspace(rep: Representation, generator_names=None) -> np.ndarray:
     return _fixed_basis(rep.restriction_matrices(generator_names), rep.space.dim)
 
 
-def _dual_image(op, mat, inv_mat, space: LpSpace):
+def _dual_image(op, inv_mat, space: LpSpace):
     """Image of g under the dual representation: the pairing-adjoint of rho(g^-1)."""
     if isinstance(op, LampertiIsometry):
         # closed form: same permutation and signs, density power 1/q
@@ -184,7 +184,7 @@ def dual_rep(rep: Representation) -> Representation:
     """Dual representation on the lq space, <x, rho*(g) y> = <rho(g^-1) x, y>."""
     dual_space = rep.space.dual()
     images = {
-        name: _dual_image(rep.images[name], rep._mats[name], rep._inv_mats[name], rep.space)
+        name: _dual_image(rep.images[name], rep._inv_mats[name], rep.space)
         for name in rep.generator_names
     }
     return Representation(rep.group, dual_space, images, require_isometric=rep.require_isometric)
@@ -206,16 +206,19 @@ class ComplementResult:
         return self.complement_basis.shape[1]
 
 
-def _complement_core(rep: Representation, generator_names=None) -> ComplementResult:
+def canonical_complement(rep: Representation, generator_names=None) -> ComplementResult:
+    """Canonical splitting B = Fix + B' for the (sub)family of generators.
+
+    B' is the annihilator of the dual-fixed vectors under the weighted
+    pairing; the projections commute with every generator image.  Requires
+    p > 1.
+    """
     space = rep.space
     space.require_smooth()
     dim = space.dim
     pairs = rep.restriction_matrices(generator_names)
     fixed = _fixed_basis(pairs, dim)
-    dual_pairs = [
-        (_operator_matrix(_dual_image_from_pair(mat, inv, space), dim), None) for mat, inv in pairs
-    ]
-    dual_fixed = _fixed_basis([(m, None) for m, _ in dual_pairs], dim)
+    dual_fixed = _fixed_basis([(_dual_image(mat, inv, space), None) for mat, inv in pairs], dim)
     if dual_fixed.shape[1] != fixed.shape[1]:
         raise RuntimeError(
             f"fixed-space dimensions disagree between primal ({fixed.shape[1]}) and dual ({dual_fixed.shape[1]})"
@@ -231,21 +234,6 @@ def _complement_core(rep: Representation, generator_names=None) -> ComplementRes
     sel[: fixed.shape[1], : fixed.shape[1]] = np.eye(fixed.shape[1])
     proj_fixed = basis @ sel @ np.linalg.inv(basis)
     return ComplementResult(fixed, comp, proj_fixed, np.eye(dim) - proj_fixed)
-
-
-def _dual_image_from_pair(mat, inv_mat, space: LpSpace) -> np.ndarray:
-    w = space.weights
-    return (inv_mat.T * w[None, :]) / w[:, None]
-
-
-def canonical_complement(rep: Representation, generator_names=None) -> ComplementResult:
-    """Canonical splitting B = Fix + B' for the (sub)family of generators.
-
-    B' is the annihilator of the dual-fixed vectors under the weighted
-    pairing; the projections commute with every generator image.  Requires
-    p > 1.
-    """
-    return _complement_core(rep, generator_names)
 
 
 def functoriality_check(phi, rep1: Representation, rep2: Representation, tol: float = 1e-9):

@@ -71,6 +71,17 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _finite(value, path: str) -> np.ndarray:
+    """``value`` as a float array; non-numeric or non-finite entries are refused at ``path``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(path, f"expected numbers: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ScenarioError(path, "non-finite number")
+    return arr
+
+
 @dataclass(eq=False)
 class Scenario:
     name: str
@@ -208,7 +219,7 @@ def _build_image(spec: dict, space: LpSpace, path: str):
             signs = np.asarray(spec.get("signs", np.ones(space.dim)), dtype=float)
             return LampertiIsometry(perm, signs, space, space)
         if kind == "matrix":
-            return np.asarray(_need(spec, "entries", path), dtype=float)
+            return _finite(_need(spec, "entries", path), path)
         if kind == "permutation_action":
             action = np.asarray(_need(spec, "map", path), dtype=int)
             sigma = np.argsort(action)
@@ -241,6 +252,9 @@ def _build_representation(spec: dict, space: LpSpace, group) -> Representation:
 
 def _build_cocycle(spec: dict, rep: Representation) -> Cocycle:
     values = _need(spec, "values", "$.cocycle")
+    if not isinstance(values, dict):
+        raise ScenarioError("$.cocycle.values", "expected an object mapping generators to vectors")
+    values = {gen: _finite(vec, f"$.cocycle.values.{gen}") for gen, vec in values.items()}
     try:
         return Cocycle(rep, values, validate=bool(spec.get("validate", True)))
     except ValueError as exc:

@@ -12,6 +12,15 @@ The primal/dual pairing is the weighted bilinear form
     <x, lam> = sum_i w_i x_i lam_i
 
 so that primal and dual vectors share coordinates.
+
+This module is the only place that evaluates the lp formula.  The bare
+kernel functions ``norm_pow``, ``norms``, ``pow_grad`` and ``norm_grad``
+take the weights, the exponent and trusted arrays, and check nothing.  They
+work on a stack of vectors, one per row, so that a solver evaluates all of
+its terms in one call; all but ``norms`` also take a single vector.  Roots
+are taken one value at a time with the scalar ``**``: numpy's vectorised
+power rounds a few percent of them differently in the last place, which
+would move reported values.
 """
 
 from __future__ import annotations
@@ -25,7 +34,48 @@ __all__ = [
     "as_vector",
     "duality_map",
     "mazur_map",
+    "norm_grad",
+    "norm_pow",
+    "norms",
+    "pow_grad",
+    "weighted_lstsq",
 ]
+
+
+def norm_pow(w, p, r):
+    """sum_i w_i |r_i|**p, the p-th power of the norm of ``r``, or of each row of a stack."""
+    # np.add.reduce is np.sum without its Python-level dispatch, which
+    # costs more than the sum itself on these short rows
+    return np.add.reduce(w * np.abs(r) ** p, axis=-1)
+
+
+def _roots(w, p, rows) -> list:
+    return [s ** (1.0 / p) for s in norm_pow(w, p, rows).tolist()]
+
+
+def norms(w, p, rows) -> np.ndarray:
+    """The norm of each row of the 2-d array ``rows``."""
+    return np.array(_roots(w, p, rows))
+
+
+def pow_grad(w, p, r) -> np.ndarray:
+    """w * sign(r) |r|**(p-1): the gradient of ``norm_pow`` divided by p, row by row."""
+    return w * np.sign(r) * np.abs(r) ** (p - 1.0)
+
+
+def norm_grad(w, p, r) -> np.ndarray:
+    """Gradient of the norm at ``r``, or at each row of a stack; zero where the row is 0 (p > 1)."""
+    rows = r.reshape(-1, r.shape[-1])
+    # dividing by inf zeroes the rows with norm 0, where pow_grad is 0 already
+    scale = np.array([n ** (p - 1.0) if n > 0.0 else np.inf for n in _roots(w, p, rows)])
+    return (pow_grad(w, p, rows) / scale[:, None]).reshape(r.shape)
+
+
+def weighted_lstsq(w, mat, rhs) -> np.ndarray:
+    """Least-squares solution of mat @ c = rhs in the weighted l2 norm."""
+    sq = np.sqrt(w)
+    sol, *_ = np.linalg.lstsq(mat * sq[:, None], rhs * sq, rcond=None)
+    return sol
 
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
@@ -74,12 +124,11 @@ class LpSpace:
 
     def norm_pow(self, v) -> float:
         """sum_i w_i |v_i|**p  (the p-th power of the norm)."""
-        v = as_vector(v, self.dim)
-        return float(np.sum(self.weights * np.abs(v) ** self.p))
+        return float(norm_pow(self.weights, self.p, as_vector(v, self.dim)))
 
     def norm(self, v) -> float:
         """Weighted p-norm of ``v``."""
-        return self.norm_pow(v) ** (1.0 / self.p)
+        return float(norm_pow(self.weights, self.p, as_vector(v, self.dim))) ** (1.0 / self.p)
 
     def distance(self, x, y) -> float:
         return self.norm(as_vector(x, self.dim) - as_vector(y, self.dim))
@@ -94,10 +143,9 @@ class LpSpace:
         """Gradient of v -> ||v|| at a nonzero point (p > 1)."""
         self.require_smooth()
         v = as_vector(v, self.dim)
-        n = self.norm(v)
-        if n == 0.0:
+        if not np.any(v):
             raise ValueError("norm gradient undefined at 0")
-        return self.weights * np.sign(v) * np.abs(v) ** (self.p - 1.0) / n ** (self.p - 1.0)
+        return norm_grad(self.weights, self.p, v)
 
     # -- structure ---------------------------------------------------------
 
@@ -146,7 +194,7 @@ def duality_map(space: LpSpace, v) -> np.ndarray:
     n = space.norm(v)
     if n == 0.0:
         raise ValueError("duality map undefined at the zero vector")
-    return np.sign(v) * np.abs(v) ** (space.p - 1.0) / n ** (space.p - 1.0)
+    return pow_grad(1.0, space.p, v) / n ** (space.p - 1.0)
 
 
 def mazur_map(space: LpSpace, v, q: float) -> np.ndarray:

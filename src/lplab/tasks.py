@@ -14,7 +14,7 @@ from .induction import CosetStructure, fixed_point_transfer, induce_cocycle, ind
 from .lamperti import LampertiIsometry, mazur_conjugate, mazur_conjugation_residual
 from .reports import Report
 from .representation import canonical_complement
-from .scenario import Scenario, ScenarioError, _build_cocycle, _build_representation
+from .scenario import _COMMANDS, Scenario, ScenarioError, _build_cocycle, _build_representation
 from .spaces import mazur_map
 
 __all__ = ["execute", "sweep"]
@@ -52,10 +52,7 @@ def sweep(scenario: Scenario, p_values, seed: int | None = None, tol: float | No
         t0 = time.perf_counter()
         try:
             cell = execute(scenario.with_exponent(float(p)), seed=seed, tol=tol, budget=budget)
-        except Refusal as exc:
-            cell = Report(f"{scenario.name}@p={p:g}", scenario.task["command"], "refused",
-                          {"error": str(exc)}, scenario.seed if seed is None else seed, scenario.tolerances)
-        except (ScenarioError, ValueError) as exc:
+        except (Refusal, ValueError) as exc:
             cell = Report(f"{scenario.name}@p={p:g}", scenario.task["command"], "refused",
                           {"error": str(exc)}, scenario.seed if seed is None else seed, scenario.tolerances)
         cells.append((float(p), cell, time.perf_counter() - t0))
@@ -200,13 +197,14 @@ def _task_cobound(scenario, seed, tolerances, budget):
     coc = _require_cocycle(scenario)
     tol = float(scenario.task.get("tol", 1e-8))
     sol = coboundary_solve(coc, tol=tol)
+    checks = [_check("residual_classifies_coboundary", sol.residual, tol)]
     payload = {
         "vector": sol.vector,
         "residual": sol.residual,
         "is_coboundary": sol.is_coboundary,
-        "checks": [_check("residual_classifies_coboundary", sol.residual, tol)],
+        "checks": checks,
     }
-    return "pass", payload
+    return _status(checks), payload
 
 
 def _coset_structure(scenario) -> CosetStructure:
@@ -280,18 +278,19 @@ def _task_split(scenario, seed, tolerances, budget):
     rep = _require_rep(scenario)
     coc = _require_cocycle(scenario)
     f1, f2 = _split_factors(scenario)
+    gap_threshold = float(scenario.task.get("gap_threshold", 0.01))
+    tol = float(scenario.task.get("tol", 1e-8))
     report = split_action(
         rep,
         coc,
         f1,
         f2,
-        gap_threshold=float(scenario.task.get("gap_threshold", 0.01)),
-        tol=float(scenario.task.get("tol", 1e-8)),
+        gap_threshold=gap_threshold,
+        tol=tol,
         gap_kwargs={"seed": seed},
     )
-    tol = float(scenario.task.get("tol", 1e-8))
     checks = [
-        _check("gap_b0_above_threshold", report.gap_b0, float(scenario.task.get("gap_threshold", 0.01)), "gt"),
+        _check("gap_b0_above_threshold", report.gap_b0, gap_threshold, "gt"),
         _check("reconstruction_residual", report.reconstruction_residual, tol),
         _check("support_residual", report.support_residual, tol),
         _check("factor_relator_residual", max(report.factor_validation.values()), 10 * tol),
@@ -318,16 +317,16 @@ def _task_superrigid(scenario, seed, tolerances, budget):
     rep_sub, coc_sub = _sub_rep_and_cocycle(scenario, cs)
     if coc_sub is None:
         raise ScenarioError("$.cocycle", "superrigid requires a cocycle")
+    tol = float(scenario.task.get("tol", 1e-8))
     report = superrigidity_pipeline(
         extras,
         list(scenario.task["subgroup"]),
         {str(k): int(v) for k, v in scenario.task["subgroup_generators"].items()},
         coc_sub,
         gap_threshold=float(scenario.task.get("gap_threshold", 0.01)),
-        tol=float(scenario.task.get("tol", 1e-8)),
+        tol=tol,
         gap_kwargs={"seed": seed},
     )
-    tol = float(scenario.task.get("tol", 1e-8))
     checks = [
         _check("split_reconstruction_residual", report.split.reconstruction_residual, tol),
         _check("pullback_reconstruction_residual", report.sub_reconstruction_residual, 10 * tol),
@@ -465,16 +464,16 @@ def _task_displacement(scenario, seed, tolerances, budget):
     gens_h = params.get("factor_h", extras["factor2_generators"] if extras else None)
     if gens_a is None or gens_h is None:
         raise ScenarioError("$.task", "displacement needs factor_a/factor_h generator lists")
+    tol = float(params.get("tol", 1e-6))
     report = displacement_bound_check(
         action,
         list(gens_a),
         list(gens_h),
         k_h=params.get("k_h"),
-        tol=float(params.get("tol", 1e-6)),
+        tol=tol,
         a_radius=int(params.get("radius", 6)),
         gap_kwargs={"seed": seed},
     )
-    tol = float(params.get("tol", 1e-6))
     checks = []
     if report.status != "not-applicable":
         checks.append(_check("exchange_identity_residual", report.identity_residual, tol))
@@ -496,16 +495,17 @@ def _task_mautner(scenario, seed, tolerances, budget):
     coc = _require_cocycle(scenario)
     action = AffineAction(coc)
     params = scenario.task
+    tol = float(params.get("tol", tolerances["solver"]))
     report = mautner_check(
         action,
         str(params.get("g", "g")),
         str(params.get("h", "h")),
         n_max=int(params.get("n_max", 12)),
-        tol=float(params.get("tol", tolerances["solver"])),
+        tol=tol,
     )
     checks = []
     if report.status != "not-applicable":
-        checks.append(_check("h_displacement", report.h_displacement, float(params.get("tol", tolerances["solver"]))))
+        checks.append(_check("h_displacement", report.h_displacement, tol))
     payload = {
         "outcome": report.status,
         "contracting": report.contracting,
@@ -517,18 +517,5 @@ def _task_mautner(scenario, seed, tolerances, budget):
     return report.status, payload
 
 
-_HANDLERS = {
-    "decompose": _task_decompose,
-    "gap": _task_gap,
-    "fixpoint": _task_fixpoint,
-    "cobound": _task_cobound,
-    "induce": _task_induce,
-    "split": _task_split,
-    "superrigid": _task_superrigid,
-    "mazur": _task_mazur,
-    "schoenberg": _task_schoenberg,
-    "modulus": _task_modulus,
-    "klee": _task_klee,
-    "displacement": _task_displacement,
-    "mautner": _task_mautner,
-}
+# the command list is owned by the schema; each command ``x`` runs ``_task_x``
+_HANDLERS = {command: globals()[f"_task_{command}"] for command in _COMMANDS}

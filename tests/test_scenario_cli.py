@@ -227,3 +227,60 @@ class TestMalformedFile:
         assert main(["run", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "$.space.weights" in err
+
+
+def _write_bundled_variant(tmp_path, name, edit):
+    raw = json.loads(bundled_scenario_path(name).read_text())
+    edit(raw)
+    path = tmp_path / f"{name}-variant.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestStatusFromChecks:
+    TRANSLATION_COBOUND = {
+        "name": "translation-cobound",
+        "space": {"dim": 1, "p": 2.0},
+        "group": {"kind": "presentation", "generators": ["t"], "relators": [], "k": ["t"]},
+        "representation": {"images": {"t": {"kind": "matrix", "entries": [[1.0]]}}},
+        "cocycle": {"values": {"t": [1.0]}},
+        "task": {"command": "cobound"},
+    }
+
+    def test_non_coboundary_fails(self, tmp_path, capsys):
+        path = tmp_path / "translation-cobound.json"
+        path.write_text(json.dumps(self.TRANSLATION_COBOUND))
+        assert main(["run", str(path)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "fail"
+        assert doc["payload"]["is_coboundary"] is False
+        assert [c["ok"] for c in doc["payload"]["checks"]] == [False]
+
+    def test_coboundary_passes(self, capsys):
+        assert main(["run", "swap-cocycle-cobound"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "pass"
+        assert doc["payload"]["is_coboundary"] is True
+
+
+class TestNonFiniteInput:
+    def test_nan_cocycle_refused_with_path(self, tmp_path, capsys):
+        def edit(raw):
+            raw["cocycle"]["values"]["s"] = [float("nan"), float("nan")]
+
+        path = _write_bundled_variant(tmp_path, "swap-cocycle-fm", edit)
+        assert "NaN" in open(path).read()
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "$.cocycle.values.s" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_infinite_matrix_entry_refused_with_path(self, tmp_path, capsys):
+        def edit(raw):
+            raw["representation"]["images"]["h"]["entries"][0][1] = float("inf")
+
+        assert main(["run", _write_bundled_variant(tmp_path, "mautner-matrix", edit)]) == 2
+        captured = capsys.readouterr()
+        assert "$.representation.images.h" in captured.err
+        assert "Traceback" not in captured.err

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lplab import LpSpace, duality_map, mazur_map
+from lplab.spaces import norm_grad, norm_pow, norms, pow_grad
+
+KERNEL_EXPONENTS = [1.25, 1.5, 3.0, 4.0, 6.0]
 
 
 def test_norm_euclidean_345():
@@ -128,3 +131,59 @@ def test_mazur_to_conjugate_exponent_is_duality_map(p, rng):
     v = space.random_unit(rng)
     q = p / (p - 1.0)
     assert np.max(np.abs(mazur_map(space, v, q) - duality_map(space, v))) <= 1e-10
+
+
+@pytest.mark.parametrize("p", KERNEL_EXPONENTS)
+def test_kernel_norms_equal_space_norm_exactly(p, rng):
+    # roots are taken per value with the scalar power, so a stacked
+    # evaluation reproduces LpSpace.norm bit for bit
+    space = LpSpace(7, p, rng.uniform(0.2, 3.0, 7))
+    rows = rng.standard_normal((200, 7)) * rng.uniform(0.01, 100.0, (200, 1))
+    stacked = norms(space.weights, p, rows)
+    assert all(stacked[i] == space.norm(row) for i, row in enumerate(rows))
+    assert all(norm_pow(space.weights, p, rows)[i] == space.norm_pow(row) for i, row in enumerate(rows))
+
+
+def _central_difference(f, x, h=1e-6):
+    out = np.zeros_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        out[i] = (f(x + step) - f(x - step)) / (2.0 * h)
+    return out
+
+
+@pytest.mark.parametrize("p", KERNEL_EXPONENTS)
+def test_kernel_gradients_match_finite_differences(p, rng):
+    w = rng.uniform(0.2, 3.0, 5)
+    for _ in range(10):
+        r = rng.standard_normal(5)
+        fd_pow = _central_difference(lambda x: norm_pow(w, p, x), r)
+        assert np.max(np.abs(p * pow_grad(w, p, r) - fd_pow)) <= 1e-6 * max(1.0, np.max(np.abs(fd_pow)))
+        fd_norm = _central_difference(lambda x: float(norms(w, p, x[None, :])[0]), r)
+        assert np.max(np.abs(norm_grad(w, p, r) - fd_norm)) <= 1e-6
+
+
+@pytest.mark.parametrize("p", KERNEL_EXPONENTS)
+def test_kernel_norm_grad_stack_matches_rows(p, rng):
+    w = rng.uniform(0.2, 3.0, 4)
+    rows = rng.standard_normal((6, 4))
+    rows[2] = 0.0
+    stacked = norm_grad(w, p, rows)
+    for row, grad in zip(rows, stacked):
+        assert np.array_equal(grad, norm_grad(w, p, row))
+    assert np.array_equal(stacked[2], np.zeros(4))
+
+
+@pytest.mark.parametrize("p", KERNEL_EXPONENTS)
+def test_kernel_norm_grad_is_zero_at_origin(p):
+    w = np.array([0.5, 1.0, 2.0])
+    assert np.array_equal(norm_grad(w, p, np.zeros(3)), np.zeros(3))
+
+
+@pytest.mark.parametrize("p", KERNEL_EXPONENTS)
+def test_duality_map_norms_its_vector(p, rng):
+    space = LpSpace(6, p, rng.uniform(0.2, 3.0, 6))
+    for _ in range(20):
+        v = rng.standard_normal(6) * rng.uniform(0.01, 100.0)
+        assert abs(space.pairing(v / space.norm(v), duality_map(space, v)) - 1.0) <= 1e-12

@@ -1,0 +1,60 @@
+"""Print a SHA-256 digest of every report the bundled corpus produces.
+
+    python3 tools/report_digest.py
+
+Runs ``lplab.cli.main`` in this process, with BLAS pinned to one thread:
+``run`` on every bundled scenario, then ``sweep`` on the five gap scenarios
+over p = 1.25, 1.5, 2, 3, 4, 6.  Prints one ``name sha256`` line per
+report, where the name is ``run/<scenario>`` or ``sweep/<scenario>@p=<p>``.
+The package is imported from the ``src/`` directory of the checkout that
+holds this script, so running it in two checkouts and diffing the outputs
+shows whether a change keeps every report byte-identical.
+"""
+
+from __future__ import annotations
+
+import os
+
+# set before numpy is first imported
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from lplab.cli import bundled_scenarios, main  # noqa: E402
+
+SWEEP_SCENARIOS = ("swap-gap", "cyclic3-gap", "cyclic5-gap", "dihedral4-gap", "grid-z2xz2-gap")
+SWEEP_EXPONENTS = "1.25,1.5,2,3,4,6"
+
+
+def _reports(argv) -> list:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+    return out.getvalue().splitlines()
+
+
+def _digest(line: str) -> str:
+    return hashlib.sha256(line.encode()).hexdigest()
+
+
+def digests():
+    """(name, sha256) for every report, in a fixed order."""
+    for file_name in bundled_scenarios():
+        name = file_name[: -len(".json")]
+        for line in _reports(["run", name]):
+            yield f"run/{name}", _digest(line)
+    for name in SWEEP_SCENARIOS:
+        for line in _reports(["sweep", name, "--p", SWEEP_EXPONENTS]):
+            yield f"sweep/{json.loads(line)['scenario']}", _digest(line)
+
+
+if __name__ == "__main__":
+    for name, digest in digests():
+        print(name, digest, flush=True)

@@ -78,6 +78,25 @@ class Cocycle:
             prefix = prefix @ step_mat
         return out
 
+    def element_values(self) -> dict:
+        """Value at every element of a table-backed group, the extension along its BFS word.
+
+        Built once along the BFS tree as c(g x) = c(g) + rho(g) c(x), the
+        same sums in the same order as :meth:`value`.
+        """
+        rep = self.rep
+        if not isinstance(rep.group, TableGroup):
+            raise ValueError("element enumeration needs a table-backed group")
+        mats = rep.element_matrices()
+        steps = {}
+        for name, val in self.values.items():
+            steps[name] = val
+            steps[name.upper()] = -rep._inv_mats[name] @ val
+        vals = {rep.group.identity: np.zeros(rep.space.dim)}
+        for g, letter, gx in rep.group.bfs_tree():
+            vals[gx] = vals[g] + mats[g] @ steps[letter]
+        return vals
+
     def seminorm(self, k_words=None) -> float:
         """max_{w in K} ||c(w)||, the K-seminorm of the cocycle."""
         words = list(k_words) if k_words is not None else list(self.rep.group.k_set)
@@ -89,8 +108,7 @@ class Cocycle:
         rep = self.rep
         if isinstance(rep.group, TableGroup):
             # consistency of the extension over the whole Cayley graph
-            words = rep.group.element_words()
-            vals = {g: self.value(wd) for g, wd in words.items()}
+            vals = self.element_values()
             mats = rep.element_matrices()
             worst = 0.0
             for g in range(rep.group.order):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg
 
 from .representation import Representation, canonical_complement
 from .spaces import norm_grad, norms
@@ -39,6 +39,8 @@ class GapEstimate:
 def _sphere_directions(m: int, count: int, seed: int) -> np.ndarray:
     if m == 1:
         return np.array([[1.0], [-1.0]])
+    from scipy import stats  # about a third of the CLI import time; only this sweep uses it
+
     sob = stats.qmc.Sobol(d=m, scramble=True, seed=seed)
     raw = sob.random(count)
     pts = stats.norm.ppf(np.clip(raw, 1e-12, 1 - 1e-12))
@@ -90,13 +92,12 @@ def kazhdan_gap(
     # rows 0..K-1 of ops @ c are the K displacements, the last row is the vector itself
     ops = np.array(disp_ops + [basis])
 
-    def ratio(c):
-        vals = norms(w, p, ops @ c)
-        return float(np.max(vals[:-1]) / vals[-1])
-
-    def subgrad(c):
+    def evaluate(c):
         rows = ops @ c
         vals = norms(w, p, rows)
+        return rows, vals, float(np.max(vals[:-1]) / vals[-1])
+
+    def subgrad(rows, vals):
         i = int(np.argmax(vals[:-1]))
         num, den = vals[i], vals[-1]
         grad_num, grad_den = norm_grad(w, p, rows[[i, -1]])
@@ -115,7 +116,7 @@ def kazhdan_gap(
         pass
     if m <= 4:
         dense = _sphere_directions(m, 1 << 11, seed)
-        vals = np.array([ratio(c) for c in dense])
+        vals = np.array([evaluate(c)[2] for c in dense])
         for idx in np.argsort(vals)[:3]:
             starts.append(dense[idx])
     while len(starts) < restarts:
@@ -124,19 +125,22 @@ def kazhdan_gap(
     best_val, best_witness = np.inf, None
     for c0 in starts:
         c = c0 / np.linalg.norm(c0)
-        val = ratio(c)
+        rows, vals, val = evaluate(c)
+        grad = None  # subgradient at c, kept until a step is accepted
         step = 0.2
         trace_mark = val
         for t in range(iters):
-            cand = c - step * subgrad(c)
+            if grad is None:
+                grad = subgrad(rows, vals)
+            cand = c - step * grad
             n = np.linalg.norm(cand)
             if n < 1e-14:
                 step *= 0.5
                 continue
             cand /= n
-            cand_val = ratio(cand)
+            cand_rows, cand_vals, cand_val = evaluate(cand)
             if cand_val < val:
-                c, val = cand, cand_val
+                c, rows, vals, val, grad = cand, cand_rows, cand_vals, cand_val, None
                 step = min(step * 1.25, 1.0)
             else:
                 step *= 0.6

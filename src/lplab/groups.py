@@ -106,22 +106,25 @@ class TableGroup:
             raise ValueError("identity index out of range")
         if not (np.array_equal(table[e], np.arange(m)) and np.array_equal(table[:, e], np.arange(m))):
             raise ValueError("identity law fails")
-        # associativity: (ij)k == i(jk) for all triples
-        left = table[table, :]          # left[i, j, k] = (ij)k
-        right = table[:, table]         # right[i, j, k] = i(jk)
-        if not np.array_equal(left, right):
-            raise ValueError("multiplication table is not associative")
+        # associativity: (ij)k == i(jk) for all triples, one m x m slice per i
+        for i in range(m):
+            if not np.array_equal(table[table[i], :], table[i][table]):
+                raise ValueError("multiplication table is not associative")
         for name, idx in self.generators.items():
             if len(name) != 1 or not name.islower():
                 raise ValueError("generator names must be single lowercase letters")
             if not (0 <= idx < m):
                 raise ValueError(f"generator {name!r} index out of range")
         object.__setattr__(self, "table", table)
+        # inverses[i] is the first j with ij = e, or -1 when i has no inverse
+        is_e = table == e
+        object.__setattr__(self, "_inverses", np.where(is_e.any(axis=1), is_e.argmax(axis=1), -1))
         ks = tuple(self.k_set) if self.k_set is not None else tuple(sorted(self.generators))
         for wkw in ks:
             self.check_word(wkw)
         object.__setattr__(self, "k_set", ks)
-        if len(self.element_words()) != m:
+        object.__setattr__(self, "_tree", self._bfs_tree())
+        if len(self._tree) + 1 != m:
             raise ValueError("designated generators do not generate the group")
 
     @property
@@ -136,7 +139,9 @@ class TableGroup:
         return int(self.table[i, j])
 
     def inv(self, i: int) -> int:
-        j = int(np.nonzero(self.table[i] == self.identity)[0][0])
+        j = int(self._inverses[i])
+        if j < 0:
+            raise ValueError(f"element {i} has no inverse")
         return j
 
     def check_word(self, word: str):
@@ -153,9 +158,10 @@ class TableGroup:
             g = self.mult(g, h)
         return g
 
-    def element_words(self) -> dict:
-        """Shortest word (BFS over the designated generators) for each reachable element."""
-        words = {self.identity: ""}
+    def _bfs_tree(self) -> tuple:
+        """Edges (g, letter, g * letter) of the BFS tree from the identity, in BFS order."""
+        seen = {self.identity}
+        tree = []
         queue = deque([self.identity])
         steps = [(name, self.generators[name]) for name in self.generator_names]
         steps += [(name.upper(), self.inv(self.generators[name])) for name in self.generator_names]
@@ -163,9 +169,25 @@ class TableGroup:
             g = queue.popleft()
             for letter, h in steps:
                 gh = self.mult(g, h)
-                if gh not in words:
-                    words[gh] = words[g] + letter
+                if gh not in seen:
+                    seen.add(gh)
+                    tree.append((g, letter, gh))
                     queue.append(gh)
+        return tuple(tree)
+
+    def bfs_tree(self) -> tuple:
+        """Spanning tree of the Cayley graph as (parent, letter, child) edges in BFS order.
+
+        Every parent precedes its children, and the word of a child is the
+        word of its parent followed by ``letter`` (uppercase = inverse).
+        """
+        return self._tree
+
+    def element_words(self) -> dict:
+        """Shortest word (BFS over the designated generators) for each element."""
+        words = {self.identity: ""}
+        for g, letter, gh in self._tree:
+            words[gh] = words[g] + letter
         return words
 
     def subgroup_closure(self, elements) -> list:

@@ -192,10 +192,8 @@ def induce_rep(cs: CosetStructure, rep_sub: Representation) -> tuple:
 
 def induce_cocycle(cs: CosetStructure, cocycle_sub: Cocycle, induced_rep: Representation, validate: bool = True) -> Cocycle:
     """Induce a subgroup cocycle: block at d of b_ind(h) is b(chi(h^-1 d))."""
-    sub_group = cs.subgroup
     d = cocycle_sub.space.dim
-    sub_words = sub_group.element_words()
-    sub_values = {i: cocycle_sub.value(w) for i, w in sub_words.items()}
+    sub_values = cocycle_sub.element_values()
     values = {}
     for name in cs.group.generator_names:
         h = cs.group.generators[name]

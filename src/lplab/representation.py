@@ -78,6 +78,7 @@ class Representation:
                 self._inv_mats[name] = op.inverse().matrix()
             else:
                 self._inv_mats[name] = np.linalg.inv(self._mats[name])
+        self._element_mats = None
         self.require_isometric = require_isometric
         if require_isometric:
             self._check_isometric()
@@ -114,10 +115,23 @@ class Representation:
         return self.operator(word) @ as_vector(v, self.space.dim)
 
     def element_matrices(self) -> dict:
-        """Matrix for every element of a table-backed group (via BFS words)."""
+        """Matrix for every element of a table-backed group, the operator of its BFS word.
+
+        Built once along the BFS tree as phi(g x) = phi(g) @ rho(x), the same
+        products in the same order as :meth:`operator`; the matrices are
+        cached and read-only.
+        """
         if not isinstance(self.group, TableGroup):
             raise ValueError("element enumeration needs a table-backed group")
-        return {g: self.operator(w) for g, w in self.group.element_words().items()}
+        if self._element_mats is None:
+            mats = {self.group.identity: np.eye(self.space.dim)}
+            for g, letter, gx in self.group.bfs_tree():
+                name = letter.lower()
+                mats[gx] = mats[g] @ (self._inv_mats[name] if letter.isupper() else self._mats[name])
+            for mat in mats.values():
+                mat.setflags(write=False)
+            self._element_mats = mats
+        return self._element_mats
 
     # -- validation ---------------------------------------------------------
 
@@ -131,12 +145,14 @@ class Representation:
 
     def _relation_residual(self) -> float:
         if isinstance(self.group, TableGroup):
+            # every Cayley-graph edge g -> gs: phi(g) rho(s) = phi(gs) for all g
+            # and generators s makes phi a homomorphism (induction on word length)
             mats = self.element_matrices()
+            group, names = self.group, self.generator_names
             worst = 0.0
-            m = self.group.order
-            for i in range(m):
-                for j in range(m):
-                    dev = mats[i] @ mats[j] - mats[self.group.mult(i, j)]
+            for g, mat in mats.items():
+                for name in names:
+                    dev = mat @ self._mats[name] - mats[group.mult(g, group.generators[name])]
                     worst = max(worst, float(np.linalg.norm(dev, 2)))
             return worst
         worst = 0.0

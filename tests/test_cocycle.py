@@ -75,6 +75,28 @@ class TestCocycleExtension:
         rhs = rep.operator(w1) @ coc.value(w2) + coc.value(w1)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_tree_values_equal_word_values(self, rng, valid):
+        # Z/2 x Z/3 on six weighted atoms: the densities make every product inexact
+        info = product_group(cyclic_group(2, "a"), cyclic_group(3, "b"))
+        n = 6
+        space = LpSpace(n, 3.0, rng.uniform(0.5, 2.0, n))
+        images = {
+            "a": LampertiIsometry([3, 4, 5, 0, 1, 2], np.ones(n), space, space),
+            "b": LampertiIsometry([1, 2, 0, 4, 5, 3], np.ones(n), space, space),
+        }
+        rep = Representation(info["group"], space, images)
+        if valid:
+            coc = coboundary_of(rep, rng.standard_normal(n))
+        else:
+            coc = Cocycle(rep, {name: rng.standard_normal(n) for name in "ab"}, validate=False)
+        vals = coc.element_values()
+        words = rep.group.element_words()
+        assert sorted(vals) == sorted(words)
+        for g, word in words.items():
+            assert np.array_equal(vals[g], coc.value(word))
+        assert (coc.relator_residual <= 1e-12) == valid
+
     def test_unknown_symbol(self):
         act = swap_action()
         with pytest.raises(ValueError, match="unknown generator"):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lplab
 from lplab import (
     LampertiIsometry,
     LpSpace,
@@ -70,3 +76,12 @@ def test_gap_positive_across_p_for_zero_mean_families(p):
     rep, _ = zero_mean_rep({"a": np.roll(np.arange(6), -1)}, np.ones(6), p)
     est = kazhdan_gap(rep, seed=0)
     assert est.upper > 0.01
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported only by the low-dimensional Sobol sweep
+    src = str(Path(lplab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lplab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

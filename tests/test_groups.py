@@ -31,6 +31,33 @@ def test_table_validation_rejects_broken_tables():
         TableGroup(bad, 0, {"a": 1})
 
 
+def test_associativity_checked_on_every_triple():
+    # one wrong entry, deep inside the table, is enough to refuse it
+    table = dihedral_group(4).table.copy()
+    table[5, 6], table[5, 7] = table[5, 7], table[5, 6]
+    with pytest.raises(ValueError, match="multiplication table is not associative"):
+        TableGroup(table, 0, {"a": 1, "b": 2})
+
+
+def test_inverses_and_bfs_tree():
+    for g in (cyclic_group(5), dihedral_group(4), symmetric_group_3()):
+        e = g.identity
+        for i in range(g.order):
+            assert g.mult(i, g.inv(i)) == e and g.mult(g.inv(i), i) == e
+        tree = g.bfs_tree()
+        assert len(tree) == g.order - 1
+        words = g.element_words()
+        reached = {e}
+        for parent, letter, child in tree:
+            assert parent in reached and child not in reached
+            reached.add(child)
+            assert words[child] == words[parent] + letter
+            assert g.word_to_element(words[child]) == child
+    # an associative table with identity whose generator has no inverse
+    with pytest.raises(ValueError, match="no inverse"):
+        TableGroup(np.array([[0, 1], [1, 1]]), 0, {"a": 1})
+
+
 def test_generators_must_generate():
     g = cyclic_group(4)
     with pytest.raises(ValueError, match="generate"):

@@ -43,6 +43,84 @@ def grid_rep(p=2.0):
     return Representation(info["group"], space, {"a": ua, "b": ub})
 
 
+def rotation_z6():
+    # rotation by 60 degrees on l_2^2: floating-point products, not exact ones
+    t = np.pi / 3
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    return Representation(cyclic_group(6), LpSpace(2, 2.0), {"a": rot})
+
+
+def weighted_perm_rep(perms, p, seed=0):
+    n = len(next(iter(perms.values())))
+    rep, _ = zero_mean_rep(perms, np.random.default_rng(seed).uniform(0.5, 2.0, n), p)
+    return rep
+
+
+TREE_REPS = {
+    "z6": rotation_z6,
+    "d4": lambda: weighted_perm_rep({"r": np.roll(np.arange(4), -1), "s": (-np.arange(4)) % 4}, 3.0),
+    "s3": lambda: weighted_perm_rep({"t": [1, 0, 2], "c": [1, 2, 0]}, 1.5, seed=1),
+    "grid": lambda: grid_rep(3.0),
+}
+
+
+def pair_residual(rep):
+    """Brute-force oracle: max over all m^2 pairs of ||phi(i) phi(j) - phi(ij)||_2."""
+    mats = rep.element_matrices()
+    m = rep.group.order
+    return max(
+        float(np.linalg.norm(mats[i] @ mats[j] - mats[rep.group.mult(i, j)], 2))
+        for i in range(m)
+        for j in range(m)
+    )
+
+
+def signed_shift_z6(sign_product):
+    # rho(a)^6 = (product of the signs) * I
+    signs = np.ones(6)
+    signs[0] = sign_product
+    space = LpSpace(6, 3.0)
+    image = LampertiIsometry(np.roll(np.arange(6), 1), signs, space, space)
+    return Representation(cyclic_group(6), space, {"a": image}, validate=False)
+
+
+class TestElementOperators:
+    @pytest.mark.parametrize("name", sorted(TREE_REPS))
+    def test_tree_matrices_equal_word_operators(self, name):
+        rep = TREE_REPS[name]()
+        mats = rep.element_matrices()
+        words = rep.group.element_words()
+        assert sorted(mats) == list(range(rep.group.order))
+        for g, word in words.items():
+            assert np.array_equal(mats[g], rep.operator(word))
+
+    def test_element_matrices_are_cached_and_read_only(self):
+        rep = rotation_z6()
+        mats = rep.element_matrices()
+        assert rep.element_matrices() is mats
+        with pytest.raises(ValueError):
+            mats[1][0, 0] = 0.0
+
+    @pytest.mark.parametrize("name", sorted(TREE_REPS))
+    def test_edge_and_pair_residuals_of_valid_representations(self, name):
+        rep = TREE_REPS[name]()
+        assert rep.relation_residual <= 1e-12
+        assert pair_residual(rep) <= 1e-12
+
+    def test_relation_broken_off_the_tree_is_refused(self):
+        rep = signed_shift_z6(-1.0)  # rho(a)^6 = -I
+        tree = rep.group.bfs_tree()
+        mats = rep.element_matrices()
+        # every tree edge holds by construction; the defect sits on a non-tree edge
+        for g, letter, gx in tree:
+            assert np.array_equal(mats[g] @ rep.operator(letter), mats[gx])
+        assert rep.relation_residual > 1e-9
+        assert pair_residual(rep) > 1e-9
+        assert signed_shift_z6(1.0).relation_residual == 0.0
+        with pytest.raises(ValueError, match="relations violated"):
+            Representation(rep.group, rep.space, rep.images)
+
+
 class TestRepresentation:
     def test_rejects_non_isometric_images(self):
         space = LpSpace(2, 2)

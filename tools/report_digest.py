@@ -1,14 +1,17 @@
-"""Print a SHA-256 digest of every report the bundled corpus produces.
+"""Print a SHA-256 digest of every report the bundled corpus and the scale workload produce.
 
     python3 tools/report_digest.py
 
 Runs ``lplab.cli.main`` in this process, with BLAS pinned to one thread:
-``run`` on every bundled scenario, then ``sweep`` on the five gap scenarios
-over p = 1.25, 1.5, 2, 3, 4, 6.  Prints one ``name sha256`` line per
-report, where the name is ``run/<scenario>`` or ``sweep/<scenario>@p=<p>``.
-The package is imported from the ``src/`` directory of the checkout that
-holds this script, so running it in two checkouts and diffing the outputs
-shows whether a change keeps every report byte-identical.
+``run`` on every bundled scenario, ``sweep`` on the five gap scenarios over
+p = 1.25, 1.5, 2, 3, 4, 6, and ``run`` on the benchmark's generated
+``scale`` scenarios for seeds 1 and 2.  Prints one ``name sha256`` line per
+report, where the name is ``run/<scenario>``, ``sweep/<scenario>@p=<p>`` or
+``scale/<seed>/<scenario>``.  The package is imported from the ``src/``
+directory of the checkout that holds this script, and the scale scenarios
+come from its ``bench/workloads.py`` (imported, not modified; the scenario
+files go to a temporary directory), so running it in two checkouts and
+diffing the outputs shows whether a change keeps every report byte-identical.
 """
 
 from __future__ import annotations
@@ -23,14 +26,22 @@ import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import numpy as np  # noqa: E402
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "bench"))
+sys.dont_write_bytecode = True  # leave no __pycache__ behind in bench/
+
+import workloads  # noqa: E402
 from lplab.cli import bundled_scenarios, main  # noqa: E402
 
 SWEEP_SCENARIOS = ("swap-gap", "cyclic3-gap", "cyclic5-gap", "dihedral4-gap", "grid-z2xz2-gap")
 SWEEP_EXPONENTS = "1.25,1.5,2,3,4,6"
+SCALE_SEEDS = (1, 2)
 
 
 def _reports(argv) -> list:
@@ -53,6 +64,12 @@ def digests():
     for name in SWEEP_SCENARIOS:
         for line in _reports(["sweep", name, "--p", SWEEP_EXPONENTS]):
             yield f"sweep/{json.loads(line)['scenario']}", _digest(line)
+    for seed in SCALE_SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            # the same generator that ``workloads.build("scale", seed)`` seeds
+            for op in workloads._build_scale(np.random.default_rng(seed), Path(tmp)):
+                for line in _reports(op["argv"]):
+                    yield f"scale/{seed}/{op['name']}", _digest(line)
 
 
 if __name__ == "__main__":

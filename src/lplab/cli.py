@@ -19,9 +19,9 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import Refusal
-from .reports import Report, report_csv_rows, sweep_csv
+from .reports import report_csv_rows, sweep_csv
 from .scenario import ScenarioError, load_scenario
-from .tasks import execute, sweep
+from .tasks import execute, refused, sweep
 
 __all__ = ["main", "bundled_scenarios", "bundled_scenario_path"]
 
@@ -75,11 +75,11 @@ def _emit(args, name: str, json_text: str, csv_text: str | None):
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(_resolve_scenario(args.scenario))
+    seed = _effective_seed(args)
     try:
-        report = execute(scenario, seed=_effective_seed(args), tol=args.tol, budget=args.budget)
+        report = execute(scenario, seed=seed, tol=args.tol, budget=args.budget)
     except Refusal as exc:
-        report = Report(scenario.name, scenario.task["command"], "refused",
-                        {"error": str(exc)}, scenario.seed, scenario.tolerances)
+        report = refused(scenario, exc, seed=seed, tol=args.tol)
     _emit(args, f"{scenario.name}.{scenario.task['command']}", report.to_json(), report_csv_rows(report))
     return report.exit_code
 

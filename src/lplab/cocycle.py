@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import TableGroup, word_letters
+from .reports import Checked, check
 from .representation import Representation, canonical_complement
 from .spaces import as_vector
 
@@ -153,10 +154,14 @@ class AffineAction:
 
 
 @dataclass(frozen=True, eq=False)
-class CoboundaryResult:
+class CoboundaryResult(Checked):
     vector: np.ndarray
     residual: float
-    is_coboundary: bool
+    checks: tuple
+
+    @property
+    def is_coboundary(self) -> bool:
+        return self.status == "pass"
 
 
 def coboundary_solve(cocycle: Cocycle, tol: float = 1e-8) -> CoboundaryResult:
@@ -182,7 +187,7 @@ def coboundary_solve(cocycle: Cocycle, tol: float = 1e-8) -> CoboundaryResult:
         rep.space.norm(cocycle.values[name] - (v - rep.generator_matrix(name) @ v))
         for name in rep.generator_names
     )
-    return CoboundaryResult(vector=v, residual=residual, is_coboundary=residual <= tol)
+    return CoboundaryResult(v, residual, (check("residual_classifies_coboundary", residual, tol),))
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -245,8 +250,9 @@ def _diameter(points, space) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class DisplacementReport:
-    status: str                  # "pass" | "fail" | "not-applicable"
+class DisplacementReport(Checked):
+    checks: tuple
+    applicable: bool             # False when the H-restriction has no complement
     commutator_residual: float
     identity_residual: float     # worst deviation of (I - rho(h)) c(a) = (I - rho(a)) c(h)
     gap: float
@@ -264,7 +270,7 @@ def displacement_bound_check(
     k_h=None,
     tol: float = 1e-8,
     a_radius: int = 6,
-    gap_kwargs: dict | None = None,
+    seed: int = 0,
 ) -> DisplacementReport:
     """Commuting-factor displacement bound: sup_a ||c(a)|| <= 2R/eps.
 
@@ -295,17 +301,18 @@ def displacement_bound_check(
             lhs = (eye - rep.generator_matrix(h)) @ c.values[a]
             rhs = (eye - rep.generator_matrix(a)) @ c.values[h]
             ident = max(ident, space.norm(lhs - rhs))
-    if ident > tol:
-        return DisplacementReport("fail", comm, ident, np.nan, np.nan, np.nan, np.nan, np.nan, 0)
+    ident_check = check("exchange_identity_residual", ident, tol)
+    if not ident_check["ok"]:
+        nan = np.nan
+        checks = (ident_check, check("a_norm_within_bound", nan, nan))
+        return DisplacementReport(checks, True, comm, ident, nan, nan, nan, nan, nan, 0)
 
     complement = canonical_complement(rep, gens_h)
     from .gap import kazhdan_gap  # local import to avoid a cycle
 
-    gap_opts = {"restarts": 16}
-    gap_opts.update(gap_kwargs or {})
-    est = kazhdan_gap(rep, k_words=k_h, basis=complement.complement_basis, **gap_opts)
+    est = kazhdan_gap(rep, k_words=k_h, basis=complement.complement_basis, restarts=16, seed=seed)
     if est.infinite:
-        return DisplacementReport("not-applicable", comm, ident, np.inf, 0.0, np.inf, 0.0, 0.0, 0)
+        return DisplacementReport((), False, comm, ident, np.inf, 0.0, np.inf, 0.0, 0.0, 0)
     eps = est.upper
     if eps < 1e-6:
         raise ValueError(f"H-restriction gap {eps:.3e} below threshold 1e-6; bound uninformative")
@@ -326,9 +333,9 @@ def displacement_bound_check(
         val = c.value(word)
         worst = max(worst, space.norm(val))
         worst_comp = max(worst_comp, space.norm(proj @ val))
-    status = "pass" if worst <= bound + tol else "fail"
     return DisplacementReport(
-        status=status,
+        checks=(ident_check, check("a_norm_within_bound", worst, bound + tol)),
+        applicable=True,
         commutator_residual=comm,
         identity_residual=ident,
         gap=eps,
@@ -341,8 +348,9 @@ def displacement_bound_check(
 
 
 @dataclass(frozen=True, eq=False)
-class MautnerReport:
-    status: str                  # "pass" | "fail" | "not-applicable"
+class MautnerReport(Checked):
+    checks: tuple
+    applicable: bool             # False unless the conjugates contract and a g-fixed point exists
     contraction: tuple           # operator distances ||rho(g^-n h g^n) - I||
     contracting: bool
     fixed_point: np.ndarray | None
@@ -374,14 +382,14 @@ def mautner_check(action: AffineAction, g_word: str, h_word: str, n_max: int = 1
     contracting = non_increasing and dists[-1] < 0.1 * start
 
     if not contracting:
-        return MautnerReport("not-applicable", tuple(dists), False, None, np.nan, np.nan)
+        return MautnerReport((), False, tuple(dists), False, None, np.nan, np.nan)
 
     # g-fixed point of the affine action: (I - rho(g)) x = c(g)
     cg = action.cocycle.value(g_word)
     x, *_ = np.linalg.lstsq(eye - g_mat, cg, rcond=None)
     fixed_residual = rep.space.norm((eye - g_mat) @ x - cg)
     if fixed_residual > tol:
-        return MautnerReport("not-applicable", tuple(dists), True, None, fixed_residual, np.nan)
+        return MautnerReport((), False, tuple(dists), True, None, fixed_residual, np.nan)
     h_disp = action.displacement(h_word, x)
-    status = "pass" if h_disp <= tol else "fail"
-    return MautnerReport(status, tuple(dists), True, x, fixed_residual, h_disp)
+    checks = (check("h_displacement", h_disp, tol),)
+    return MautnerReport(checks, True, tuple(dists), True, x, fixed_residual, h_disp)

@@ -16,6 +16,7 @@ from scipy import optimize
 
 from .cocycle import AffineAction, OrbitCapExceeded, _diameter, orbit_ball
 from .groups import TableGroup
+from .reports import Checked, check
 from .spaces import LpSpace, as_vector, duality_map, norm_grad, norm_pow, norms, pow_grad, weighted_lstsq
 
 __all__ = [
@@ -325,12 +326,17 @@ def lipschitz_probe(cset, space: LpSpace, pairs) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class FixedPointResult:
-    status: str  # "fixed" | "not-fixed" | "unbounded"
+class FixedPointResult(Checked):
+    checks: tuple
+    applicable: bool  # False when no bounded orbit was found
     point: np.ndarray | None
     displacement: float
     orbit_size: int
     orbit_diameter: float
+
+    @property
+    def status(self) -> str:  # the rule's pass | fail | not-applicable, named for this solver
+        return {"pass": "fixed", "fail": "not-fixed", "not-applicable": "unbounded"}[super().status]
 
 
 def fixed_point_circumcenter(
@@ -350,9 +356,11 @@ def fixed_point_circumcenter(
     x0 = as_vector(x0, space.dim)
     group = action.rep.group
     if isinstance(group, TableGroup):
+        mats = action.rep.element_matrices()
+        vals = action.cocycle.element_values()
         pts = []
-        for _, word in sorted(group.element_words().items()):
-            y = action.apply(word, x0)
+        for g in range(group.order):
+            y = mats[g] @ x0 + vals[g]
             if all(np.max(np.abs(y - q)) > 1e-12 for q in pts):
                 pts.append(y)
         orbit = np.array(pts)
@@ -365,14 +373,14 @@ def fixed_point_circumcenter(
                 if len(ds) >= 3 and abs(ds[-1] - ds[-2]) < 1e-12 and abs(ds[-2] - ds[-3]) < 1e-12:
                     break
             else:
-                return FixedPointResult("unbounded", None, np.nan, len(ball.points), ball.diameter)
+                return FixedPointResult((), False, None, np.nan, len(ball.points), ball.diameter)
         except OrbitCapExceeded:
-            return FixedPointResult("unbounded", None, np.nan, cap, np.nan)
+            return FixedPointResult((), False, None, np.nan, cap, np.nan)
         orbit = ball.points
     center, _ = circumcenter(orbit, space)
     disp = action.max_displacement(center)
-    status = "fixed" if disp <= fix_tol else "not-fixed"
-    return FixedPointResult(status, center, disp, len(orbit), _diameter(orbit, space))
+    checks = (check("displacement", disp, fix_tol),)
+    return FixedPointResult(checks, True, center, disp, len(orbit), _diameter(orbit, space))
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,11 +390,16 @@ class FisherMargulisStep:
 
 
 @dataclass(frozen=True, eq=False)
-class FisherMargulisResult:
-    status: str  # "fixed" | "non-contracting" | "max-iter"
+class FisherMargulisResult(Checked):
+    checks: tuple     # one per accepted halving step, then the terminal displacement
+    applicable: bool  # False when a halving step failed
     trace: tuple
     terminal: np.ndarray
     displacement: float
+
+    @property
+    def status(self) -> str:  # the rule's pass | fail | not-applicable, named for this solver
+        return {"pass": "fixed", "fail": "max-iter", "not-applicable": "non-contracting"}[super().status]
 
     @property
     def radii(self):
@@ -423,6 +436,8 @@ def fisher_margulis_iterate(
     Each step minimizes y -> diam({y} u K.y) over the ball of radius
     c_mult * R_n around the current point and accepts only strict halving;
     a failed halving step stops the run with status "non-contracting".
+    Otherwise the run ends "fixed" when the terminal K-displacement is at
+    most ``tol`` and "max-iter" when it is not.
     The K-orbit diameter includes the point itself so that it always bounds
     the generator displacement.
     """
@@ -445,11 +460,10 @@ def fisher_margulis_iterate(
 
     rng = np.random.default_rng(seed)
     trace = [FisherMargulisStep(point=x.copy(), diameter=diam(x))]
-    status = "max-iter"
+    contracting = True
     for _ in range(max_iter):
         r_n = trace[-1].diameter
         if action.max_displacement(x, words) <= tol:
-            status = "fixed"
             break
         ball = (x, c_mult * r_n)
         best_y, best_val = _minimize_minimax(space, pair_mats, pair_shifts, x, ball=ball)
@@ -465,18 +479,14 @@ def fisher_margulis_iterate(
             x = best_y
             trace.append(FisherMargulisStep(point=x.copy(), diameter=best_val))
         else:
-            status = "non-contracting"
+            contracting = False
             break
-    else:  # pragma: no cover - max_iter exhausted
-        status = "max-iter"
-    if status == "max-iter" and action.max_displacement(x, words) <= tol:
-        status = "fixed"
-    return FisherMargulisResult(
-        status=status,
-        trace=tuple(trace),
-        terminal=x,
-        displacement=action.max_displacement(x, words),
-    )
+    disp = action.max_displacement(x, words)
+    radii = [step.diameter for step in trace]
+    checks = [check("halving_step_%d" % i, b, a / 2.0) for i, (a, b) in enumerate(zip(radii, radii[1:]))]
+    if contracting:
+        checks.append(check("displacement", disp, tol))
+    return FisherMargulisResult(tuple(checks), contracting, tuple(trace), x, disp)
 
 
 @dataclass(frozen=True, eq=False)

@@ -208,6 +208,21 @@ class TableGroup:
         elems = sorted(set(elements))
         return elems == self.subgroup_closure(elems)
 
+    def subgroup(self, elements, generators: dict) -> tuple:
+        """(subgroup, index_of) for sorted, closed ``elements`` and ``generators`` (name -> index here).
+
+        ``index_of`` maps an element index of this group to its index in the subgroup.
+        """
+        elems = np.asarray(elements, dtype=int)
+        index_of = {int(g): i for i, g in enumerate(elems)}
+        gens = {}
+        for name, g in generators.items():
+            if g not in index_of:
+                raise ValueError(f"subgroup generator {name!r} is not in the subgroup")
+            gens[name] = index_of[g]
+        table = np.searchsorted(elems, self.table[np.ix_(elems, elems)])
+        return TableGroup(table, index_of[self.identity], gens), index_of
+
 
 def group_from_permutations(perms: dict, k_set=None) -> tuple:
     """Build a TableGroup from generator permutations acting on 0..n-1.

@@ -24,6 +24,7 @@ from .cocycle import AffineAction, Cocycle, coboundary_solve
 from .errors import Refusal
 from .gap import kazhdan_gap
 from .groups import TableGroup
+from .reports import Checked, check
 from .representation import Representation, fixed_subspace, product_decomposition
 from .spaces import LpSpace
 
@@ -105,14 +106,7 @@ class CosetStructure:
                 if lhs != rhs:
                     raise ValueError("chi equivariance fails; invalid coset structure")
 
-        sub_index_of = {g: i for i, g in enumerate(elems)}
-        table = np.array([[sub_index_of[group.mult(a, b)] for b in elems] for a in elems])
-        gens = {}
-        for name, g in self.subgroup_generators.items():
-            if g not in sub_index_of:
-                raise ValueError(f"subgroup generator {name!r} is not in the subgroup")
-            gens[name] = sub_index_of[g]
-        subgroup = TableGroup(table, sub_index_of[group.identity], gens)
+        subgroup, sub_index_of = group.subgroup(elems, self.subgroup_generators)
         object.__setattr__(self, "domain", tuple(domain))
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "coset_of", coset_of)
@@ -205,8 +199,8 @@ def induce_cocycle(cs: CosetStructure, cocycle_sub: Cocycle, induced_rep: Repres
 
 
 @dataclass(frozen=True, eq=False)
-class TransferReport:
-    status: str
+class TransferReport(Checked):
+    checks: tuple
     sub_residual: float
     induced_residual: float
     classification_agrees: bool
@@ -245,13 +239,14 @@ def fixed_point_transfer(cs: CosetStructure, cocycle_sub: Cocycle, tol: float = 
         section = np.tile(sol_sub.vector, cs.index)
         const_disp = g_action.max_displacement(section)
 
-    ok = agrees
+    checks = [check("classification_agrees", sol_sub.is_coboundary, sol_g.is_coboundary, "eq")]
     if sol_g.is_coboundary:
-        ok = ok and block_constancy <= 10 * tol and block_disp <= 10 * tol
+        checks.append(check("block_constancy", block_constancy, 10 * tol))
+        checks.append(check("block_value_displacement", block_disp, 10 * tol))
     if sol_sub.is_coboundary:
-        ok = ok and const_disp <= 10 * tol
+        checks.append(check("constant_section_displacement", const_disp, 10 * tol))
     return TransferReport(
-        status="pass" if ok else "fail",
+        checks=tuple(checks),
         sub_residual=sol_sub.residual,
         induced_residual=sol_g.residual,
         classification_agrees=agrees,
@@ -262,8 +257,8 @@ def fixed_point_transfer(cs: CosetStructure, cocycle_sub: Cocycle, tol: float = 
 
 
 @dataclass(frozen=True, eq=False)
-class SplitReport:
-    status: str
+class SplitReport(Checked):
+    checks: tuple                # the gap hypothesis, then reconstruction, support, factor relators
     dims: dict                   # fixed, b0, carrier1, carrier2
     gap_b0: float
     fixed_cocycle_norm: float    # size of the dropped invariant-direction component
@@ -283,7 +278,7 @@ def split_action(
     gens2,
     gap_threshold: float = 0.01,
     tol: float = 1e-8,
-    gap_kwargs: dict | None = None,
+    seed: int = 0,
 ) -> SplitReport:
     """Split a product-group cocycle as b = b1 + b2 + coboundary.
 
@@ -319,16 +314,16 @@ def split_action(
     else:
         values = {name: cocycle.values[name].copy() for name in rep.generator_names}
 
-    gap_opts = {"restarts": 16}
-    gap_opts.update(gap_kwargs or {})
     gap = kazhdan_gap(
         rep,
         k_words=[*gens1, *gens2],
-        basis=pd.b0 if pd.b0.shape[1] else None,
-        **gap_opts,
+        basis=pd.b0,
+        restarts=16,
+        seed=seed,
     ) if pd.b0.shape[1] else None
     gap_value = np.inf if gap is None else gap.upper
-    if gap_value <= gap_threshold:
+    gap_check = check("gap_b0_above_threshold", gap_value, gap_threshold, "gt")
+    if not gap_check["ok"]:
         raise Refusal(
             f"gap {gap_value:.4f} on the mixing piece is not above threshold {gap_threshold}"
         )
@@ -387,11 +382,7 @@ def split_action(
         ("factor2", gens2, comp2, comp1),
     ):
         sub_elems = rep.group.subgroup_closure([rep.group.generators[g] for g in gens])
-        sub_idx = {g: i for i, g in enumerate(sub_elems)}
-        table = np.array(
-            [[sub_idx[rep.group.mult(a, b)] for b in sub_elems] for a in sub_elems]
-        )
-        sub_group = TableGroup(table, sub_idx[rep.group.identity], {g: sub_idx[rep.group.generators[g]] for g in gens})
+        sub_group, _ = rep.group.subgroup(sub_elems, {g: rep.group.generators[g] for g in gens})
         sub_rep = Representation(sub_group, space, {g: rep.images[g] for g in gens},
                                  require_isometric=rep.require_isometric, validate=False)
         sub_coc = Cocycle(sub_rep, {g: own_comp[g] for g in gens}, validate=False)
@@ -399,9 +390,14 @@ def split_action(
         for g in gens:
             cross_leak = max(cross_leak, space.norm(other_comp[g]))
 
-    ok = recon <= tol and support <= tol and max(factor_validation.values()) <= 10 * tol
+    checks = (
+        gap_check,
+        check("reconstruction_residual", recon, tol),
+        check("support_residual", support, tol),
+        check("factor_relator_residual", max(factor_validation.values()), 10 * tol),
+    )
     return SplitReport(
-        status="pass" if ok else "fail",
+        checks=checks,
         dims={"fixed": kf, "b0": k0, "carrier1": k1, "carrier2": k2},
         gap_b0=gap_value,
         fixed_cocycle_norm=fixed_norm,
@@ -416,8 +412,8 @@ def split_action(
 
 
 @dataclass(frozen=True, eq=False)
-class PipelineReport:
-    status: str
+class PipelineReport(Checked):
+    checks: tuple                # the split's residual checks, then the pullback reconstruction
     stage: str                   # last stage completed
     index: int
     projections_dense: bool
@@ -435,7 +431,7 @@ def superrigidity_pipeline(
     cocycle_sub: Cocycle,
     gap_threshold: float = 0.01,
     tol: float = 1e-8,
-    gap_kwargs: dict | None = None,
+    seed: int = 0,
 ) -> PipelineReport:
     """Induce, split, and pull back a lattice cocycle over a finite product group.
 
@@ -467,7 +463,7 @@ def superrigidity_pipeline(
         coc_g = induce_cocycle(cs, cocycle_sub, rep_g)
 
         stage = "split"
-        split = split_action(rep_g, coc_g, f1, f2, gap_threshold=gap_threshold, tol=tol, gap_kwargs=gap_kwargs)
+        split = split_action(rep_g, coc_g, f1, f2, gap_threshold=gap_threshold, tol=tol, seed=seed)
 
         stage = "pullback"
         base_idx = cs.domain.index(group.identity)
@@ -512,9 +508,11 @@ def superrigidity_pipeline(
         r_sum = int(np.linalg.matrix_rank(both, tol=1e-9)) if both.size else 0
         base_dims = {"b1": r1, "b2": r2, "overlap": r1 + r2 - r_sum}
 
-        status = "pass" if (split.status == "pass" and recon <= 10 * tol) else "fail"
+        # a split that returned has passed its gap hypothesis; its other checks decide
+        checks = [{**c, "name": "split_" + c["name"]} for c in split.checks[1:]]
+        checks.append(check("pullback_reconstruction_residual", recon, 10 * tol))
         return PipelineReport(
-            status=status,
+            checks=tuple(checks),
             stage="complete",
             index=cs.index,
             projections_dense=True,

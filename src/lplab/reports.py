@@ -11,13 +11,42 @@ rows.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 
-__all__ = ["Report", "format_float", "report_csv_rows", "sweep_csv"]
+__all__ = ["Checked", "Report", "check", "format_float", "report_csv_rows", "status_of", "sweep_csv"]
+
+
+_KINDS = {"le": operator.le, "ge": operator.ge, "gt": operator.gt, "eq": operator.eq}
+
+
+def check(name: str, value, bound, kind: str = "le") -> dict:
+    """Explicit inequality record ``value <kind> bound``: every pass/fail claim carries one."""
+    value, bound = float(value), float(bound)
+    return {"name": name, "value": value, "bound": bound, "kind": kind, "ok": _KINDS[kind](value, bound)}
+
+
+def status_of(checks, applicable: bool = True) -> str:
+    """The status rule.
+
+    "not-applicable" when a hypothesis failed; otherwise "pass" exactly when
+    every check holds, and "fail" when some check does not.
+    """
+    if not applicable:
+        return "not-applicable"
+    return "pass" if all(c["ok"] for c in checks) else "fail"
+
+
+class Checked:
+    """Mixin for results that hold ``checks`` and, if a hypothesis can fail, ``applicable``."""
+
+    @property
+    def status(self) -> str:
+        return status_of(self.checks, getattr(self, "applicable", True))
 
 
 def format_float(x: float) -> str:

@@ -17,7 +17,7 @@ from scipy import optimize
 from .cocycle import AffineAction, OrbitCapExceeded, _diameter, orbit_ball
 from .groups import TableGroup
 from .reports import Checked, check
-from .spaces import LpSpace, as_vector, duality_map, norm_grad, norm_pow, norms, pow_grad, weighted_lstsq
+from .spaces import LpSpace, as_vector, duality_map, norm_pow, norms, norms_and_grads, pow_grad, weighted_lstsq
 
 __all__ = [
     "AffineSubspace",
@@ -107,26 +107,30 @@ def _minimize_minimax(space: LpSpace, mats: np.ndarray, shifts: np.ndarray, y0: 
         center, radius = ball
         radius = max(radius, 1e-300)
 
+    n_terms = len(mats)
     for temp in (1.0, 0.1, 0.01, 0.001):
         t_eff = temp * scale
 
         def f_grad(yv):
-            resid = mats @ yv + shifts
-            ds = norms(w, p, resid)
+            rows = mats @ yv + shifts
+            if ball is not None:  # the ball offset y - center rides along as one more row
+                rows = np.concatenate([rows, (yv - center)[None]])
+            vals, grads = norms_and_grads(w, p, rows)
+            ds = vals[:n_terms]
             mx = ds.max()
             soft = np.exp((ds - mx) / t_eff)
             total = soft.sum()
             val = mx + t_eff * np.log(total)
-            grad = np.zeros_like(yv)
-            for g, s in zip(_transpose_times(mats, norm_grad(w, p, resid)), soft):
-                if s > 1e-300:
-                    grad += (s / total) * g
+            terms = (soft / total)[:, None] * _transpose_times(mats, grads[:n_terms])
+            terms = np.where((soft > 1e-300)[:, None], terms, 0.0)
+            # the kept terms summed one by one in order from 0.0; + 0.0 turns an all -0.0 sum into 0.0
+            grad = np.add.accumulate(terms)[-1] + 0.0
             if ball is not None:
-                excess = space.norm(yv - center) - radius
+                excess = float(vals[n_terms]) - radius
                 if excess > 0:
                     beta = 100.0 * scale / radius
                     val += beta * excess**2
-                    grad += 2.0 * beta * excess * norm_grad(w, p, yv - center)
+                    grad += 2.0 * beta * excess * grads[n_terms]
             return val, grad
 
         res = optimize.minimize(f_grad, y, jac=True, method="L-BFGS-B",
@@ -142,7 +146,7 @@ def _minimize_minimax(space: LpSpace, mats: np.ndarray, shifts: np.ndarray, y0: 
     # epigraph polish: min t  s.t.  t**p >= ||A_i y + b_i||**p  (+ ball)
     def cfun(z):
         yv, t = z[:-1], z[-1]
-        return t**p - norm_pow(w, p, mats @ yv + shifts)
+        return max(t, 1e-300) ** p - norm_pow(w, p, mats @ yv + shifts)
 
     def cjac(z):
         yv, t = z[:-1], z[-1]

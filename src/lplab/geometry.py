@@ -9,11 +9,13 @@ pair, so the estimate is always an upper bound for the true modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 from scipy import optimize
 
-from .spaces import LpSpace, as_vector, norm_pow, pow_grad, weighted_lstsq
+from .spaces import LpSpace, as_vector, norm_pow, norms, pow_grad, weighted_lstsq
 
 __all__ = [
     "ModulusEstimate",
@@ -36,12 +38,18 @@ class ModulusEstimate:
     witness_y: np.ndarray
 
 
-def _make_feasible(norm_fn, x, y, eps, max_rounds: int = 60):
+# the midpoint shrink factors 0.7**k, k = 0..79, by repeated multiplication
+_KAPPAS = np.array(list(accumulate(repeat(0.7, 79), mul, initial=1.0)))[:, None]
+
+
+def _make_feasible(norm_fn, norm_rows, x, y, eps, max_rounds: int = 60):
     """Project a candidate pair into {||x||,||y|| <= 1, ||x-y|| >= eps}.
 
     Alternates difference inflation with ball clipping; if the alternation
-    stalls, shrinks the midpoint (which never hurts either constraint).
-    Returns None only for degenerate candidates.
+    stalls, shrinks the midpoint by the first factor 0.7**k that puts both
+    points back in the ball (which never hurts either constraint).
+    ``norm_rows`` is ``norm_fn`` on each row of a stack.  Returns None only
+    for degenerate candidates.
     """
     x = x.copy()
     y = y.copy()
@@ -59,14 +67,11 @@ def _make_feasible(norm_fn, x, y, eps, max_rounds: int = 60):
         mid = (x + y) / 2.0
         d = (x - y) / 2.0
         d *= (eps / (2.0 * norm_fn(d))) * (1.0 + 1e-12)
-        # shrink the midpoint until both points fit back in the ball
-        kappa = 1.0
-        for _ in range(80):
-            x2, y2 = mid * kappa + d, mid * kappa - d
-            if norm_fn(x2) <= 1.0 and norm_fn(y2) <= 1.0:
-                x, y = x2, y2
-                break
-            kappa *= 0.7
+        shrunk = mid * _KAPPAS
+        xs, ys = shrunk + d, shrunk - d
+        fits = np.flatnonzero((norm_rows(xs) <= 1.0) & (norm_rows(ys) <= 1.0))
+        if fits.size:
+            x, y = xs[fits[0]], ys[fits[0]]
         else:
             x, y = d, -d
         if norm_fn(x - y) >= eps:
@@ -98,6 +103,12 @@ def convexity_modulus(
     if norm_fn is None:
         space.require_smooth()
         norm_fn = space.norm
+
+        def norm_rows(rows):
+            return norms(space.weights, space.p, rows)
+    else:
+        def norm_rows(rows):
+            return np.array([norm_fn(row) for row in rows])
     rng = np.random.default_rng(seed)
     dim = space.dim
 
@@ -107,7 +118,7 @@ def convexity_modulus(
     best = None
     best_val = np.inf
     for _ in range(budget):
-        cand = _make_feasible(norm_fn, rng.standard_normal(dim), rng.standard_normal(dim), eps)
+        cand = _make_feasible(norm_fn, norm_rows, rng.standard_normal(dim), rng.standard_normal(dim), eps)
         if cand is None:
             continue
         val = objective(cand)
@@ -121,6 +132,7 @@ def convexity_modulus(
     for _ in range(polish_iters):
         cand = _make_feasible(
             norm_fn,
+            norm_rows,
             x + step * rng.standard_normal(dim),
             y + step * rng.standard_normal(dim),
             eps,

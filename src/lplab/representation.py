@@ -153,7 +153,8 @@ class Representation:
             for g, mat in mats.items():
                 for name in names:
                     dev = mat @ self._mats[name] - mats[group.mult(g, group.generators[name])]
-                    worst = max(worst, float(np.linalg.norm(dev, 2)))
+                    if dev.any():  # the SVD of an exactly-zero deviation would give 0
+                        worst = max(worst, float(np.linalg.norm(dev, 2)))
             return worst
         worst = 0.0
         eye = np.eye(self.space.dim)

@@ -14,13 +14,14 @@ The primal/dual pairing is the weighted bilinear form
 so that primal and dual vectors share coordinates.
 
 This module is the only place that evaluates the lp formula.  The bare
-kernel functions ``norm_pow``, ``norms``, ``pow_grad`` and ``norm_grad``
-take the weights, the exponent and trusted arrays, and check nothing.  They
-work on a stack of vectors, one per row, so that a solver evaluates all of
-its terms in one call; all but ``norms`` also take a single vector.  Roots
-are taken one value at a time with the scalar ``**``: numpy's vectorised
-power rounds a few percent of them differently in the last place, which
-would move reported values.
+kernel functions ``norm_pow``, ``norms``, ``pow_grad``, ``norm_grad`` and
+``norms_and_grads`` take the weights, the exponent and trusted arrays, and
+check nothing.  They work on a stack of vectors, one per row, so that a
+solver evaluates all of its terms in one call; all but ``norms`` and
+``norms_and_grads`` also take a single vector.  Roots are taken one value
+at a time with the scalar ``**``: numpy's vectorised power rounds a few
+percent of them differently in the last place, which would move reported
+values.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "norm_grad",
     "norm_pow",
     "norms",
+    "norms_and_grads",
     "pow_grad",
     "weighted_lstsq",
 ]
@@ -63,12 +65,20 @@ def pow_grad(w, p, r) -> np.ndarray:
     return w * np.sign(r) * np.abs(r) ** (p - 1.0)
 
 
+def norms_and_grads(w, p, rows) -> tuple:
+    """The norm and the norm gradient of each row of the 2-d array ``rows``, from one ``norm_pow``.
+
+    A gradient row is zero where its row is 0 (p > 1).
+    """
+    roots = _roots(w, p, rows)
+    # dividing by inf zeroes the rows with norm 0, where pow_grad is 0 already
+    scale = np.array([n ** (p - 1.0) if n > 0.0 else np.inf for n in roots])
+    return np.array(roots), pow_grad(w, p, rows) / scale[:, None]
+
+
 def norm_grad(w, p, r) -> np.ndarray:
     """Gradient of the norm at ``r``, or at each row of a stack; zero where the row is 0 (p > 1)."""
-    rows = r.reshape(-1, r.shape[-1])
-    # dividing by inf zeroes the rows with norm 0, where pow_grad is 0 already
-    scale = np.array([n ** (p - 1.0) if n > 0.0 else np.inf for n in _roots(w, p, rows)])
-    return (pow_grad(w, p, rows) / scale[:, None]).reshape(r.shape)
+    return norms_and_grads(w, p, r.reshape(-1, r.shape[-1]))[1].reshape(r.shape)
 
 
 def weighted_lstsq(w, mat, rhs) -> np.ndarray:

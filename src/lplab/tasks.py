@@ -7,14 +7,14 @@ import numpy as np
 from .cocycle import AffineAction, coboundary_solve, displacement_bound_check, mautner_check
 from .convex import fisher_margulis_iterate, fixed_point_circumcenter, klee_search
 from .errors import Refusal
-from .gap import kazhdan_gap
+from .gap import MAX_RESTARTS, kazhdan_gap
 from .geometry import modulus_table, schoenberg_gram, schoenberg_violation_search
 from .groups import TableGroup
 from .induction import CosetStructure, fixed_point_transfer, induce_cocycle, induce_rep, split_action, superrigidity_pipeline
 from .lamperti import LampertiIsometry, mazur_conjugate, mazur_conjugation_residual
 from .reports import Report, check, status_of
 from .representation import canonical_complement
-from .scenario import _COMMANDS, Scenario, ScenarioError, _build_cocycle, _build_representation
+from .scenario import _COMMANDS, Scenario, ScenarioError, _build_cocycle, _build_representation, _finite
 from .spaces import mazur_map
 
 __all__ = ["execute", "refused", "sweep"]
@@ -65,6 +65,27 @@ def sweep(scenario: Scenario, p_values, seed: int | None = None, tol: float | No
     return cells
 
 
+def _int_param(params: dict, key: str, default: int, lo: int, hi: int | None = None) -> int:
+    """The integer task parameter ``key``, or ``default``; refused at its field path outside [lo, hi]."""
+    value = params.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"$.task.{key}", f"expected an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bound = f"between {lo} and {hi}" if hi is not None else f"at least {lo}"
+        raise ScenarioError(f"$.task.{key}", f"must be {bound}, got {value}")
+    return value
+
+
+def _positive_param(params: dict, key: str, default: float) -> float:
+    """The finite positive number task parameter ``key``, or ``default``; refused at its field path."""
+    value = _finite(params.get(key, default), f"$.task.{key}")
+    if value.ndim != 0 or not value > 0.0:
+        raise ScenarioError(f"$.task.{key}", f"expected a positive number, got {params.get(key)!r}")
+    return float(value)
+
+
 def _require_rep(scenario: Scenario):
     if scenario.representation is None:
         raise ScenarioError("$.representation", "this task requires a representation")
@@ -107,7 +128,8 @@ def _task_gap(scenario, seed, tolerances, budget):
     if scenario.space.p == 1.0:
         raise Refusal("gap estimation requires p > 1")
     params = scenario.task
-    restarts = int(params.get("restarts", 16 if budget is None else max(4, budget // 25)))
+    default = 16 if budget is None else min(MAX_RESTARTS, max(4, budget // 25))
+    restarts = _int_param(params, "restarts", default, 1, MAX_RESTARTS)
     est = kazhdan_gap(rep, k_words=params.get("k"), restarts=restarts, seed=seed)
     if est.witness is None:
         checks = [check("complement_dim", est.complement_dim, 0, "eq")]
@@ -135,7 +157,9 @@ def _task_fixpoint(scenario, seed, tolerances, budget):
     action = AffineAction(coc)
     params = scenario.task
     method = params.get("method", "circumcenter")
-    x0 = np.asarray(params.get("x0", np.zeros(scenario.space.dim)), dtype=float)
+    x0 = _finite(params.get("x0", np.zeros(scenario.space.dim)), "$.task.x0")
+    if x0.shape != (scenario.space.dim,):
+        raise ScenarioError("$.task.x0", f"expected {scenario.space.dim} numbers, got shape {x0.shape}")
     tol = float(params.get("tol", tolerances["solver"]))
     if method == "circumcenter":
         res = fixed_point_circumcenter(action, x0, fix_tol=tol)
@@ -153,8 +177,8 @@ def _task_fixpoint(scenario, seed, tolerances, budget):
             action,
             k_words=params.get("k"),
             x0=x0,
-            c_mult=float(params.get("c", 1.0)),
-            max_iter=int(params.get("max_iter", 60)),
+            c_mult=_positive_param(params, "c", 1.0),
+            max_iter=_int_param(params, "max_iter", 60, 0),
             tol=tol,
             seed=seed,
         )
@@ -373,8 +397,12 @@ def _task_schoenberg(scenario, seed, tolerances, budget):
 def _task_modulus(scenario, seed, tolerances, budget):
     if scenario.space.p == 1.0:
         raise Refusal("convexity modulus requires p > 1")
-    eps_grid = scenario.task.get("eps_grid", [0.25, 0.5, 1.0, 1.5, 2.0])
-    per_eps = int(scenario.task.get("budget", 300 if budget is None else budget))
+    eps_grid = _finite(scenario.task.get("eps_grid", [0.25, 0.5, 1.0, 1.5, 2.0]), "$.task.eps_grid")
+    if eps_grid.ndim != 1 or eps_grid.size == 0 or np.any(eps_grid <= 0.0) or np.any(eps_grid > 2.0):
+        raise ScenarioError("$.task.eps_grid", "expected a nonempty list of numbers in (0, 2]")
+    if np.any(np.diff(eps_grid) <= 0.0):
+        raise ScenarioError("$.task.eps_grid", "eps values must be strictly increasing")
+    per_eps = _int_param(scenario.task, "budget", 300 if budget is None else budget, 1)
     table = modulus_table(scenario.space, eps_grid, budget=per_eps, seed=seed)
     diffs = np.diff(table.delta)
     checks = [

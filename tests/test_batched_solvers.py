@@ -1,0 +1,344 @@
+"""The batched solver paths agree exactly with their one-at-a-time oracles.
+
+The gap estimator advances every restart in lockstep, the convexity modulus
+tries all midpoint shrink factors at once, and the minimax gradient reduces
+its terms in one masked pass.  Each oracle below is the sequential loop the
+batched code replaced, kept here only as a test reference (like
+``pair_residual`` in ``test_representation.py``); every comparison is ``==``.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from scipy import linalg, optimize
+
+from lplab import LpSpace, convexity_modulus, invariant_norm
+from lplab.cli import bundled_scenario_path, bundled_scenarios
+from lplab.convex import _minimize_minimax, _transpose_times
+from lplab.gap import _canonical_sign, _matvecs, _sphere_directions, kazhdan_gap
+from lplab.representation import canonical_complement
+from lplab.scenario import parse_scenario
+from lplab.spaces import norm_grad, norm_pow, norms, norms_and_grads, pow_grad
+
+GAP_EXPONENTS = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0)
+
+
+# -- oracles -------------------------------------------------------------------
+
+
+def sequential_gap(rep, k_words=None, restarts=64, iters=400, seed=0):
+    """Per-restart adaptive subgradient descent: (upper, heuristic_lower, witness)."""
+    words = list(k_words) if k_words is not None else list(rep.group.k_set)
+    basis = canonical_complement(rep).complement_basis
+    m = basis.shape[1]
+    space = rep.space
+    w, p = space.weights, space.p
+    eye = np.eye(space.dim)
+    disp_ops = [(rep.operator(word) - eye) @ basis for word in words]
+    ops = np.array(disp_ops + [basis])
+
+    def evaluate(c):
+        rows = ops @ c
+        vals = norms(w, p, rows)
+        return rows, vals, float(np.max(vals[:-1]) / vals[-1])
+
+    def subgrad(rows, vals):
+        i = int(np.argmax(vals[:-1]))
+        num, den = vals[i], vals[-1]
+        grad_num, grad_den = norm_grad(w, p, rows[[i, -1]])
+        g_num, g_den = ops[i].T @ grad_num, basis.T @ grad_den
+        return (g_num * den - num * g_den) / den**2
+
+    rng = np.random.default_rng(seed)
+    starts = []
+    quad = sum(a.T @ (w[:, None] * a) for a in disp_ops)
+    gram = basis.T @ (w[:, None] * basis)
+    starts.append(linalg.eigh(quad, gram)[1][:, 0])
+    if m <= 4:
+        dense = _sphere_directions(m, 1 << 11, seed)
+        vals = np.array([evaluate(c)[2] for c in dense])
+        for idx in np.argsort(vals)[:3]:
+            starts.append(dense[idx])
+    while len(starts) < restarts:
+        starts.append(rng.standard_normal(m))
+
+    best_val, best_witness = np.inf, None
+    for c0 in starts:
+        c = c0 / np.linalg.norm(c0)
+        rows, vals, val = evaluate(c)
+        grad = None
+        step = 0.2
+        trace_mark = val
+        for t in range(iters):
+            if grad is None:
+                grad = subgrad(rows, vals)
+            cand = c - step * grad
+            n = np.linalg.norm(cand)
+            if n < 1e-14:
+                step *= 0.5
+                continue
+            cand /= n
+            cand_rows, cand_vals, cand_val = evaluate(cand)
+            if cand_val < val:
+                c, rows, vals, val, grad = cand, cand_rows, cand_vals, cand_val, None
+                step = min(step * 1.25, 1.0)
+            else:
+                step *= 0.6
+                if step < 1e-14:
+                    break
+            if t == int(0.8 * iters):
+                trace_mark = val
+        slackish = trace_mark - val
+        witness_vec = basis @ c
+        witness_vec = _canonical_sign(witness_vec / space.norm(witness_vec))
+        if best_witness is None or val < best_val - 1e-12:
+            best_val, best_witness = val, (witness_vec, slackish)
+        elif abs(val - best_val) <= 1e-12 and tuple(witness_vec) < tuple(best_witness[0]):
+            best_val, best_witness = val, (witness_vec, slackish)
+    witness, last_gain = best_witness
+    return best_val, max(0.0, best_val - max(1e-6, 10.0 * last_gain)), witness
+
+
+def sequential_make_feasible(norm_fn, x, y, eps, max_rounds=60):
+    x = x.copy()
+    y = y.copy()
+    for _ in range(max_rounds):
+        nx, ny = norm_fn(x), norm_fn(y)
+        if nx > 1.0:
+            x /= nx
+        if ny > 1.0:
+            y /= ny
+        gap = norm_fn(x - y)
+        if gap >= eps:
+            return x, y
+        if gap < 1e-14:
+            return None
+        mid = (x + y) / 2.0
+        d = (x - y) / 2.0
+        d *= (eps / (2.0 * norm_fn(d))) * (1.0 + 1e-12)
+        kappa = 1.0
+        for _ in range(80):
+            x2, y2 = mid * kappa + d, mid * kappa - d
+            if norm_fn(x2) <= 1.0 and norm_fn(y2) <= 1.0:
+                x, y = x2, y2
+                break
+            kappa *= 0.7
+        else:
+            x, y = d, -d
+        if norm_fn(x - y) >= eps:
+            return x, y
+    return None
+
+
+def sequential_modulus(space, eps, budget=400, seed=0, norm_fn=None, polish_iters=300):
+    """Sampled and polished modulus with the one-factor-at-a-time shrink: (delta, x, y)."""
+    norm_fn = space.norm if norm_fn is None else norm_fn
+    rng = np.random.default_rng(seed)
+    dim = space.dim
+
+    def objective(pair):
+        return 1.0 - norm_fn(pair[0] + pair[1]) / 2.0
+
+    best, best_val = None, np.inf
+    for _ in range(budget):
+        cand = sequential_make_feasible(norm_fn, rng.standard_normal(dim), rng.standard_normal(dim), eps)
+        if cand is None:
+            continue
+        val = objective(cand)
+        if val < best_val:
+            best, best_val = cand, val
+    x, y = best
+    step = 0.3
+    for _ in range(polish_iters):
+        cand = sequential_make_feasible(
+            norm_fn, x + step * rng.standard_normal(dim), y + step * rng.standard_normal(dim), eps
+        )
+        if cand is not None:
+            val = objective(cand)
+            if val < best_val:
+                (x, y), best_val = cand, val
+                continue
+        step *= 0.93
+        if step < 1e-9:
+            break
+    return best_val, x, y
+
+
+def sequential_minimax(space, mats, shifts, y0, ball=None, gtol=1e-12):
+    """The minimax solver with its softmax gradient summed term by term: (y, value)."""
+    w, p = space.weights, space.p
+
+    def value(y):
+        return float(np.max(norms(w, p, mats @ y + shifts)))
+
+    y = np.asarray(y0, dtype=float).copy()
+    scale = max(value(y), 1e-9)
+    if ball is not None:
+        center, radius = ball
+        radius = max(radius, 1e-300)
+    for temp in (1.0, 0.1, 0.01, 0.001):
+        t_eff = temp * scale
+
+        def f_grad(yv):
+            resid = mats @ yv + shifts
+            ds = norms(w, p, resid)
+            mx = ds.max()
+            soft = np.exp((ds - mx) / t_eff)
+            total = soft.sum()
+            val = mx + t_eff * np.log(total)
+            grad = np.zeros_like(yv)
+            for g, s in zip(_transpose_times(mats, norm_grad(w, p, resid)), soft):
+                if s > 1e-300:
+                    grad += (s / total) * g
+            if ball is not None:
+                excess = space.norm(yv - center) - radius
+                if excess > 0:
+                    beta = 100.0 * scale / radius
+                    val += beta * excess**2
+                    grad += 2.0 * beta * excess * norm_grad(w, p, yv - center)
+            return val, grad
+
+        y = optimize.minimize(f_grad, y, jac=True, method="L-BFGS-B",
+                              options={"ftol": 1e-16, "gtol": gtol, "maxiter": 500}).x
+    if ball is not None:
+        off = space.norm(y - center)
+        if off > radius:
+            y = center + (y - center) * (radius / off)
+    best_y, best_val = y, value(y)
+
+    def cfun(z):
+        return max(z[-1], 1e-300) ** p - norm_pow(w, p, mats @ z[:-1] + shifts)
+
+    def cjac(z):
+        gy = -p * _transpose_times(mats, pow_grad(w, p, mats @ z[:-1] + shifts))
+        return np.hstack([gy, np.full((len(gy), 1), p * max(z[-1], 1e-300) ** (p - 1.0))])
+
+    cons = [{"type": "ineq", "fun": cfun, "jac": cjac}]
+    if ball is not None:
+        cons.append({"type": "ineq", "fun": lambda z: radius**p - norm_pow(w, p, z[:-1] - center),
+                     "jac": lambda z: np.concatenate([-p * pow_grad(w, p, z[:-1] - center), [0.0]])})
+    z0 = np.concatenate([best_y, [best_val * (1.0 + 1e-10) + 1e-14]])
+    res = optimize.minimize(lambda z: z[-1], z0, jac=lambda z: np.concatenate([np.zeros(space.dim), [1.0]]),
+                            constraints=cons, method="SLSQP", options={"ftol": 1e-14, "maxiter": 400})
+    cand = res.x[:-1]
+    if ball is not None:
+        off = space.norm(cand - center)
+        if off > radius:
+            cand = center + (cand - center) * (radius / off)
+    cand_val = value(cand)
+    if cand_val < best_val:
+        best_y, best_val = cand, cand_val
+    return best_y, best_val
+
+
+# -- comparisons ---------------------------------------------------------------
+
+
+def _gap_scenarios():
+    names = []
+    for file_name in bundled_scenarios():
+        raw = json.loads(bundled_scenario_path(file_name).read_text())
+        if raw["task"]["command"] == "gap":
+            names.append(file_name[: -len(".json")])
+    return names
+
+
+@pytest.mark.parametrize("p", GAP_EXPONENTS)
+@pytest.mark.parametrize("name", _gap_scenarios())
+def test_lockstep_gap_equals_per_restart_descent(name, p):
+    scenario = parse_scenario(json.loads(bundled_scenario_path(name).read_text())).with_exponent(p)
+    rep, task = scenario.representation, scenario.task
+    restarts = task.get("restarts", 16)
+    est = kazhdan_gap(rep, k_words=task.get("k"), restarts=restarts, seed=scenario.seed)
+    upper, lower, witness = sequential_gap(rep, k_words=task.get("k"), restarts=restarts, seed=scenario.seed)
+    assert est.upper == upper
+    assert est.heuristic_lower == lower
+    assert np.array_equal(est.witness, witness)
+
+
+def test_lockstep_gap_equals_per_restart_descent_at_library_defaults():
+    scenario = parse_scenario(json.loads(bundled_scenario_path("grid-z2xz2-gap").read_text())).with_exponent(3.0)
+    est = kazhdan_gap(scenario.representation, seed=5)
+    upper, lower, witness = sequential_gap(scenario.representation, seed=5)
+    assert (est.upper, est.heuristic_lower) == (upper, lower)
+    assert np.array_equal(est.witness, witness)
+
+
+def test_gap_restarts_are_bounded():
+    scenario = parse_scenario(json.loads(bundled_scenario_path("swap-gap").read_text()))
+    with pytest.raises(ValueError, match="restarts must be at most 1024"):
+        kazhdan_gap(scenario.representation, restarts=1025)
+
+
+@pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
+@pytest.mark.parametrize("dim", (2, 3, 4, 5))
+def test_stacked_shrink_modulus_equals_sequential(p, dim):
+    space = LpSpace(dim, p, np.linspace(0.5, 2.0, dim))
+    for i, eps in enumerate((0.25, 1.0, 2.0)):
+        est = convexity_modulus(space, eps, budget=30, seed=dim + i, polish_iters=120)
+        delta, x, y = sequential_modulus(space, eps, budget=30, seed=dim + i, polish_iters=120)
+        assert est.delta == delta
+        assert np.array_equal(est.witness_x, x) and np.array_equal(est.witness_y, y)
+
+
+@pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
+def test_stacked_shrink_modulus_equals_sequential_for_invariant_norm(p):
+    space = LpSpace(2, p)
+    norm = invariant_norm([np.eye(2), np.array([[0.0, 1.25], [0.8, 0.0]])], space)
+    est = convexity_modulus(space, 1.0, budget=25, seed=2, norm_fn=norm, polish_iters=80)
+    delta, x, y = sequential_modulus(space, 1.0, budget=25, seed=2, norm_fn=norm, polish_iters=80)
+    assert est.delta == delta
+    assert np.array_equal(est.witness_x, x) and np.array_equal(est.witness_y, y)
+
+
+@pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
+def test_one_pass_minimax_gradient_equals_term_loop(p):
+    rng = np.random.default_rng(int(p * 10))
+    for dim in (1, 2, 3):
+        space = LpSpace(dim, p, rng.uniform(0.5, 2.0, dim))
+        pts = rng.standard_normal((5, dim))
+        mats = np.tile(np.eye(dim), (5, 1, 1))
+        y, val = _minimize_minimax(space, mats, -pts, pts.mean(axis=0))
+        y_ref, val_ref = sequential_minimax(space, mats, -pts, pts.mean(axis=0))
+        assert val == val_ref and np.array_equal(y, y_ref)
+        # a trust ball that binds, as in a Fisher-Margulis step
+        ball = (pts[0], 0.25 * val)
+        y, val = _minimize_minimax(space, mats, -pts, pts[0], ball=ball)
+        y_ref, val_ref = sequential_minimax(space, mats, -pts, pts[0], ball=ball)
+        assert val == val_ref and np.array_equal(y, y_ref)
+
+
+@pytest.mark.parametrize("p", (1.25, 1.5, 2.0, 3.0, 4.0, 6.0))
+def test_norms_and_grads_equals_norms_and_norm_grad(p):
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 9, 17, 39):
+        w = rng.uniform(0.5, 2.0, n)
+        rows = rng.standard_normal((6, n))
+        rows[2] = 0.0
+        vals, grads = norms_and_grads(w, p, rows)
+        assert np.array_equal(vals, norms(w, p, rows))
+        assert np.array_equal(grads, norm_grad(w, p, rows))
+        assert not grads[2].any()
+        space = LpSpace(n, p, w)
+        for row, val, grad in zip(rows, vals, grads):
+            assert val == space.norm(row)
+            if row.any():
+                assert np.array_equal(grad, space.norm_gradient(row))
+
+
+def test_stacked_matvecs_equal_single_products():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        r, k, n, m = rng.integers(1, 65), rng.integers(1, 6), rng.integers(1, 40), rng.integers(1, 24)
+        ops = rng.standard_normal((k, n, m))
+        cs = rng.standard_normal((r, m))
+        rows = _matvecs(ops, cs[:, None, :])
+        picks = rng.integers(0, k, r)
+        gs = rng.standard_normal((r, n))
+        back = _matvecs(ops[picks].transpose(0, 2, 1), gs)
+        dots = _matvecs(cs[:, None, :], cs)[:, 0]
+        for j in range(r):
+            assert np.array_equal(rows[j], ops @ cs[j])
+            assert np.array_equal(back[j], ops[picks[j]].T @ gs[j])
+            assert np.sqrt(dots[j]) == np.linalg.norm(cs[j])

@@ -4,8 +4,9 @@
 
 Runs ``lplab.cli.main`` in this process, with BLAS pinned to one thread:
 ``run`` on every bundled scenario, ``sweep`` on the five gap scenarios over
-p = 1.25, 1.5, 2, 3, 4, 6, and ``run`` on the benchmark's generated
-``scale`` scenarios for seeds 1 and 2.  Prints one ``name sha256`` line per
+p = 1.25, 1.5, 2, 3, 4, 6, ``sweep`` on ``modulus-p2`` and
+``swap-cocycle-fm`` over p = 1.5, 3, 4, and ``run`` on the benchmark's
+generated ``scale`` scenarios for seeds 1 and 2 (79 reports).  Prints one ``name sha256`` line per
 report, where the name is ``run/<scenario>``, ``sweep/<scenario>@p=<p>`` or
 ``scale/<seed>/<scenario>``.  The package is imported from the ``src/``
 directory of the checkout that holds this script, and the scale scenarios
@@ -39,8 +40,10 @@ sys.dont_write_bytecode = True  # leave no __pycache__ behind in bench/
 import workloads  # noqa: E402
 from lplab.cli import bundled_scenarios, main  # noqa: E402
 
-SWEEP_SCENARIOS = ("swap-gap", "cyclic3-gap", "cyclic5-gap", "dihedral4-gap", "grid-z2xz2-gap")
-SWEEP_EXPONENTS = "1.25,1.5,2,3,4,6"
+SWEEPS = (  # (scenarios, exponents)
+    (("swap-gap", "cyclic3-gap", "cyclic5-gap", "dihedral4-gap", "grid-z2xz2-gap"), "1.25,1.5,2,3,4,6"),
+    (("modulus-p2", "swap-cocycle-fm"), "1.5,3,4"),
+)
 SCALE_SEEDS = (1, 2)
 
 
@@ -61,9 +64,10 @@ def digests():
         name = file_name[: -len(".json")]
         for line in _reports(["run", name]):
             yield f"run/{name}", _digest(line)
-    for name in SWEEP_SCENARIOS:
-        for line in _reports(["sweep", name, "--p", SWEEP_EXPONENTS]):
-            yield f"sweep/{json.loads(line)['scenario']}", _digest(line)
+    for names, exponents in SWEEPS:
+        for name in names:
+            for line in _reports(["sweep", name, "--p", exponents]):
+                yield f"sweep/{json.loads(line)['scenario']}", _digest(line)
     for seed in SCALE_SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             # the same generator that ``workloads.build("scale", seed)`` seeds

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import TableGroup, word_letters
+from .groups import TableGroup
 from .reports import Checked, check
-from .representation import Representation, canonical_complement
+from .representation import Representation, canonical_complement, letter_steps
 from .spaces import as_vector
 
 __all__ = [
@@ -50,6 +50,11 @@ class Cocycle:
         if set(values) != names:
             raise ValueError(f"cocycle values must be given exactly for generators {sorted(names)}")
         self.values = {name: as_vector(v, dim) for name, v in values.items()}
+        # the letter table, in the order of rep.letter_matrices: c(s), and c(s^-1) = -rho(s)^-1 c(s)
+        self.letter_values = {}
+        for name in rep.generator_names:
+            val = self.values[name]
+            self.letter_values[name], self.letter_values[name.upper()] = val, -rep.letter_matrices[name.upper()] @ val
         self.relator_residual = self._relator_residual()
         if validate and self.relator_residual > _COCYCLE_TOL:
             raise ValueError(
@@ -60,24 +65,23 @@ class Cocycle:
     def space(self):
         return self.rep.space
 
+    def walk(self, word: str) -> tuple:
+        """(rho(w), c(w)) for a word (uppercase letters = inverses), from one pass over its letters.
+
+        c(w) sums rho(prefix) c(letter) over the letters; the prefix products
+        are the ones :meth:`Representation.operator` forms, in the same order.
+        """
+        mats = self.rep.letter_matrices
+        out = np.zeros(self.space.dim)
+        prefix = np.eye(self.space.dim)
+        for letter, val in zip(word, letter_steps(self.letter_values, word)):
+            out = out + prefix @ val
+            prefix = prefix @ mats[letter]
+        return prefix, out
+
     def value(self, word: str) -> np.ndarray:
         """Extension of the cocycle along a word (uppercase letters = inverses)."""
-        rep = self.rep
-        out = np.zeros(rep.space.dim)
-        prefix = np.eye(rep.space.dim)
-        for name, is_inv in word_letters(word):
-            if name not in self.values:
-                raise ValueError(f"unknown generator symbol {name!r}")
-            if is_inv:
-                inv_mat = rep._inv_mats[name]
-                step_val = -inv_mat @ self.values[name]
-                step_mat = inv_mat
-            else:
-                step_val = self.values[name]
-                step_mat = rep.generator_matrix(name)
-            out = out + prefix @ step_val
-            prefix = prefix @ step_mat
-        return out
+        return self.walk(word)[1]
 
     def element_values(self) -> dict:
         """Value at every element of a table-backed group, the extension along its BFS word.
@@ -89,13 +93,9 @@ class Cocycle:
         if not isinstance(rep.group, TableGroup):
             raise ValueError("element enumeration needs a table-backed group")
         mats = rep.element_matrices()
-        steps = {}
-        for name, val in self.values.items():
-            steps[name] = val
-            steps[name.upper()] = -rep._inv_mats[name] @ val
         vals = {rep.group.identity: np.zeros(rep.space.dim)}
         for g, letter, gx in rep.group.bfs_tree():
-            vals[gx] = vals[g] + mats[g] @ steps[letter]
+            vals[gx] = vals[g] + mats[g] @ self.letter_values[letter]
         return vals
 
     def seminorm(self, k_words=None) -> float:
@@ -142,7 +142,8 @@ class AffineAction:
 
     def apply(self, word: str, x) -> np.ndarray:
         x = as_vector(x, self.space.dim)
-        return self.rep.operator(word) @ x + self.cocycle.value(word)
+        mat, val = self.cocycle.walk(word)
+        return mat @ x + val
 
     def displacement(self, word: str, x) -> float:
         x = as_vector(x, self.space.dim)
@@ -212,12 +213,8 @@ def orbit_ball(action: AffineAction, x0, radius: int, cap: int = 100_000, merge_
         raise ValueError("radius must be >= 0")
     space = action.space
     x0 = as_vector(x0, space.dim)
-    rep = action.rep
-    steps = []
-    for name in rep.generator_names:
-        steps.append((rep.generator_matrix(name), action.cocycle.values[name]))
-        inv_mat = rep._inv_mats[name]
-        steps.append((inv_mat, -inv_mat @ action.cocycle.values[name]))
+    values = action.cocycle.letter_values
+    steps = [(mat, values[letter]) for letter, mat in action.rep.letter_matrices.items()]
 
     points = [x0]
     frontier = [x0]
@@ -368,7 +365,7 @@ def mautner_check(action: AffineAction, g_word: str, h_word: str, n_max: int = 1
     reported as not-applicable with no assertion.
     """
     rep = action.rep
-    g_mat = rep.operator(g_word)
+    g_mat, cg = action.cocycle.walk(g_word)
     h_mat = rep.operator(h_word)
     g_inv = np.linalg.inv(g_mat)
     eye = np.eye(rep.space.dim)
@@ -385,7 +382,6 @@ def mautner_check(action: AffineAction, g_word: str, h_word: str, n_max: int = 1
         return MautnerReport((), False, tuple(dists), False, None, np.nan, np.nan)
 
     # g-fixed point of the affine action: (I - rho(g)) x = c(g)
-    cg = action.cocycle.value(g_word)
     x, *_ = np.linalg.lstsq(eye - g_mat, cg, rcond=None)
     fixed_residual = rep.space.norm((eye - g_mat) @ x - cg)
     if fixed_residual > tol:

@@ -454,8 +454,9 @@ def fisher_margulis_iterate(
         raise ValueError("C must be positive")
     x = space.random_vector(np.random.default_rng(seed)) if x0 is None else as_vector(x0, space.dim)
 
-    mats = np.array([np.eye(space.dim)] + [rep.operator(word) for word in words])
-    shifts = np.array([np.zeros(space.dim)] + [action.cocycle.value(word) for word in words])
+    walks = [action.cocycle.walk(word) for word in words]
+    mats = np.array([np.eye(space.dim)] + [mat for mat, _ in walks])
+    shifts = np.array([np.zeros(space.dim)] + [val for _, val in walks])
     i, j = np.triu_indices(len(mats), 1)  # every pair i < j, in row order
     pair_mats, pair_shifts = mats[i] - mats[j], shifts[i] - shifts[j]
 
@@ -500,6 +501,7 @@ class KleeResult:
     center: np.ndarray | None
     hull_distance: float       # certified lower bound on the distance
     trials_used: int
+    checks: tuple              # the certificate exceeding the margin, when found
 
 
 def hull_separation_certificate(pts: np.ndarray, x: np.ndarray, space: LpSpace) -> float:
@@ -541,7 +543,7 @@ def klee_search(
         m = int(rng.integers(4, max_points + 1))
         pts = rng.standard_normal((m, space.dim))
         center, _ = circumcenter(pts, space)
-        certified = hull_separation_certificate(pts, center, space)
-        if certified > margin:
-            return KleeResult(True, pts, center, certified, trial)
-    return KleeResult(False, None, None, 0.0, trials)
+        certified = check("certified_hull_distance", hull_separation_certificate(pts, center, space), margin, "gt")
+        if certified["ok"]:
+            return KleeResult(True, pts, center, certified["value"], trial, (certified,))
+    return KleeResult(False, None, None, 0.0, trials, ())

@@ -15,6 +15,7 @@ from operator import mul
 import numpy as np
 from scipy import optimize
 
+from .reports import check
 from .spaces import LpSpace, as_vector, norm_pow, norms, pow_grad, weighted_lstsq
 
 __all__ = [
@@ -290,9 +291,11 @@ def schoenberg_violation_search(
 ):
     """Randomized hunt for a configuration with a negative Gram eigenvalue.
 
-    Returns a dict with the violating configuration (points, s, dim,
-    eigenvalue) or None if the budget is exhausted.  For p <= 2 the search
-    is expected to find nothing.
+    A configuration violates when its smallest eigenvalue is at most
+    ``threshold``.  Returns a dict with the violating configuration (points,
+    s, dim, eigenvalue) and its ``violation_eigenvalue`` check, or None if
+    the budget is exhausted.  For p <= 2 the search is expected to find
+    nothing.
     """
     rng = np.random.default_rng(seed)
     for _ in range(trials):
@@ -302,12 +305,14 @@ def schoenberg_violation_search(
         pts = rng.standard_normal((m, dim)) * rng.uniform(0.3, 2.0)
         for s in s_values:
             _, lam_min = schoenberg_gram(pts, s, space)
-            if lam_min < threshold:
+            violation = check("violation_eigenvalue", lam_min, threshold, "le")
+            if violation["ok"]:
                 return {
                     "p": p,
                     "s": float(s),
                     "dim": dim,
                     "points": pts.tolist(),
                     "lambda_min": lam_min,
+                    "checks": [violation],
                 }
     return None

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "invert_word",
     "word_letters",
+    "check_word",
     "TableGroup",
     "PresentedGroup",
     "cyclic_group",
@@ -38,6 +39,13 @@ def word_letters(word: str):
         yield ch.lower(), ch.isupper()
 
 
+def check_word(generators, word: str):
+    """Refuse a word with a letter that names none of ``generators`` (in either case)."""
+    for name, _ in word_letters(word):
+        if name not in generators:
+            raise ValueError(f"unknown generator symbol {name!r} in word {word!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class PresentedGroup:
     """Finitely presented group: generators, relator words, generating set K."""
@@ -57,22 +65,13 @@ class PresentedGroup:
         for r in rels:
             if not r:
                 raise ValueError("relators must be nonempty words")
-            self._check_word_static(gens, r)
+            check_word(gens, r)
         ks = tuple(k_set) if k_set is not None else gens
         for wkw in ks:
-            self._check_word_static(gens, wkw)
+            check_word(gens, wkw)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", rels)
         object.__setattr__(self, "k_set", ks)
-
-    @staticmethod
-    def _check_word_static(gens, word: str):
-        for name, _ in word_letters(word):
-            if name not in gens:
-                raise ValueError(f"unknown generator symbol {name!r} in word {word!r}")
-
-    def check_word(self, word: str):
-        self._check_word_static(self.generators, word)
 
     @property
     def generator_names(self):
@@ -121,7 +120,7 @@ class TableGroup:
         object.__setattr__(self, "_inverses", np.where(is_e.any(axis=1), is_e.argmax(axis=1), -1))
         ks = tuple(self.k_set) if self.k_set is not None else tuple(sorted(self.generators))
         for wkw in ks:
-            self.check_word(wkw)
+            check_word(self.generators, wkw)
         object.__setattr__(self, "k_set", ks)
         object.__setattr__(self, "_tree", self._bfs_tree())
         if len(self._tree) + 1 != m:
@@ -143,11 +142,6 @@ class TableGroup:
         if j < 0:
             raise ValueError(f"element {i} has no inverse")
         return j
-
-    def check_word(self, word: str):
-        for name, _ in word_letters(word):
-            if name not in self.generators:
-                raise ValueError(f"unknown generator symbol {name!r} in word {word!r}")
 
     def word_to_element(self, word: str) -> int:
         g = self.identity

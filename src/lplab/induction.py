@@ -132,15 +132,8 @@ class InducedSpace:
         weights = np.tile(base.weights, index)
         object.__setattr__(self, "ambient", LpSpace(base.dim * index, base.p, weights))
 
-    def block(self, section: np.ndarray, i: int) -> np.ndarray:
-        d = self.base.dim
-        return np.asarray(section)[i * d : (i + 1) * d]
-
-    def blocks(self, section: np.ndarray):
-        return [self.block(section, i) for i in range(self.index)]
-
     def norm_pow_by_blocks(self, section) -> float:
-        return float(sum(self.base.norm_pow(b) for b in self.blocks(np.asarray(section, dtype=float))))
+        return float(sum(self.base.norm_pow(b) for b in np.split(np.asarray(section, dtype=float), self.index)))
 
 
 def _induction_routing(cs: CosetStructure, h: int):
@@ -209,15 +202,17 @@ class TransferReport(Checked):
     constant_section_displacement: float  # G-displacement of the lifted constant section
 
 
-def fixed_point_transfer(cs: CosetStructure, cocycle_sub: Cocycle, tol: float = 1e-8, validate: bool = True) -> TransferReport:
+def fixed_point_transfer(cs: CosetStructure, cocycle_sub: Cocycle, coc_g: Cocycle, tol: float = 1e-8) -> TransferReport:
     """Fixed points transfer both ways between a subgroup action and its induction.
 
-    A G-fixed section must be block-constant with S-fixed value; an S-fixed
-    point lifts to a G-fixed constant section.  When neither side has a
-    fixed point the two coboundary residuals must agree in classification.
+    ``coc_g`` is the induction of ``cocycle_sub`` (:func:`induce_cocycle`),
+    validated or not by whoever built it.  A G-fixed section must be
+    block-constant with S-fixed value; an S-fixed point lifts to a G-fixed
+    constant section.  When neither side has a fixed point the two
+    coboundary residuals must agree in classification.
     """
-    ind, rep_g = induce_rep(cs, cocycle_sub.rep)
-    coc_g = induce_cocycle(cs, cocycle_sub, rep_g, validate=validate)
+    if coc_g.rep.group is not cs.group or coc_g.space.dim != cs.index * cocycle_sub.space.dim:
+        raise ValueError("induced cocycle is not over the coset structure's group")
     sub_action = AffineAction(cocycle_sub)
     g_action = AffineAction(coc_g)
 
@@ -229,7 +224,7 @@ def fixed_point_transfer(cs: CosetStructure, cocycle_sub: Cocycle, tol: float = 
     block_disp = np.nan
     const_disp = np.nan
     if sol_g.is_coboundary:
-        blocks = ind.blocks(sol_g.vector)
+        blocks = np.split(sol_g.vector, cs.index)
         block_constancy = max(
             (cocycle_sub.space.norm(a - b) for a in blocks for b in blocks), default=0.0
         )
@@ -426,8 +421,7 @@ class PipelineReport(Checked):
 
 def superrigidity_pipeline(
     product_info: dict,
-    subgroup_elements,
-    subgroup_generators: dict,
+    cs: CosetStructure,
     cocycle_sub: Cocycle,
     gap_threshold: float = 0.01,
     tol: float = 1e-8,
@@ -435,14 +429,17 @@ def superrigidity_pipeline(
 ) -> PipelineReport:
     """Induce, split, and pull back a lattice cocycle over a finite product group.
 
-    ``product_info`` is the record produced by :func:`lplab.groups.product_group`.
-    Stages: dense-projection check, coset structure, induction of the
-    representation and cocycle, product splitting on the induced space, and
-    the base-block pullback of each component (evaluating sections at the
-    identity coset, which inverts the orbit-map embedding of carrier
-    vectors).  Errors carry their stage in the message.
+    ``product_info`` is the record produced by :func:`lplab.groups.product_group`
+    and ``cs`` the coset structure of the lattice in its group.  Stages:
+    dense-projection check, induction of the representation and cocycle,
+    product splitting on the induced space, and the base-block pullback of
+    each component (evaluating sections at the identity coset, which inverts
+    the orbit-map embedding of carrier vectors).  Errors carry their stage in
+    the message.
     """
     group: TableGroup = product_info["group"]
+    if cs.group is not group:
+        raise ValueError("coset structure is not over the product group")
     stage = "projections"
     try:
         proj = product_info["project"]
@@ -450,16 +447,13 @@ def superrigidity_pipeline(
         f2 = product_info["factor2_generators"]
         order2 = len({proj(g)[1] for g in range(group.order)})
         order1 = group.order // order2
-        m1 = {proj(g)[0] for g in subgroup_elements}
-        m2 = {proj(g)[1] for g in subgroup_elements}
+        m1 = {proj(g)[0] for g in cs.subgroup_elements}
+        m2 = {proj(g)[1] for g in cs.subgroup_elements}
         if len(m1) != order1 or len(m2) != order2:
             raise Refusal("subgroup projections are not dense (do not surject onto the factors)")
 
-        stage = "coset-structure"
-        cs = CosetStructure(group, subgroup_elements, subgroup_generators)
-
         stage = "induction"
-        ind, rep_g = induce_rep(cs, cocycle_sub.rep)
+        _, rep_g = induce_rep(cs, cocycle_sub.rep)
         coc_g = induce_cocycle(cs, cocycle_sub, rep_g)
 
         stage = "split"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .groups import TableGroup, group_from_permutations, word_letters
+from .groups import TableGroup, group_from_permutations
 from .lamperti import LampertiIsometry
 from .spaces import LpSpace, as_vector
 
@@ -37,6 +37,14 @@ __all__ = [
 
 _RELATION_TOL = 1e-9
 _ISOMETRY_TOL = 1e-10
+
+
+def letter_steps(table: dict, word: str) -> list:
+    """The ``table`` entry of each letter of ``word``; a letter with no entry is refused."""
+    try:
+        return [table[letter] for letter in word]
+    except KeyError as exc:
+        raise ValueError(f"unknown generator symbol {exc.args[0].lower()!r}") from None
 
 
 def _operator_matrix(op, dim: int) -> np.ndarray:
@@ -67,17 +75,17 @@ class Representation:
     def __init__(self, group, space: LpSpace, images: dict, require_isometric: bool = True, validate: bool = True):
         self.group = group
         self.space = space
-        names = set(self._generator_names())
+        names = set(self.generator_names)
         if set(images) != names:
             raise ValueError(f"images must be given exactly for generators {sorted(names)}")
         self.images = dict(images)
-        self._mats = {name: _operator_matrix(op, space.dim) for name, op in images.items()}
-        self._inv_mats = {}
-        for name, op in images.items():
-            if isinstance(op, LampertiIsometry):
-                self._inv_mats[name] = op.inverse().matrix()
-            else:
-                self._inv_mats[name] = np.linalg.inv(self._mats[name])
+        mats = {name: _operator_matrix(op, space.dim) for name, op in images.items()}
+        # the letter table: each generator name, then its uppercase inverse letter
+        self.letter_matrices = {}
+        for name in self.generator_names:
+            op = images[name]
+            inv = op.inverse().matrix() if isinstance(op, LampertiIsometry) else np.linalg.inv(mats[name])
+            self.letter_matrices[name], self.letter_matrices[name.upper()] = mats[name], inv
         self._element_mats = None
         self.require_isometric = require_isometric
         if require_isometric:
@@ -90,25 +98,18 @@ class Representation:
 
     # -- structure ----------------------------------------------------------
 
-    def _generator_names(self):
-        if isinstance(self.group, TableGroup):
-            return self.group.generator_names
-        return list(self.group.generators)
-
     @property
     def generator_names(self):
-        return self._generator_names()
+        return self.group.generator_names
 
     def generator_matrix(self, name: str) -> np.ndarray:
-        return self._mats[name]
+        return self.letter_matrices[name]
 
     def operator(self, word: str) -> np.ndarray:
         """Matrix of the image of a word over generators (uppercase = inverse)."""
         mat = np.eye(self.space.dim)
-        for name, is_inv in word_letters(word):
-            if name not in self._mats:
-                raise ValueError(f"unknown generator symbol {name!r}")
-            mat = mat @ (self._inv_mats[name] if is_inv else self._mats[name])
+        for step in letter_steps(self.letter_matrices, word):
+            mat = mat @ step
         return mat
 
     def apply(self, word: str, v) -> np.ndarray:
@@ -126,8 +127,7 @@ class Representation:
         if self._element_mats is None:
             mats = {self.group.identity: np.eye(self.space.dim)}
             for g, letter, gx in self.group.bfs_tree():
-                name = letter.lower()
-                mats[gx] = mats[g] @ (self._inv_mats[name] if letter.isupper() else self._mats[name])
+                mats[gx] = mats[g] @ self.letter_matrices[letter]
             for mat in mats.values():
                 mat.setflags(write=False)
             self._element_mats = mats
@@ -137,7 +137,8 @@ class Representation:
 
     def _check_isometric(self, n_samples: int = 20, seed: int = 7):
         rng = np.random.default_rng(seed)
-        for name, mat in self._mats.items():
+        for name in self.images:
+            mat = self.letter_matrices[name]
             for _ in range(n_samples):
                 v = self.space.random_unit(rng)
                 if abs(self.space.norm(mat @ v) - 1.0) > _ISOMETRY_TOL:
@@ -152,7 +153,7 @@ class Representation:
             worst = 0.0
             for g, mat in mats.items():
                 for name in names:
-                    dev = mat @ self._mats[name] - mats[group.mult(g, group.generators[name])]
+                    dev = mat @ self.letter_matrices[name] - mats[group.mult(g, group.generators[name])]
                     if dev.any():  # the SVD of an exactly-zero deviation would give 0
                         worst = max(worst, float(np.linalg.norm(dev, 2)))
             return worst
@@ -167,7 +168,7 @@ class Representation:
     def restriction_matrices(self, generator_names=None) -> list:
         """(matrix, inverse matrix) pairs for the named generators (all by default)."""
         names = self.generator_names if generator_names is None else list(generator_names)
-        return [(self._mats[n], self._inv_mats[n]) for n in names]
+        return [(self.letter_matrices[n], self.letter_matrices[n.upper()]) for n in names]
 
 
 def _stack_fixed_system(pairs, dim: int) -> np.ndarray:
@@ -201,7 +202,7 @@ def dual_rep(rep: Representation) -> Representation:
     """Dual representation on the lq space, <x, rho*(g) y> = <rho(g^-1) x, y>."""
     dual_space = rep.space.dual()
     images = {
-        name: _dual_image(rep.images[name], rep._inv_mats[name], rep.space)
+        name: _dual_image(rep.images[name], rep.letter_matrices[name.upper()], rep.space)
         for name in rep.generator_names
     }
     return Representation(rep.group, dual_space, images, require_isometric=rep.require_isometric)

@@ -82,6 +82,18 @@ def _finite(value, path: str) -> np.ndarray:
     return arr
 
 
+def _integer(value, path: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an integer in [lo, hi] (an integral float counts); anything else is refused at ``path``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(path, f"expected an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bound = f"between {lo} and {hi}" if hi is not None else f"at least {lo}"
+        raise ScenarioError(path, f"must be {bound}, got {value}")
+    return value
+
+
 @dataclass(eq=False)
 class Scenario:
     name: str
@@ -151,14 +163,17 @@ def parse_scenario(raw: dict) -> Scenario:
 
 
 def _build_space(spec: dict) -> LpSpace:
-    dim = _need(spec, "dim", "$.space")
+    dim = _integer(_need(spec, "dim", "$.space"), "$.space.dim", 1)
     p = _need(spec, "p", "$.space")
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 1.0 <= p < np.inf:
+        raise ScenarioError("$.space.p", f"exponent p must be a number in [1, inf), got {p!r}")
     weights = spec.get("weights")
+    if weights is not None:
+        weights = _finite(weights, "$.space.weights")
     try:
-        return LpSpace(int(dim), float(p), weights)
-    except ValueError as exc:
-        field = "weights" if "weight" in str(exc) else "p" if "exponent" in str(exc) else "dim"
-        raise ScenarioError(f"$.space.{field}", str(exc)) from exc
+        return LpSpace(dim, float(p), weights)
+    except ValueError as exc:  # dim and p hold here: the weights are at fault
+        raise ScenarioError("$.space.weights", str(exc)) from exc
 
 
 def _build_plain_group(spec: dict, path: str):

@@ -14,7 +14,7 @@ from .induction import CosetStructure, fixed_point_transfer, induce_cocycle, ind
 from .lamperti import LampertiIsometry, mazur_conjugate, mazur_conjugation_residual
 from .reports import Report, check, status_of
 from .representation import canonical_complement
-from .scenario import _COMMANDS, Scenario, ScenarioError, _build_cocycle, _build_representation, _finite
+from .scenario import _COMMANDS, Scenario, ScenarioError, _build_cocycle, _build_representation, _finite, _integer
 from .spaces import mazur_map
 
 __all__ = ["execute", "refused", "sweep"]
@@ -67,15 +67,7 @@ def sweep(scenario: Scenario, p_values, seed: int | None = None, tol: float | No
 
 def _int_param(params: dict, key: str, default: int, lo: int, hi: int | None = None) -> int:
     """The integer task parameter ``key``, or ``default``; refused at its field path outside [lo, hi]."""
-    value = params.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"$.task.{key}", f"expected an integer, got {value!r}")
-    if value < lo or (hi is not None and value > hi):
-        bound = f"between {lo} and {hi}" if hi is not None else f"at least {lo}"
-        raise ScenarioError(f"$.task.{key}", f"must be {bound}, got {value}")
-    return value
+    return _integer(params.get(key, default), f"$.task.{key}", lo, hi)
 
 
 def _positive_param(params: dict, key: str, default: float) -> float:
@@ -208,31 +200,37 @@ def _task_cobound(scenario, seed, tolerances, budget):
     return True, payload
 
 
-def _coset_structure(scenario) -> CosetStructure:
-    if not isinstance(scenario.group, TableGroup):
+def _induction_inputs(scenario) -> tuple:
+    """(coset structure, subgroup representation, subgroup cocycle or None) of an induce/superrigid task."""
+    group = scenario.group
+    if not isinstance(group, TableGroup):
         raise Refusal("induction requires a table-backed ambient group")
     params = scenario.task
     subgroup = params.get("subgroup")
     sub_gens = params.get("subgroup_generators")
     if subgroup is None or sub_gens is None:
         raise ScenarioError("$.task", "induce/superrigid need 'subgroup' and 'subgroup_generators'")
-    return CosetStructure(scenario.group, subgroup, {str(k): int(v) for k, v in sub_gens.items()})
-
-
-def _sub_rep_and_cocycle(scenario, cs):
+    if not isinstance(subgroup, list):
+        raise ScenarioError("$.task.subgroup", "expected a list of element indices")
+    if not isinstance(sub_gens, dict):
+        raise ScenarioError("$.task.subgroup_generators", "expected an object mapping names to element indices")
+    elems = [_integer(g, "$.task.subgroup", 0, group.order - 1) for g in subgroup]
+    gens = {str(k): _integer(v, "$.task.subgroup_generators", 0) for k, v in sub_gens.items()}
+    try:
+        cs = CosetStructure(group, elems, gens)
+    except ValueError as exc:
+        field = "subgroup" if not group.is_subgroup(elems) else "subgroup_generators"
+        raise ScenarioError(f"$.task.{field}", str(exc)) from exc
     rep_spec = scenario.raw.get("representation")
     if rep_spec is None:
         raise ScenarioError("$.representation", "this task requires a representation (over the subgroup)")
     rep = _build_representation(rep_spec, scenario.space, cs.subgroup)
-    coc = None
-    if "cocycle" in scenario.raw:
-        coc = _build_cocycle(scenario.raw["cocycle"], rep)
-    return rep, coc
+    coc = _build_cocycle(scenario.raw["cocycle"], rep) if "cocycle" in scenario.raw else None
+    return cs, rep, coc
 
 
 def _task_induce(scenario, seed, tolerances, budget):
-    cs = _coset_structure(scenario)
-    rep_sub, coc_sub = _sub_rep_and_cocycle(scenario, cs)
+    cs, rep_sub, coc_sub = _induction_inputs(scenario)
     ind, rep_g = induce_rep(cs, rep_sub)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(ind.ambient.dim)
@@ -249,7 +247,7 @@ def _task_induce(scenario, seed, tolerances, budget):
     }
     if coc_sub is not None:
         coc_g = induce_cocycle(cs, coc_sub, rep_g)
-        transfer = fixed_point_transfer(cs, coc_sub, tol=float(scenario.task.get("tol", 1e-8)))
+        transfer = fixed_point_transfer(cs, coc_sub, coc_g, tol=float(scenario.task.get("tol", 1e-8)))
         checks.append(check("induced_cocycle_residual", coc_g.relator_residual, 1e-10))
         checks.extend(transfer.checks)
         payload.update(
@@ -300,13 +298,12 @@ def _task_superrigid(scenario, seed, tolerances, budget):
     extras = scenario.group_extras.get("product")
     if extras is None:
         raise Refusal("superrigid requires a product group")
-    cs = _coset_structure(scenario)
-    rep_sub, coc_sub = _sub_rep_and_cocycle(scenario, cs)
+    cs, _, coc_sub = _induction_inputs(scenario)
     if coc_sub is None:
         raise ScenarioError("$.cocycle", "superrigid requires a cocycle")
     params = scenario.task
     report = superrigidity_pipeline(
-        extras, list(params["subgroup"]), cs.subgroup_generators, coc_sub,
+        extras, cs, coc_sub,
         gap_threshold=float(params.get("gap_threshold", 0.01)), tol=float(params.get("tol", 1e-8)), seed=seed,
     )
     payload = {
@@ -360,8 +357,8 @@ def _task_schoenberg(scenario, seed, tolerances, budget):
     params = scenario.task
     mode = params.get("mode", "random" if space.p <= 2.0 else "search")
     if mode == "random":
-        n_configs = int(params.get("n_configs", 200 if budget is None else budget))
-        n_points = int(params.get("n_points", 6))
+        n_configs = _int_param(params, "n_configs", 200 if budget is None else budget, 1)
+        n_points = _int_param(params, "n_points", 6, 2)
         s_values = params.get("s", [0.1, 1.0, 10.0])
         rng = np.random.default_rng(seed)
         lam_min = np.inf
@@ -381,15 +378,12 @@ def _task_schoenberg(scenario, seed, tolerances, budget):
             "checks": checks,
         }
     if mode == "search":
-        trials = int(params.get("trials", 2000 if budget is None else budget))
+        trials = _int_param(params, "trials", 2000 if budget is None else budget, 1)
         found = schoenberg_violation_search(space.p, trials=trials, seed=seed)
-        payload = {"found": found is not None, "trials": trials}
-        checks = []
+        payload = {"found": found is not None, "trials": trials, "checks": []}
         if found is not None:
-            payload.update(found)
+            payload.update(found)  # the configuration and its violation_eigenvalue check
             payload["primary"] = found["lambda_min"]
-            checks.append(check("violation_eigenvalue", found["lambda_min"], -1e-6, "le"))
-        payload["checks"] = checks
         return True, payload
     raise ScenarioError("$.task.mode", f"unknown schoenberg mode {mode!r}")
 
@@ -425,15 +419,13 @@ def _task_klee(scenario, seed, tolerances, budget):
         raise Refusal("p = 2 refused: Hilbert circumcenters stay in the closed convex hull")
     if space.dim < 3:
         raise Refusal("Klee configurations require dim >= 3")
-    trials = int(scenario.task.get("trials", 200 if budget is None else budget))
+    trials = _int_param(scenario.task, "trials", 200 if budget is None else budget, 1)
     res = klee_search(space, trials=trials, seed=seed)
-    payload = {"found": res.found, "trials_used": res.trials_used, "hull_distance": res.hull_distance}
-    checks = []
+    payload = {"found": res.found, "trials_used": res.trials_used, "hull_distance": res.hull_distance,
+               "checks": res.checks}
     if res.found:
         payload["points"] = res.points
         payload["center"] = res.center
-        checks.append(check("certified_hull_distance", res.hull_distance, 1e-6, "gt"))
-    payload["checks"] = checks
     return True, payload
 
 

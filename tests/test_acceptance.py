@@ -225,13 +225,15 @@ def test_criterion_09_induction():
         assert report.payload["transfer_status"] == "pass"
         assert report.payload["classification_agrees"]
         # classification also agrees on the deliberately non-solvable pair
-        from lplab import Cocycle, CosetStructure, Representation, cyclic_group, fixed_point_transfer
+        from lplab import (Cocycle, CosetStructure, Representation, cyclic_group, fixed_point_transfer,
+                           induce_cocycle, induce_rep)
 
         group = cyclic_group(4)
         cs = CosetStructure(group, [0, 2], {"s": 2})
         rep = Representation(cs.subgroup, LpSpace(1, 2), {"s": np.eye(1)})
         pseudo = Cocycle(rep, {"s": [1.0]}, validate=False)
-        transfer = fixed_point_transfer(cs, pseudo, validate=False)
+        _, rep_g = induce_rep(cs, rep)
+        transfer = fixed_point_transfer(cs, pseudo, induce_cocycle(cs, pseudo, rep_g, validate=False))
         assert transfer.classification_agrees and transfer.status == "pass"
 
 

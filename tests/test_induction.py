@@ -150,10 +150,16 @@ class TestInduceCocycle:
         assert sol_sub.residual > 0.1 and sol_g.residual > 0.1
 
 
+def induced_cocycle(cs, coc, validate=True):
+    _, rep_g = induce_rep(cs, coc.rep)
+    return induce_cocycle(cs, coc, rep_g, validate=validate)
+
+
 class TestFixedPointTransfer:
     def test_coboundary_transfers_both_ways(self):
         cs, rep = sign_z2_in_z4()
-        report = fixed_point_transfer(cs, coboundary_of(rep, [2.5]))
+        coc = coboundary_of(rep, [2.5])
+        report = fixed_point_transfer(cs, coc, induced_cocycle(cs, coc))
         assert report.status == "pass"
         assert report.classification_agrees
         assert report.block_constancy <= 1e-10
@@ -166,7 +172,7 @@ class TestFixedPointTransfer:
         space = LpSpace(1, 2)
         rep = Representation(cs.subgroup, space, {"s": np.eye(1)})
         coc = Cocycle(rep, {"s": [1.0]}, validate=False)
-        report = fixed_point_transfer(cs, coc, validate=False)
+        report = fixed_point_transfer(cs, coc, induced_cocycle(cs, coc, validate=False))
         assert report.status == "pass"
         assert report.classification_agrees
         assert report.sub_residual > 0.1 and report.induced_residual > 0.1
@@ -238,12 +244,12 @@ class TestSuperrigidity:
             "c": LampertiIsometry(np.argsort([1, 2, 0]), np.ones(3), space, space),
         }
         rep_sub = Representation(cs.subgroup, space, images)
-        return info, diag, sub_gens, rep_sub
+        return info, cs, rep_sub
 
     def test_factor_one_cocycle_recovered(self):
-        info, diag, sub_gens, rep_sub = self.diagonal_s3()
+        info, cs, rep_sub = self.diagonal_s3()
         coc = coboundary_of(rep_sub, [1.0, -1.0, 0.0])
-        report = superrigidity_pipeline(info, diag, sub_gens, coc)
+        report = superrigidity_pipeline(info, cs, coc)
         assert report.status == "pass"
         assert report.index == 6
         assert report.sub_reconstruction_residual <= 1e-8
@@ -273,7 +279,7 @@ class TestSuperrigidity:
             cs.subgroup, space, {"x": np.eye(1), "y": np.eye(1), "z": -np.eye(1)}
         )
         coc = coboundary_of(rep_sub, [0.5])
-        report = superrigidity_pipeline(info, gamma, sub_gens, coc)
+        report = superrigidity_pipeline(info, cs, coc)
         assert report.status == "pass"
         assert report.index == 2
         assert report.base_dims["b1"] == 1
@@ -292,7 +298,7 @@ class TestSuperrigidity:
         rep_sub = Representation(cs.subgroup, space, {"c": np.eye(1), "d": np.eye(1)})
         coc = Cocycle(rep_sub, {"c": [0.0], "d": [0.0]})
         with pytest.raises(Refusal, match="dense"):
-            superrigidity_pipeline(info, gamma, sub_gens, coc)
+            superrigidity_pipeline(info, cs, coc)
 
     def test_whole_group_reduces_to_split(self):
         space, info, rep = grid_setup(p=2.5)
@@ -305,6 +311,6 @@ class TestSuperrigidity:
             {"a": rep.images["a"], "b": rep.images["b"]},
         )
         coc = coboundary_of(rep_sub, np.array([0.4, -0.2, 0.1, -0.3]))
-        report = superrigidity_pipeline(info, everything, sub_gens, coc)
+        report = superrigidity_pipeline(info, cs, coc)
         assert report.status == "pass"
         assert report.index == 1

@@ -6,7 +6,8 @@
 
 Exit codes: 0 = pass/not-applicable, 1 = fail, 2 = refused or invalid input.
 The environment variable LPLAB_SEED overrides the scenario seed; the --seed
-flag overrides both.  Reports are deterministic for a fixed (scenario, seed):
+flag overrides both.  --tol overrides the task tolerance (task.tol, else the
+command's default).  Reports are deterministic for a fixed (scenario, seed):
 identical runs produce byte-identical JSON.
 """
 
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from .errors import Refusal
 from .reports import report_csv_rows, sweep_csv
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, _integer, load_scenario
 from .tasks import execute, refused, sweep
 
 __all__ = ["main", "bundled_scenarios", "bundled_scenario_path"]
@@ -50,12 +51,11 @@ def _resolve_scenario(arg: str) -> Path:
 
 
 def _effective_seed(args) -> int | None:
+    """The --seed flag, else LPLAB_SEED, else None; either must be an integer >= 0."""
     if args.seed is not None:
-        return args.seed
+        return _integer(args.seed, "--seed", 0)
     env = os.environ.get("LPLAB_SEED")
-    if env is not None:
-        return int(env)
-    return None
+    return None if env is None else _integer(int(env) if env.isdigit() else env, "LPLAB_SEED", 0)
 
 
 def _emit(args, name: str, json_text: str, csv_text: str | None):
@@ -110,7 +110,7 @@ def main(argv=None) -> int:
     def add_common(sp):
         sp.add_argument("scenario", help="scenario file path or bundled scenario name")
         sp.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        sp.add_argument("--tol", type=float, default=None, help="override the solver tolerance")
+        sp.add_argument("--tol", type=float, default=None, help="override the task tolerance")
         sp.add_argument("--budget", type=int, default=None, help="override search/sample budgets")
         sp.add_argument("--out", default=None, help="directory to write report files")
         sp.add_argument("--format", choices=("json", "csv", "both"), default="json")
@@ -131,7 +131,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ScenarioError as exc:
-        sys.stderr.write(f"invalid scenario: {exc}\n")
+        sys.stderr.write(f"invalid input: {exc}\n")
         return 2
     except Refusal as exc:
         sys.stderr.write(f"refused: {exc}\n")

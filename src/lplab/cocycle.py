@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import Refusal
 from .groups import TableGroup
 from .reports import Checked, check
 from .representation import Representation, canonical_complement, letter_steps
@@ -289,7 +290,7 @@ def displacement_bound_check(
             ma, mh = rep.generator_matrix(a), rep.generator_matrix(h)
             comm = max(comm, float(np.max(np.abs(ma @ mh - mh @ ma))))
     if comm > 1e-10:
-        raise ValueError(f"A and H generator images do not commute (residual {comm:.3e})")
+        raise Refusal(f"A and H generator images do not commute (residual {comm:.3e})")
 
     eye = np.eye(space.dim)
     ident = 0.0
@@ -312,7 +313,7 @@ def displacement_bound_check(
         return DisplacementReport((), False, comm, ident, np.inf, 0.0, np.inf, 0.0, 0.0, 0)
     eps = est.upper
     if eps < 1e-6:
-        raise ValueError(f"H-restriction gap {eps:.3e} below threshold 1e-6; bound uninformative")
+        raise Refusal(f"H-restriction gap {eps:.3e} below threshold 1e-6; bound uninformative")
 
     r = c.seminorm(k_h)
     bound = 2.0 * r / eps

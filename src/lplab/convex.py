@@ -15,6 +15,7 @@ import numpy as np
 from scipy import optimize
 
 from .cocycle import AffineAction, OrbitCapExceeded, _diameter, orbit_ball
+from .errors import Refusal
 from .groups import TableGroup
 from .reports import Checked, check
 from .spaces import LpSpace, as_vector, duality_map, norm_pow, norms, norms_and_grads, pow_grad, weighted_lstsq
@@ -357,6 +358,7 @@ def fixed_point_circumcenter(
     (stabilization heuristic) and report "unbounded" otherwise.
     """
     space = action.space
+    space.require_smooth()
     x0 = as_vector(x0, space.dim)
     group = action.rep.group
     if isinstance(group, TableGroup):
@@ -447,6 +449,7 @@ def fisher_margulis_iterate(
     """
     rep = action.rep
     space = action.space
+    space.require_smooth()
     words = list(k_words) if k_words is not None else list(rep.group.k_set)
     if not words:
         raise ValueError("K must be nonempty")
@@ -534,9 +537,9 @@ def klee_search(
     outside the hull.  Not finding one is a legitimate outcome.
     """
     if space.p == 2.0:
-        raise ValueError("p = 2 refused: Hilbert circumcenters stay in the closed convex hull")
+        raise Refusal("p = 2 refused: Hilbert circumcenters stay in the closed convex hull")
     if space.dim < 3:
-        raise ValueError("Klee configurations require dim >= 3")
+        raise Refusal("Klee configurations require dim >= 3")
     space.require_smooth()
     rng = np.random.default_rng(seed)
     for trial in range(1, trials + 1):

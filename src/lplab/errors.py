@@ -1,5 +1,5 @@
 """Shared exception types."""
 
 
-class Refusal(Exception):
+class Refusal(ValueError):
     """An operation's hypotheses are not met; refuse rather than guess."""

@@ -284,7 +284,7 @@ def split_action(
     full product on the mixing piece B0 (else the op refuses).
     """
     if not isinstance(rep.group, TableGroup):
-        raise ValueError("split_action needs a table-backed product group")
+        raise Refusal("split_action needs a table-backed product group")
     gens1, gens2 = list(gens1), list(gens2)
     pd = product_decomposition(rep, gens1, gens2)
     dim = rep.space.dim
@@ -466,21 +466,19 @@ def superrigidity_pipeline(
         def base_block(vec):
             return vec[base_idx * d : (base_idx + 1) * d]
 
-        comp_cocycles = [
-            Cocycle(rep_g, split.component1, validate=False),
-            Cocycle(rep_g, split.component2, validate=False),
-        ]
+        coc1 = Cocycle(rep_g, split.component1, validate=False)
+        coc2 = Cocycle(rep_g, split.component2, validate=False)
         g_words = group.element_words()
         sub_names = sorted(cs.subgroup.generators)
         pulled = [{}, {}]
         boundary = {}
+        v0 = split.coboundary_vector
         for name in sub_names:
-            g_idx = cs.subgroup_generators[name]
-            word = g_words[g_idx]
-            for out, coc in zip(pulled, comp_cocycles):
-                out[name] = base_block(coc.value(word))
-            v0 = split.coboundary_vector
-            boundary[name] = base_block(v0 - rep_g.operator(word) @ v0)
+            word = g_words[cs.subgroup_generators[name]]
+            rho_w, c1_w = coc1.walk(word)  # rho(w) is the product rep_g.operator(word) forms
+            pulled[0][name] = base_block(c1_w)
+            pulled[1][name] = base_block(coc2.value(word))
+            boundary[name] = base_block(v0 - rho_w @ v0)
 
         recon = 0.0
         for name in sub_names:

@@ -7,9 +7,11 @@ A scenario is a JSON object with the fields
     group           {"kind": "table" | "presentation" | "permutations" | "product", ...}
     representation  {"images": {gen: image-spec, ...}, "require_isometric": bool?}
     cocycle         {"values": {gen: [float, ...]}, "validate": bool?}   (optional)
-    task            {"command": str, ...task parameters}
-    seed            int?
-    tolerances      {"default": float?, "solver": float?}
+    task            {"command": str, "tol": float?, ...task parameters}
+    seed            int >= 0?
+
+``task.tol`` is the task tolerance (the --tol flag beats it; without either the
+command's default applies).  A top-level ``tolerances`` object is refused.
 
 Image specs: {"kind": "lamperti", "perm": [...], "signs": [...]?},
 {"kind": "matrix", "entries": [[...]]}, or
@@ -104,7 +106,6 @@ class Scenario:
     cocycle: Cocycle | None
     task: dict
     seed: int
-    tolerances: dict
     raw: dict
 
     def with_exponent(self, p: float) -> "Scenario":
@@ -133,9 +134,9 @@ def parse_scenario(raw: dict) -> Scenario:
     command = _need(task, "command", "$.task")
     if command not in _COMMANDS:
         raise ScenarioError("$.task.command", f"unknown command {command!r}; expected one of {_COMMANDS}")
-    seed = int(raw.get("seed", 0))
-    tolerances = {"default": 1e-9, "solver": 1e-6}
-    tolerances.update(raw.get("tolerances", {}))
+    seed = _integer(raw.get("seed", 0), "$.seed", 0)
+    if "tolerances" in raw:
+        raise ScenarioError("$.tolerances", "no longer read; give the task tolerance as task.tol")
 
     rep = None
     cocycle = None
@@ -157,7 +158,6 @@ def parse_scenario(raw: dict) -> Scenario:
         cocycle=cocycle,
         task=task,
         seed=seed,
-        tolerances=tolerances,
         raw=raw,
     )
 

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import Refusal
+
 __all__ = [
     "LpSpace",
     "as_vector",
@@ -176,7 +178,7 @@ class LpSpace:
 
     def require_smooth(self):
         if self.p == 1.0:
-            raise ValueError("operation requires p > 1 (l1 is not strictly convex/smooth)")
+            raise Refusal("operation requires p > 1 (l1 is not strictly convex/smooth)")
 
     # -- sampling ----------------------------------------------------------
 

@@ -20,32 +20,52 @@ from .spaces import mazur_map
 __all__ = ["execute", "refused", "sweep"]
 
 
+# the tolerance each command checks against when neither --tol nor task.tol gives one; the others apply none
+_DEFAULT_TOL = {"fixpoint": 1e-6, "mautner": 1e-6, "displacement": 1e-6,
+                "cobound": 1e-8, "induce": 1e-8, "split": 1e-8, "superrigid": 1e-8}
+
+
+def _positive(value, path: str) -> float:
+    """``value`` as a finite positive number; anything else is refused at ``path``."""
+    number = _finite(value, path)
+    if number.ndim != 0 or not number > 0.0:
+        raise ScenarioError(path, f"expected a positive number, got {value!r}")
+    return float(number)
+
+
 def _provenance(scenario: Scenario, seed: int | None, tol: float | None) -> tuple:
-    """The effective seed and tolerances: the overrides where given, else the scenario's."""
-    tolerances = dict(scenario.tolerances)
+    """The effective seed, the run's tolerance and its provenance record.
+
+    The tolerance is ``tol`` (the --tol flag) if given, else task.tol, else the command's default.
+    """
     if tol is not None:
-        tolerances["solver"] = float(tol)
-    return (scenario.seed if seed is None else int(seed)), tolerances
+        tol = _positive(tol, "--tol")
+    elif "tol" in scenario.task:
+        tol = _positive(scenario.task["tol"], "$.task.tol")
+    else:
+        tol = _DEFAULT_TOL.get(scenario.task["command"])
+    return (scenario.seed if seed is None else int(seed)), tol, ({} if tol is None else {"solver": tol})
 
 
 def execute(scenario: Scenario, seed: int | None = None, tol: float | None = None, budget: int | None = None) -> Report:
     """Run the scenario's task and return its report.
 
     ``seed``/``tol``/``budget`` override the scenario values (the CLI wires
-    these to flags and the LPLAB_SEED variable).  Each handler returns
-    whether the task's hypotheses held and a payload carrying its checks;
-    :func:`lplab.reports.status_of` turns the two into the status.
+    these to flags and the LPLAB_SEED variable).  Each handler takes the
+    effective seed and tolerance and returns whether the task's hypotheses
+    held and a payload carrying its checks; :func:`lplab.reports.status_of`
+    turns the two into the status.
     """
     command = scenario.task["command"]
-    eff_seed, tolerances = _provenance(scenario, seed, tol)
-    applicable, payload = _HANDLERS[command](scenario, eff_seed, tolerances, budget)
+    eff_seed, eff_tol, tolerances = _provenance(scenario, seed, tol)
+    applicable, payload = _HANDLERS[command](scenario, eff_seed, eff_tol, budget)
     return Report(scenario.name, command, status_of(payload["checks"], applicable), payload, eff_seed, tolerances)
 
 
 def refused(scenario: Scenario, error: Exception, seed: int | None = None, tol: float | None = None,
             name: str | None = None) -> Report:
     """Report of a refused run, with the provenance :func:`execute` would have recorded."""
-    eff_seed, tolerances = _provenance(scenario, seed, tol)
+    eff_seed, _, tolerances = _provenance(scenario, seed, tol)
     return Report(name or scenario.name, scenario.task["command"], "refused", {"error": str(error)},
                   eff_seed, tolerances)
 
@@ -59,7 +79,7 @@ def sweep(scenario: Scenario, p_values, seed: int | None = None, tol: float | No
         t0 = time.perf_counter()
         try:
             cell = execute(scenario.with_exponent(float(p)), seed=seed, tol=tol, budget=budget)
-        except (Refusal, ValueError) as exc:
+        except (Refusal, ScenarioError) as exc:
             cell = refused(scenario, exc, seed=seed, tol=tol, name=f"{scenario.name}@p={p:g}")
         cells.append((float(p), cell, time.perf_counter() - t0))
     return cells
@@ -70,30 +90,15 @@ def _int_param(params: dict, key: str, default: int, lo: int, hi: int | None = N
     return _integer(params.get(key, default), f"$.task.{key}", lo, hi)
 
 
-def _positive_param(params: dict, key: str, default: float) -> float:
-    """The finite positive number task parameter ``key``, or ``default``; refused at its field path."""
-    value = _finite(params.get(key, default), f"$.task.{key}")
-    if value.ndim != 0 or not value > 0.0:
-        raise ScenarioError(f"$.task.{key}", f"expected a positive number, got {params.get(key)!r}")
-    return float(value)
+def _require(scenario: Scenario, field: str):
+    """The scenario's ``representation`` or ``cocycle``; refused at its field path when absent."""
+    if getattr(scenario, field) is None:
+        raise ScenarioError(f"$.{field}", f"this task requires a {field}")
+    return getattr(scenario, field)
 
 
-def _require_rep(scenario: Scenario):
-    if scenario.representation is None:
-        raise ScenarioError("$.representation", "this task requires a representation")
-    return scenario.representation
-
-
-def _require_cocycle(scenario: Scenario):
-    if scenario.cocycle is None:
-        raise ScenarioError("$.cocycle", "this task requires a cocycle")
-    return scenario.cocycle
-
-
-def _task_decompose(scenario, seed, tolerances, budget):
-    rep = _require_rep(scenario)
-    if scenario.space.p == 1.0:
-        raise Refusal("canonical complement requires p > 1")
+def _task_decompose(scenario, seed, tol, budget):
+    rep = _require(scenario, "representation")
     cc = canonical_complement(rep)
     idem = float(np.max(np.abs(cc.proj_fixed @ cc.proj_fixed - cc.proj_fixed)))
     comm = max(
@@ -115,10 +120,8 @@ def _task_decompose(scenario, seed, tolerances, budget):
     return True, payload
 
 
-def _task_gap(scenario, seed, tolerances, budget):
-    rep = _require_rep(scenario)
-    if scenario.space.p == 1.0:
-        raise Refusal("gap estimation requires p > 1")
+def _task_gap(scenario, seed, tol, budget):
+    rep = _require(scenario, "representation")
     params = scenario.task
     default = 16 if budget is None else min(MAX_RESTARTS, max(4, budget // 25))
     restarts = _int_param(params, "restarts", default, 1, MAX_RESTARTS)
@@ -142,17 +145,14 @@ def _task_gap(scenario, seed, tolerances, budget):
     return True, payload
 
 
-def _task_fixpoint(scenario, seed, tolerances, budget):
-    coc = _require_cocycle(scenario)
-    if scenario.space.p == 1.0:
-        raise Refusal("fixed-point solvers require p > 1")
+def _task_fixpoint(scenario, seed, tol, budget):
+    coc = _require(scenario, "cocycle")
     action = AffineAction(coc)
     params = scenario.task
     method = params.get("method", "circumcenter")
     x0 = _finite(params.get("x0", np.zeros(scenario.space.dim)), "$.task.x0")
     if x0.shape != (scenario.space.dim,):
         raise ScenarioError("$.task.x0", f"expected {scenario.space.dim} numbers, got shape {x0.shape}")
-    tol = float(params.get("tol", tolerances["solver"]))
     if method == "circumcenter":
         res = fixed_point_circumcenter(action, x0, fix_tol=tol)
         payload = {
@@ -169,7 +169,7 @@ def _task_fixpoint(scenario, seed, tolerances, budget):
             action,
             k_words=params.get("k"),
             x0=x0,
-            c_mult=_positive_param(params, "c", 1.0),
+            c_mult=_positive(params.get("c", 1.0), "$.task.c"),
             max_iter=_int_param(params, "max_iter", 60, 0),
             tol=tol,
             seed=seed,
@@ -187,9 +187,8 @@ def _task_fixpoint(scenario, seed, tolerances, budget):
     raise ScenarioError("$.task.method", f"unknown fixpoint method {method!r}")
 
 
-def _task_cobound(scenario, seed, tolerances, budget):
-    coc = _require_cocycle(scenario)
-    tol = float(scenario.task.get("tol", 1e-8))
+def _task_cobound(scenario, seed, tol, budget):
+    coc = _require(scenario, "cocycle")
     sol = coboundary_solve(coc, tol=tol)
     payload = {
         "vector": sol.vector,
@@ -229,7 +228,7 @@ def _induction_inputs(scenario) -> tuple:
     return cs, rep, coc
 
 
-def _task_induce(scenario, seed, tolerances, budget):
+def _task_induce(scenario, seed, tol, budget):
     cs, rep_sub, coc_sub = _induction_inputs(scenario)
     ind, rep_g = induce_rep(cs, rep_sub)
     rng = np.random.default_rng(seed)
@@ -247,7 +246,7 @@ def _task_induce(scenario, seed, tolerances, budget):
     }
     if coc_sub is not None:
         coc_g = induce_cocycle(cs, coc_sub, rep_g)
-        transfer = fixed_point_transfer(cs, coc_sub, coc_g, tol=float(scenario.task.get("tol", 1e-8)))
+        transfer = fixed_point_transfer(cs, coc_sub, coc_g, tol=tol)
         checks.append(check("induced_cocycle_residual", coc_g.relator_residual, 1e-10))
         checks.extend(transfer.checks)
         payload.update(
@@ -273,13 +272,13 @@ def _split_factors(scenario):
     return list(f1), list(f2)
 
 
-def _task_split(scenario, seed, tolerances, budget):
-    rep = _require_rep(scenario)
-    coc = _require_cocycle(scenario)
+def _task_split(scenario, seed, tol, budget):
+    rep = _require(scenario, "representation")
+    coc = _require(scenario, "cocycle")
     f1, f2 = _split_factors(scenario)
     params = scenario.task
-    report = split_action(rep, coc, f1, f2, gap_threshold=float(params.get("gap_threshold", 0.01)),
-                          tol=float(params.get("tol", 1e-8)), seed=seed)
+    threshold = _positive(params.get("gap_threshold", 0.01), "$.task.gap_threshold")
+    report = split_action(rep, coc, f1, f2, gap_threshold=threshold, tol=tol, seed=seed)
     payload = {
         "dims": report.dims,
         "gap_b0": report.gap_b0,
@@ -294,7 +293,7 @@ def _task_split(scenario, seed, tolerances, budget):
     return True, payload
 
 
-def _task_superrigid(scenario, seed, tolerances, budget):
+def _task_superrigid(scenario, seed, tol, budget):
     extras = scenario.group_extras.get("product")
     if extras is None:
         raise Refusal("superrigid requires a product group")
@@ -304,7 +303,7 @@ def _task_superrigid(scenario, seed, tolerances, budget):
     params = scenario.task
     report = superrigidity_pipeline(
         extras, cs, coc_sub,
-        gap_threshold=float(params.get("gap_threshold", 0.01)), tol=float(params.get("tol", 1e-8)), seed=seed,
+        gap_threshold=_positive(params.get("gap_threshold", 0.01), "$.task.gap_threshold"), tol=tol, seed=seed,
     )
     payload = {
         "index": report.index,
@@ -320,9 +319,9 @@ def _task_superrigid(scenario, seed, tolerances, budget):
     return True, payload
 
 
-def _task_mazur(scenario, seed, tolerances, budget):
-    rep = _require_rep(scenario)
-    n_samples = int(scenario.task.get("n_samples", 50))
+def _task_mazur(scenario, seed, tol, budget):
+    rep = _require(scenario, "representation")
+    n_samples = _int_param(scenario.task, "n_samples", 50, 1)
     worst_conj = 0.0
     worst_linear = 0.0
     rng = np.random.default_rng(seed)
@@ -352,14 +351,16 @@ def _task_mazur(scenario, seed, tolerances, budget):
     }
 
 
-def _task_schoenberg(scenario, seed, tolerances, budget):
+def _task_schoenberg(scenario, seed, tol, budget):
     space = scenario.space
     params = scenario.task
     mode = params.get("mode", "random" if space.p <= 2.0 else "search")
     if mode == "random":
         n_configs = _int_param(params, "n_configs", 200 if budget is None else budget, 1)
         n_points = _int_param(params, "n_points", 6, 2)
-        s_values = params.get("s", [0.1, 1.0, 10.0])
+        s_values = _finite(params.get("s", [0.1, 1.0, 10.0]), "$.task.s")
+        if s_values.ndim != 1 or s_values.size == 0 or np.any(s_values <= 0.0):
+            raise ScenarioError("$.task.s", "expected a nonempty list of positive numbers")
         rng = np.random.default_rng(seed)
         lam_min = np.inf
         for _ in range(n_configs):
@@ -388,9 +389,7 @@ def _task_schoenberg(scenario, seed, tolerances, budget):
     raise ScenarioError("$.task.mode", f"unknown schoenberg mode {mode!r}")
 
 
-def _task_modulus(scenario, seed, tolerances, budget):
-    if scenario.space.p == 1.0:
-        raise Refusal("convexity modulus requires p > 1")
+def _task_modulus(scenario, seed, tol, budget):
     eps_grid = _finite(scenario.task.get("eps_grid", [0.25, 0.5, 1.0, 1.5, 2.0]), "$.task.eps_grid")
     if eps_grid.ndim != 1 or eps_grid.size == 0 or np.any(eps_grid <= 0.0) or np.any(eps_grid > 2.0):
         raise ScenarioError("$.task.eps_grid", "expected a nonempty list of numbers in (0, 2]")
@@ -413,14 +412,9 @@ def _task_modulus(scenario, seed, tolerances, budget):
     return True, payload
 
 
-def _task_klee(scenario, seed, tolerances, budget):
-    space = scenario.space
-    if space.p == 2.0:
-        raise Refusal("p = 2 refused: Hilbert circumcenters stay in the closed convex hull")
-    if space.dim < 3:
-        raise Refusal("Klee configurations require dim >= 3")
+def _task_klee(scenario, seed, tol, budget):
     trials = _int_param(scenario.task, "trials", 200 if budget is None else budget, 1)
-    res = klee_search(space, trials=trials, seed=seed)
+    res = klee_search(scenario.space, trials=trials, seed=seed)
     payload = {"found": res.found, "trials_used": res.trials_used, "hull_distance": res.hull_distance,
                "checks": res.checks}
     if res.found:
@@ -429,8 +423,8 @@ def _task_klee(scenario, seed, tolerances, budget):
     return True, payload
 
 
-def _task_displacement(scenario, seed, tolerances, budget):
-    coc = _require_cocycle(scenario)
+def _task_displacement(scenario, seed, tol, budget):
+    coc = _require(scenario, "cocycle")
     params = scenario.task
     extras = scenario.group_extras.get("product")
     gens_a = params.get("factor_a", extras["factor1_generators"] if extras else None)
@@ -439,7 +433,7 @@ def _task_displacement(scenario, seed, tolerances, budget):
         raise ScenarioError("$.task", "displacement needs factor_a/factor_h generator lists")
     report = displacement_bound_check(
         AffineAction(coc), list(gens_a), list(gens_h), k_h=params.get("k_h"),
-        tol=float(params.get("tol", 1e-6)), a_radius=int(params.get("radius", 6)), seed=seed,
+        tol=tol, a_radius=_int_param(params, "radius", 6, 1), seed=seed,
     )
     payload = {
         "identity_residual": report.identity_residual,
@@ -454,12 +448,12 @@ def _task_displacement(scenario, seed, tolerances, budget):
     return report.applicable, payload
 
 
-def _task_mautner(scenario, seed, tolerances, budget):
-    coc = _require_cocycle(scenario)
+def _task_mautner(scenario, seed, tol, budget):
+    coc = _require(scenario, "cocycle")
     params = scenario.task
     report = mautner_check(
         AffineAction(coc), str(params.get("g", "g")), str(params.get("h", "h")),
-        n_max=int(params.get("n_max", 12)), tol=float(params.get("tol", tolerances["solver"])),
+        n_max=_int_param(params, "n_max", 12, 0), tol=tol,
     )
     payload = {
         "outcome": report.status,

@@ -6,9 +6,12 @@ Runs ``lplab.cli.main`` in this process, with BLAS pinned to one thread:
 ``run`` on every bundled scenario, ``sweep`` on the five gap scenarios over
 p = 1.25, 1.5, 2, 3, 4, 6, ``sweep`` on ``modulus-p2`` and
 ``swap-cocycle-fm`` over p = 1.5, 3, 4, and ``run`` on the benchmark's
-generated ``scale`` scenarios for seeds 1 and 2 (79 reports).  Prints one ``name sha256`` line per
-report, where the name is ``run/<scenario>``, ``sweep/<scenario>@p=<p>`` or
-``scale/<seed>/<scenario>``.  The package is imported from the ``src/``
+generated ``scale`` scenarios for seeds 1 and 2 (79 reports).  Prints one
+``name sha256 sha256`` line per report, where the name is ``run/<scenario>``,
+``sweep/<scenario>@p=<p>`` or ``scale/<seed>/<scenario>``; the first digest
+is of the whole report line, the second of the report without its
+``provenance`` object, so a change that moves only the recorded seed or
+tolerances keeps the second column.  The package is imported from the ``src/``
 directory of the checkout that holds this script, and the scale scenarios
 come from its ``bench/workloads.py`` (imported, not modified; the scenario
 files go to a temporary directory), so running it in two checkouts and
@@ -55,11 +58,15 @@ def _reports(argv) -> list:
 
 
 def _digest(line: str) -> str:
-    return hashlib.sha256(line.encode()).hexdigest()
+    """The digest of the report line, then of the report without its provenance."""
+    doc = json.loads(line)
+    doc.pop("provenance", None)
+    bare = json.dumps(doc, sort_keys=True)
+    return f"{hashlib.sha256(line.encode()).hexdigest()} {hashlib.sha256(bare.encode()).hexdigest()}"
 
 
 def digests():
-    """(name, sha256) for every report, in a fixed order."""
+    """(name, digests) for every report, in a fixed order."""
     for file_name in bundled_scenarios():
         name = file_name[: -len(".json")]
         for line in _reports(["run", name]):

@@ -43,7 +43,6 @@ from .representation import (
 )
 from .gap import GapEstimate, kazhdan_gap
 from .cocycle import (
-    AffineAction,
     Cocycle,
     OrbitCapExceeded,
     coboundary_of,

@@ -8,6 +8,7 @@ inverse convention c(g^-1) = -rho(g^-1) c(g) forced by that rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .spaces import as_vector
 
 __all__ = [
     "Cocycle",
-    "AffineAction",
     "CoboundaryResult",
     "coboundary_solve",
     "coboundary_of",
@@ -27,16 +27,19 @@ __all__ = [
     "OrbitCapExceeded",
     "orbit_ball",
     "DisplacementReport",
+    "MAX_A_WORDS",
     "displacement_bound_check",
     "MautnerReport",
     "mautner_check",
 ]
 
 _COCYCLE_TOL = 1e-9
+_MERGE_TOL = 1e-12  # two orbit points are one when they agree to this in every coordinate
+MAX_A_WORDS = 100_000  # radius 15 with one A generator (65,535 words), not 16
 
 
 class Cocycle:
-    """Generator values of a cocycle for a representation.
+    """Generator values of a cocycle for a representation, and the affine action g.x = rho(g) x + c(g).
 
     ``values`` maps generator names to vectors.  On construction the
     extension is checked to vanish along every relator (presented groups)
@@ -84,6 +87,19 @@ class Cocycle:
         """Extension of the cocycle along a word (uppercase letters = inverses)."""
         return self.walk(word)[1]
 
+    def apply(self, word: str, x) -> np.ndarray:
+        """The affine action w.x = rho(w) x + c(w), from one walk over the word."""
+        mat, val = self.walk(word)
+        return mat @ as_vector(x, self.space.dim) + val
+
+    def max_displacement(self, x, k_words=None) -> float:
+        """max_{w in K} ||w.x - x||, with K the group's ``k_set`` unless ``k_words`` is given."""
+        words = list(k_words) if k_words is not None else list(self.rep.group.k_set)
+        if not words:
+            raise ValueError("K must be nonempty")
+        x = as_vector(x, self.space.dim)
+        return max(self.space.norm(self.apply(w, x) - x) for w in words)
+
     def element_values(self) -> dict:
         """Value at every element of a table-backed group, the extension along its BFS word.
 
@@ -100,11 +116,8 @@ class Cocycle:
         return vals
 
     def seminorm(self, k_words=None) -> float:
-        """max_{w in K} ||c(w)||, the K-seminorm of the cocycle."""
-        words = list(k_words) if k_words is not None else list(self.rep.group.k_set)
-        if not words:
-            raise ValueError("K must be nonempty")
-        return max(self.space.norm(self.value(w)) for w in words)
+        """max_{w in K} ||c(w)||, the K-seminorm of the cocycle: the K-displacement of 0."""
+        return self.max_displacement(np.zeros(self.space.dim), k_words)
 
     def _relator_residual(self) -> float:
         rep = self.rep
@@ -131,28 +144,6 @@ def coboundary_of(rep: Representation, v) -> Cocycle:
     v = as_vector(v, rep.space.dim)
     values = {name: v - rep.generator_matrix(name) @ v for name in rep.generator_names}
     return Cocycle(rep, values)
-
-
-class AffineAction:
-    """Affine action with the given linear part and translation cocycle."""
-
-    def __init__(self, cocycle: Cocycle):
-        self.cocycle = cocycle
-        self.rep = cocycle.rep
-        self.space = cocycle.rep.space
-
-    def apply(self, word: str, x) -> np.ndarray:
-        x = as_vector(x, self.space.dim)
-        mat, val = self.cocycle.walk(word)
-        return mat @ x + val
-
-    def displacement(self, word: str, x) -> float:
-        x = as_vector(x, self.space.dim)
-        return self.space.norm(self.apply(word, x) - x)
-
-    def max_displacement(self, x, k_words=None) -> float:
-        words = list(k_words) if k_words is not None else list(self.rep.group.k_set)
-        return max(self.displacement(w, x) for w in words)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,45 +195,69 @@ class OrbitBall:
     diameters_by_radius: tuple  # diameter after each radius step
 
 
-def orbit_ball(action: AffineAction, x0, radius: int, cap: int = 100_000, merge_tol: float = 1e-12) -> OrbitBall:
+def orbit_ball(cocycle: Cocycle, x0, radius: int, cap: int = 100_000) -> OrbitBall:
     """Points {w . x0 : |w| <= radius} over generators and inverses, with diameter.
 
-    Points closer than ``merge_tol`` are identified; enumeration raises
-    :class:`OrbitCapExceeded` beyond ``cap`` points.
+    Points that agree to 1e-12 in every coordinate are identified;
+    enumeration raises :class:`OrbitCapExceeded` beyond ``cap`` points.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    space = action.space
-    x0 = as_vector(x0, space.dim)
-    values = action.cocycle.letter_values
-    steps = [(mat, values[letter]) for letter, mat in action.rep.letter_matrices.items()]
+    points, diams = [as_vector(x0, cocycle.space.dim)], [0.0]
+    for points, diams, _ in islice(_orbit_growth(cocycle, points[0], cap), radius):
+        pass
+    return OrbitBall(np.array(points), diams[-1], radius, tuple(diams[1:]))
 
-    points = [x0]
-    frontier = [x0]
-    diams = []
-    for _ in range(radius):
-        new_frontier = []
+
+def _orbit_growth(cocycle: Cocycle, x0: np.ndarray, cap: int):
+    """Yields (points, diameters from radius 0, closed) after each radius step of the word ball around x0.
+
+    A step with no new point closes the ball, which is then the whole orbit, and ends the growth.
+    """
+    steps = [(mat, cocycle.letter_values[letter]) for letter, mat in cocycle.rep.letter_matrices.items()]
+    points, frontier, diams = [x0], [x0], [0.0]
+    while frontier:
+        start = len(points)
         for x in frontier:
             for mat, shift in steps:
                 y = mat @ x + shift
-                if all(np.max(np.abs(y - q)) > merge_tol for q in points + new_frontier):
-                    new_frontier.append(y)
-        points.extend(new_frontier)
+                if _is_new(y, points):
+                    points.append(y)
         if len(points) > cap:
             raise OrbitCapExceeded(f"orbit enumeration exceeded {cap} points")
-        frontier = new_frontier
-        diams.append(_diameter(points, space))
-        if not frontier:
-            break
-    pts = np.array(points)
-    diameter = diams[-1] if diams else 0.0
-    return OrbitBall(points=pts, diameter=diameter, radius=radius, diameters_by_radius=tuple(diams))
+        frontier = points[start:]
+        diams.append(_diameter(points, cocycle.space, start, diams[-1]))
+        yield points, diams, not frontier
 
 
-def _diameter(points, space) -> float:
-    worst = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
+def _orbit_of(cocycle: Cocycle, x0: np.ndarray, max_radius: int, cap: int) -> tuple:
+    """(points, diameter, bounded): a table-backed group's orbit from its element tables, else the word ball
+    by ``max_radius``, bounded when it closes or its diameter stalls for three radii (a heuristic)."""
+    rep = cocycle.rep
+    if isinstance(rep.group, TableGroup):
+        mats, vals = rep.element_matrices(), cocycle.element_values()
+        points = []
+        for g in range(rep.group.order):
+            y = mats[g] @ x0 + vals[g]
+            if _is_new(y, points):
+                points.append(y)
+        return np.array(points), _diameter(points, cocycle.space), True
+    for points, ds, closed in islice(_orbit_growth(cocycle, x0, cap), max_radius):
+        if closed or len(ds) >= 4 and abs(ds[-1] - ds[-2]) < 1e-12 and abs(ds[-2] - ds[-3]) < 1e-12:
+            return np.array(points), ds[-1], True
+    return np.array(points), ds[-1], False
+
+
+def _is_new(y: np.ndarray, points) -> bool:
+    """The merge rule: y is a new orbit point unless some point agrees with it to 1e-12 in every coordinate."""
+    return all(np.max(np.abs(y - q)) > _MERGE_TOL for q in points)
+
+
+def _diameter(points, space, start: int = 1, worst: float = 0.0) -> float:
+    """max(worst, ||p_i - p_j||) over the pairs i < j with j >= ``start``: the diameter, or from the first
+    appended point and the old diameter the new one (``max`` is exact, so the pair order does not matter)."""
+    for j in range(start, len(points)):
+        for i in range(j):
             worst = max(worst, space.norm(points[i] - points[j]))
     return worst
 
@@ -261,8 +276,19 @@ class DisplacementReport(Checked):
     checked_words: int
 
 
+def _a_word_count(n_gens: int, radius: int) -> int:
+    """The number of words of length <= ``radius`` over ``n_gens`` generators and inverses, at most MAX_A_WORDS."""
+    count = level = 1
+    for _ in range(radius if n_gens else 0):
+        level *= 2 * n_gens
+        count += level
+        if count > MAX_A_WORDS:
+            raise ValueError(f"the A-words of length <= {radius} number more than MAX_A_WORDS = {MAX_A_WORDS}")
+    return count
+
+
 def displacement_bound_check(
-    action: AffineAction,
+    cocycle: Cocycle,
     gens_a,
     gens_h,
     k_h=None,
@@ -275,30 +301,24 @@ def displacement_bound_check(
     Verifies that the two generator families commute and satisfy the
     exchange identity (I - rho(h)) c(a) = (I - rho(a)) c(h), estimates the
     gap eps of the H-restriction on its canonical complement, and checks
-    the bound on all A-words up to ``a_radius``.  The bound genuinely
-    controls only the complement component of c(a); both norms are
-    reported, the pass criterion uses the full norm.
+    the bound on all A-words up to ``a_radius``, at most :data:`MAX_A_WORDS`
+    of them.  The bound genuinely controls only the complement component of
+    c(a); both norms are reported, the pass criterion uses the full norm.
     """
-    rep = action.rep
-    c = action.cocycle
+    n_words = _a_word_count(len(gens_a), a_radius)
+    rep = cocycle.rep
     space = rep.space
     k_h = list(k_h) if k_h is not None else list(gens_h)
 
-    comm = 0.0
+    eye = np.eye(space.dim)
+    comm = ident = 0.0
     for a in gens_a:
         for h in gens_h:
             ma, mh = rep.generator_matrix(a), rep.generator_matrix(h)
             comm = max(comm, float(np.max(np.abs(ma @ mh - mh @ ma))))
+            ident = max(ident, space.norm((eye - mh) @ cocycle.values[a] - (eye - ma) @ cocycle.values[h]))
     if comm > 1e-10:
         raise Refusal(f"A and H generator images do not commute (residual {comm:.3e})")
-
-    eye = np.eye(space.dim)
-    ident = 0.0
-    for a in gens_a:
-        for h in gens_h:
-            lhs = (eye - rep.generator_matrix(h)) @ c.values[a]
-            rhs = (eye - rep.generator_matrix(a)) @ c.values[h]
-            ident = max(ident, space.norm(lhs - rhs))
     ident_check = check("exchange_identity_residual", ident, tol)
     if not ident_check["ok"]:
         nan = np.nan
@@ -315,22 +335,21 @@ def displacement_bound_check(
     if eps < 1e-6:
         raise Refusal(f"H-restriction gap {eps:.3e} below threshold 1e-6; bound uninformative")
 
-    r = c.seminorm(k_h)
+    r = cocycle.seminorm(k_h)
     bound = 2.0 * r / eps
 
-    words = [""]
-    frontier = [""]
-    letters = [g for g in gens_a] + [g.upper() for g in gens_a]
-    for _ in range(a_radius):
-        frontier = [w + letter for w in frontier for letter in letters]
-        words.extend(frontier)
+    # the A-words depth first along their tree, (rho(wx), c(wx)) = (rho(w) rho(x), c(w) + rho(w) c(x)) for a
+    # letter x: the products Cocycle.walk forms
+    steps = [(rep.letter_matrices[x], cocycle.letter_values[x]) for x in list(gens_a) + [g.upper() for g in gens_a]]
     proj = complement.proj_complement
-    worst = 0.0
-    worst_comp = 0.0
-    for word in words:
-        val = c.value(word)
+    worst = worst_comp = 0.0
+    stack = [(0, eye, np.zeros(space.dim))]
+    while stack:
+        depth, mat, val = stack.pop()
         worst = max(worst, space.norm(val))
         worst_comp = max(worst_comp, space.norm(proj @ val))
+        if depth < a_radius:
+            stack.extend((depth + 1, mat @ step, val + mat @ shift) for step, shift in steps)
     return DisplacementReport(
         checks=(ident_check, check("a_norm_within_bound", worst, bound + tol)),
         applicable=True,
@@ -341,7 +360,7 @@ def displacement_bound_check(
         bound=bound,
         worst_a_norm=worst,
         worst_a_complement_norm=worst_comp,
-        checked_words=len(words),
+        checked_words=n_words,
     )
 
 
@@ -356,7 +375,7 @@ class MautnerReport(Checked):
     h_displacement: float
 
 
-def mautner_check(action: AffineAction, g_word: str, h_word: str, n_max: int = 12, tol: float = 1e-6) -> MautnerReport:
+def mautner_check(cocycle: Cocycle, g_word: str, h_word: str, n_max: int = 12, tol: float = 1e-6) -> MautnerReport:
     """Fixed-point propagation along contracted conjugates.
 
     Computes the conjugates g^-n h g^n for n <= n_max; if their operator
@@ -365,13 +384,13 @@ def mautner_check(action: AffineAction, g_word: str, h_word: str, n_max: int = 1
     h-displacement there is at most ``tol``.  A non-contracting sequence is
     reported as not-applicable with no assertion.
     """
-    rep = action.rep
-    g_mat, cg = action.cocycle.walk(g_word)
-    h_mat = rep.operator(h_word)
+    space = cocycle.space
+    g_mat, cg = cocycle.walk(g_word)
+    h_mat, ch = cocycle.walk(h_word)
     g_inv = np.linalg.inv(g_mat)
-    eye = np.eye(rep.space.dim)
+    eye = np.eye(space.dim)
     dists = []
-    conj = h_mat.copy()
+    conj = h_mat
     for _ in range(n_max + 1):
         dists.append(float(np.linalg.norm(conj - eye, 2)))
         conj = g_inv @ conj @ g_mat
@@ -384,9 +403,9 @@ def mautner_check(action: AffineAction, g_word: str, h_word: str, n_max: int = 1
 
     # g-fixed point of the affine action: (I - rho(g)) x = c(g)
     x, *_ = np.linalg.lstsq(eye - g_mat, cg, rcond=None)
-    fixed_residual = rep.space.norm((eye - g_mat) @ x - cg)
+    fixed_residual = space.norm((eye - g_mat) @ x - cg)
     if fixed_residual > tol:
         return MautnerReport((), False, tuple(dists), True, None, fixed_residual, np.nan)
-    h_disp = action.displacement(h_word, x)
+    h_disp = space.norm(h_mat @ x + ch - x)
     checks = (check("h_displacement", h_disp, tol),)
     return MautnerReport(checks, True, tuple(dists), True, x, fixed_residual, h_disp)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .cocycle import AffineAction, OrbitCapExceeded, _diameter, orbit_ball
+from .cocycle import Cocycle, OrbitCapExceeded, _orbit_of
 from .errors import Refusal
-from .groups import TableGroup
 from .reports import Checked, check
 from .spaces import LpSpace, as_vector, duality_map, norm_pow, norms, norms_and_grads, pow_grad, weighted_lstsq
 
@@ -345,7 +344,7 @@ class FixedPointResult(Checked):
 
 
 def fixed_point_circumcenter(
-    action: AffineAction,
+    cocycle: Cocycle,
     x0,
     fix_tol: float = 1e-6,
     max_radius: int = 12,
@@ -354,39 +353,22 @@ def fixed_point_circumcenter(
     """Fixed point as the circumcenter of a bounded orbit.
 
     Table-backed groups enumerate the full orbit; presented groups grow
-    word balls until the diameter stalls for three consecutive radii
-    (stabilization heuristic) and report "unbounded" otherwise.
+    word balls until the ball closes or its diameter stalls for three
+    consecutive radii (stabilization heuristic) and report "unbounded"
+    otherwise.
     """
-    space = action.space
+    space = cocycle.space
     space.require_smooth()
-    x0 = as_vector(x0, space.dim)
-    group = action.rep.group
-    if isinstance(group, TableGroup):
-        mats = action.rep.element_matrices()
-        vals = action.cocycle.element_values()
-        pts = []
-        for g in range(group.order):
-            y = mats[g] @ x0 + vals[g]
-            if all(np.max(np.abs(y - q)) > 1e-12 for q in pts):
-                pts.append(y)
-        orbit = np.array(pts)
-    else:
-        try:
-            ball = None
-            for radius in range(1, max_radius + 1):
-                ball = orbit_ball(action, x0, radius, cap=cap)
-                ds = ball.diameters_by_radius
-                if len(ds) >= 3 and abs(ds[-1] - ds[-2]) < 1e-12 and abs(ds[-2] - ds[-3]) < 1e-12:
-                    break
-            else:
-                return FixedPointResult((), False, None, np.nan, len(ball.points), ball.diameter)
-        except OrbitCapExceeded:
-            return FixedPointResult((), False, None, np.nan, cap, np.nan)
-        orbit = ball.points
+    try:
+        orbit, diameter, bounded = _orbit_of(cocycle, as_vector(x0, space.dim), max_radius, cap)
+    except OrbitCapExceeded:
+        return FixedPointResult((), False, None, np.nan, cap, np.nan)
+    if not bounded:
+        return FixedPointResult((), False, None, np.nan, len(orbit), diameter)
     center, _ = circumcenter(orbit, space)
-    disp = action.max_displacement(center)
+    disp = cocycle.max_displacement(center)
     checks = (check("displacement", disp, fix_tol),)
-    return FixedPointResult(checks, True, center, disp, len(orbit), _diameter(orbit, space))
+    return FixedPointResult(checks, True, center, disp, len(orbit), diameter)
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,24 +393,19 @@ class FisherMargulisResult(Checked):
     def radii(self):
         return [step.diameter for step in self.trace]
 
-    def trace_csv(self, space=None) -> str:
+    def trace_csv(self, space: LpSpace) -> str:
         """Solver trace as CSV: iteration, radius, step norm, objective."""
         rows = ["iteration,radius,step_norm,objective"]
         prev = None
         for i, step in enumerate(self.trace):
-            if prev is None:
-                step_norm = 0.0
-            elif space is not None:
-                step_norm = space.norm(step.point - prev.point)
-            else:
-                step_norm = float(np.linalg.norm(step.point - prev.point))
+            step_norm = 0.0 if prev is None else space.norm(step.point - prev.point)
             rows.append(f"{i},{step.diameter:.17g},{step_norm:.17g},{step.diameter:.17g}")
             prev = step
         return "\n".join(rows) + "\n"
 
 
 def fisher_margulis_iterate(
-    action: AffineAction,
+    cocycle: Cocycle,
     k_words=None,
     x0=None,
     c_mult: float = 1.0,
@@ -447,31 +424,30 @@ def fisher_margulis_iterate(
     The K-orbit diameter includes the point itself so that it always bounds
     the generator displacement.
     """
-    rep = action.rep
-    space = action.space
+    space = cocycle.space
     space.require_smooth()
-    words = list(k_words) if k_words is not None else list(rep.group.k_set)
+    words = list(k_words) if k_words is not None else list(cocycle.rep.group.k_set)
     if not words:
         raise ValueError("K must be nonempty")
     if c_mult <= 0:
         raise ValueError("C must be positive")
     x = space.random_vector(np.random.default_rng(seed)) if x0 is None else as_vector(x0, space.dim)
 
-    walks = [action.cocycle.walk(word) for word in words]
+    walks = [cocycle.walk(word) for word in words]
     mats = np.array([np.eye(space.dim)] + [mat for mat, _ in walks])
     shifts = np.array([np.zeros(space.dim)] + [val for _, val in walks])
     i, j = np.triu_indices(len(mats), 1)  # every pair i < j, in row order
     pair_mats, pair_shifts = mats[i] - mats[j], shifts[i] - shifts[j]
 
-    def diam(y):
-        return _minimax_value(space, pair_mats, pair_shifts, y)
+    def k_displacement(y):  # Cocycle.max_displacement over the walks already made
+        return max(space.norm(mat @ y + val - y) for mat, val in walks)
 
     rng = np.random.default_rng(seed)
-    trace = [FisherMargulisStep(point=x.copy(), diameter=diam(x))]
+    trace = [FisherMargulisStep(point=x.copy(), diameter=_minimax_value(space, pair_mats, pair_shifts, x))]
     contracting = True
     for _ in range(max_iter):
         r_n = trace[-1].diameter
-        if action.max_displacement(x, words) <= tol:
+        if k_displacement(x) <= tol:
             break
         ball = (x, c_mult * r_n)
         best_y, best_val = _minimize_minimax(space, pair_mats, pair_shifts, x, ball=ball)
@@ -489,7 +465,7 @@ def fisher_margulis_iterate(
         else:
             contracting = False
             break
-    disp = action.max_displacement(x, words)
+    disp = k_displacement(x)
     radii = [step.diameter for step in trace]
     checks = [check("halving_step_%d" % i, b, a / 2.0) for i, (a, b) in enumerate(zip(radii, radii[1:]))]
     if contracting:

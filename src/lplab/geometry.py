@@ -41,16 +41,18 @@ class ModulusEstimate:
 
 # the midpoint shrink factors 0.7**k, k = 0..79, by repeated multiplication
 _KAPPAS = np.array(list(accumulate(repeat(0.7, 79), mul, initial=1.0)))[:, None]
+# ||d|| <= (||xs_k|| + ||ys_k||) / 2, so nothing fits once ||d|| passes 1 by more than rounding (~dim * 1e-16)
+_NO_FIT = 1.0 + 5e-13
 
 
-def _make_feasible(norm_fn, norm_rows, x, y, eps, max_rounds: int = 60):
+def _make_feasible(norm_fn, first_fit, x, y, eps, max_rounds: int = 60):
     """Project a candidate pair into {||x||,||y|| <= 1, ||x-y|| >= eps}.
 
     Alternates difference inflation with ball clipping; if the alternation
     stalls, shrinks the midpoint by the first factor 0.7**k that puts both
     points back in the ball (which never hurts either constraint).
-    ``norm_rows`` is ``norm_fn`` on each row of a stack.  Returns None only
-    for degenerate candidates.
+    ``first_fit(xs, ys)`` is the first row k with ||xs[k]||, ||ys[k]|| <= 1,
+    or None.  Returns None only for degenerate candidates.
     """
     x = x.copy()
     y = y.copy()
@@ -68,13 +70,12 @@ def _make_feasible(norm_fn, norm_rows, x, y, eps, max_rounds: int = 60):
         mid = (x + y) / 2.0
         d = (x - y) / 2.0
         d *= (eps / (2.0 * norm_fn(d))) * (1.0 + 1e-12)
-        shrunk = mid * _KAPPAS
-        xs, ys = shrunk + d, shrunk - d
-        fits = np.flatnonzero((norm_rows(xs) <= 1.0) & (norm_rows(ys) <= 1.0))
-        if fits.size:
-            x, y = xs[fits[0]], ys[fits[0]]
-        else:
-            x, y = d, -d
+        fit = None
+        if norm_fn(d) <= _NO_FIT:
+            shrunk = mid * _KAPPAS
+            xs, ys = shrunk + d, shrunk - d
+            fit = first_fit(xs, ys)
+        x, y = (d, -d) if fit is None else (xs[fit], ys[fit])
         if norm_fn(x - y) >= eps:
             return x, y
     return None
@@ -104,12 +105,13 @@ def convexity_modulus(
     if norm_fn is None:
         space.require_smooth()
         norm_fn = space.norm
+        w, p = space.weights, space.p
 
-        def norm_rows(rows):
-            return norms(space.weights, space.p, rows)
+        def first_fit(xs, ys):
+            return next(iter(np.flatnonzero((norms(w, p, xs) <= 1.0) & (norms(w, p, ys) <= 1.0))), None)
     else:
-        def norm_rows(rows):
-            return np.array([norm_fn(row) for row in rows])
+        def first_fit(xs, ys):  # a caller's norm, evaluated only up to the first fit
+            return next((k for k in range(len(xs)) if norm_fn(xs[k]) <= 1.0 and norm_fn(ys[k]) <= 1.0), None)
     rng = np.random.default_rng(seed)
     dim = space.dim
 
@@ -119,7 +121,7 @@ def convexity_modulus(
     best = None
     best_val = np.inf
     for _ in range(budget):
-        cand = _make_feasible(norm_fn, norm_rows, rng.standard_normal(dim), rng.standard_normal(dim), eps)
+        cand = _make_feasible(norm_fn, first_fit, rng.standard_normal(dim), rng.standard_normal(dim), eps)
         if cand is None:
             continue
         val = objective(cand)
@@ -133,7 +135,7 @@ def convexity_modulus(
     for _ in range(polish_iters):
         cand = _make_feasible(
             norm_fn,
-            norm_rows,
+            first_fit,
             x + step * rng.standard_normal(dim),
             y + step * rng.standard_normal(dim),
             eps,

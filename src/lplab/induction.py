@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import AffineAction, Cocycle, coboundary_solve
+from .cocycle import Cocycle, _diameter, coboundary_solve
 from .errors import Refusal
 from .gap import kazhdan_gap
 from .groups import TableGroup
@@ -213,26 +213,19 @@ def fixed_point_transfer(cs: CosetStructure, cocycle_sub: Cocycle, coc_g: Cocycl
     """
     if coc_g.rep.group is not cs.group or coc_g.space.dim != cs.index * cocycle_sub.space.dim:
         raise ValueError("induced cocycle is not over the coset structure's group")
-    sub_action = AffineAction(cocycle_sub)
-    g_action = AffineAction(coc_g)
-
     sol_sub = coboundary_solve(cocycle_sub, tol)
     sol_g = coboundary_solve(coc_g, tol)
     agrees = sol_sub.is_coboundary == sol_g.is_coboundary
 
-    block_constancy = np.nan
-    block_disp = np.nan
-    const_disp = np.nan
+    block_constancy = block_disp = const_disp = np.nan
     if sol_g.is_coboundary:
         blocks = np.split(sol_g.vector, cs.index)
-        block_constancy = max(
-            (cocycle_sub.space.norm(a - b) for a in blocks for b in blocks), default=0.0
-        )
+        block_constancy = _diameter(blocks, cocycle_sub.space)
         base_idx = cs.domain.index(cs.group.identity)
-        block_disp = sub_action.max_displacement(blocks[base_idx])
+        block_disp = cocycle_sub.max_displacement(blocks[base_idx])
     if sol_sub.is_coboundary:
         section = np.tile(sol_sub.vector, cs.index)
-        const_disp = g_action.max_displacement(section)
+        const_disp = coc_g.max_displacement(section)
 
     checks = [check("classification_agrees", sol_sub.is_coboundary, sol_g.is_coboundary, "eq")]
     if sol_g.is_coboundary:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cocycle import AffineAction, coboundary_solve, displacement_bound_check, mautner_check
+from .cocycle import _a_word_count, coboundary_solve, displacement_bound_check, mautner_check
 from .convex import fisher_margulis_iterate, fixed_point_circumcenter, klee_search
 from .errors import Refusal
 from .gap import MAX_RESTARTS, kazhdan_gap
 from .geometry import modulus_table, schoenberg_gram, schoenberg_violation_search
-from .groups import TableGroup
+from .groups import TableGroup, check_word
 from .induction import CosetStructure, fixed_point_transfer, induce_cocycle, induce_rep, split_action, superrigidity_pipeline
 from .lamperti import LampertiIsometry, mazur_conjugate, mazur_conjugation_residual
 from .reports import Report, check, status_of
@@ -90,6 +90,21 @@ def _int_param(params: dict, key: str, default: int, lo: int, hi: int | None = N
     return _integer(params.get(key, default), f"$.task.{key}", lo, hi)
 
 
+def _words(value, key: str, group, names: bool = False):
+    """``value`` of task.<key>: None, or a nonempty list of words over ``group``'s generators (a list of
+    generator names, possibly empty, when ``names``); anything else is refused at $.task.<key>."""
+    kind = "list of generator names" if names else "nonempty list of words"
+    if value is not None and (not isinstance(value, list) or not (names or value) or not all(
+            isinstance(w, str) and (not names or len(w) == 1 and w.islower()) for w in value)):
+        raise ScenarioError(f"$.task.{key}", f"expected a {kind}, got {value!r}")
+    try:
+        for word in value or ():
+            check_word(group.generators, word)
+    except ValueError as exc:
+        raise ScenarioError(f"$.task.{key}", str(exc)) from exc
+    return value
+
+
 def _require(scenario: Scenario, field: str):
     """The scenario's ``representation`` or ``cocycle``; refused at its field path when absent."""
     if getattr(scenario, field) is None:
@@ -125,14 +140,12 @@ def _task_gap(scenario, seed, tol, budget):
     params = scenario.task
     default = 16 if budget is None else min(MAX_RESTARTS, max(4, budget // 25))
     restarts = _int_param(params, "restarts", default, 1, MAX_RESTARTS)
-    est = kazhdan_gap(rep, k_words=params.get("k"), restarts=restarts, seed=seed)
+    k = _words(params.get("k"), "k", rep.group)
+    est = kazhdan_gap(rep, k_words=k, restarts=restarts, seed=seed)
     if est.witness is None:
         checks = [check("complement_dim", est.complement_dim, 0, "eq")]
     else:
-        words = params.get("k") or list(rep.group.k_set)
-        achieved = max(
-            scenario.space.norm(rep.apply(w, est.witness) - est.witness) for w in words
-        )
+        achieved = max(scenario.space.norm(rep.apply(w, est.witness) - est.witness) for w in k or rep.group.k_set)
         checks = [check("witness_achieves_upper", abs(achieved - est.upper), 1e-10)]
     payload = {
         "gap_upper": est.upper,
@@ -147,14 +160,13 @@ def _task_gap(scenario, seed, tol, budget):
 
 def _task_fixpoint(scenario, seed, tol, budget):
     coc = _require(scenario, "cocycle")
-    action = AffineAction(coc)
     params = scenario.task
     method = params.get("method", "circumcenter")
     x0 = _finite(params.get("x0", np.zeros(scenario.space.dim)), "$.task.x0")
     if x0.shape != (scenario.space.dim,):
         raise ScenarioError("$.task.x0", f"expected {scenario.space.dim} numbers, got shape {x0.shape}")
     if method == "circumcenter":
-        res = fixed_point_circumcenter(action, x0, fix_tol=tol)
+        res = fixed_point_circumcenter(coc, x0, fix_tol=tol)
         payload = {
             "outcome": res.status,
             "point": [] if res.point is None else res.point,
@@ -166,8 +178,8 @@ def _task_fixpoint(scenario, seed, tol, budget):
         return res.applicable, payload
     if method == "fisher-margulis":
         res = fisher_margulis_iterate(
-            action,
-            k_words=params.get("k"),
+            coc,
+            k_words=_words(params.get("k"), "k", coc.rep.group),
             x0=x0,
             c_mult=_positive(params.get("c", 1.0), "$.task.c"),
             max_iter=_int_param(params, "max_iter", 60, 0),
@@ -262,20 +274,20 @@ def _task_induce(scenario, seed, tol, budget):
     return True, payload
 
 
-def _split_factors(scenario):
-    params = scenario.task
+def _factors(scenario, key1: str, key2: str) -> list:
+    """The generator-name lists task.<key1> and task.<key2>, by default a product group's two factors."""
     extras = scenario.group_extras.get("product")
-    f1 = params.get("factor1", extras["factor1_generators"] if extras else None)
-    f2 = params.get("factor2", extras["factor2_generators"] if extras else None)
-    if f1 is None or f2 is None:
-        raise ScenarioError("$.task", "split needs factor1/factor2 generator lists (or a product group)")
-    return list(f1), list(f2)
+    factors = [_words(scenario.task.get(key, extras[f"factor{i}_generators"] if extras else None), key,
+                      scenario.group, names=True) for i, key in ((1, key1), (2, key2))]
+    if None in factors:
+        raise ScenarioError("$.task", f"needs {key1}/{key2} generator lists (or a product group)")
+    return factors
 
 
 def _task_split(scenario, seed, tol, budget):
     rep = _require(scenario, "representation")
     coc = _require(scenario, "cocycle")
-    f1, f2 = _split_factors(scenario)
+    f1, f2 = _factors(scenario, "factor1", "factor2")
     params = scenario.task
     threshold = _positive(params.get("gap_threshold", 0.01), "$.task.gap_threshold")
     report = split_action(rep, coc, f1, f2, gap_threshold=threshold, tol=tol, seed=seed)
@@ -426,14 +438,14 @@ def _task_klee(scenario, seed, tol, budget):
 def _task_displacement(scenario, seed, tol, budget):
     coc = _require(scenario, "cocycle")
     params = scenario.task
-    extras = scenario.group_extras.get("product")
-    gens_a = params.get("factor_a", extras["factor1_generators"] if extras else None)
-    gens_h = params.get("factor_h", extras["factor2_generators"] if extras else None)
-    if gens_a is None or gens_h is None:
-        raise ScenarioError("$.task", "displacement needs factor_a/factor_h generator lists")
+    gens_a, gens_h = _factors(scenario, "factor_a", "factor_h")
+    radius = _int_param(params, "radius", 6, 1)
+    try:
+        _a_word_count(len(gens_a), radius)
+    except ValueError as exc:
+        raise ScenarioError("$.task.radius", str(exc)) from exc
     report = displacement_bound_check(
-        AffineAction(coc), list(gens_a), list(gens_h), k_h=params.get("k_h"),
-        tol=tol, a_radius=_int_param(params, "radius", 6, 1), seed=seed,
+        coc, gens_a, gens_h, k_h=_words(params.get("k_h"), "k_h", coc.rep.group), tol=tol, a_radius=radius, seed=seed,
     )
     payload = {
         "identity_residual": report.identity_residual,
@@ -451,10 +463,8 @@ def _task_displacement(scenario, seed, tol, budget):
 def _task_mautner(scenario, seed, tol, budget):
     coc = _require(scenario, "cocycle")
     params = scenario.task
-    report = mautner_check(
-        AffineAction(coc), str(params.get("g", "g")), str(params.get("h", "h")),
-        n_max=_int_param(params, "n_max", 12, 0), tol=tol,
-    )
+    g_word, h_word = (_words([params.get(key, key)], key, coc.rep.group)[0] for key in ("g", "h"))
+    report = mautner_check(coc, g_word, h_word, n_max=_int_param(params, "n_max", 12, 0), tol=tol)
     payload = {
         "outcome": report.status,
         "contracting": report.contracting,

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,23 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def load_fixture(name):
     with open(FIXTURES / name) as fh:
         return json.load(fh)
+
+
+def count_calls(functions, run):
+    """Calls of each function while ``run()`` runs, by code object (whatever name a module imports it under)."""
+    codes = {fn.__code__: fn.__qualname__ for fn in functions}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
 
 
 def hilbert_projection(space: LpSpace, basis: np.ndarray, v: np.ndarray) -> np.ndarray:

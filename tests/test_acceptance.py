@@ -11,7 +11,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from lplab import (
-    AffineAction,
     AffineSubspace,
     ConvexHull,
     LampertiIsometry,
@@ -166,7 +165,7 @@ def test_criterion_05_schoenberg():
 def test_criterion_06_fisher_margulis():
     with criterion(6, "Fisher-Margulis: accepted steps halve, terminal displacement <= 1e-6, hits the fixed set to 1e-5"):
         scenario = bundled("swap-cocycle-fm")
-        action = AffineAction(scenario.cocycle)
+        action = scenario.cocycle
         res = fisher_margulis_iterate(action, k_words=["s"], x0=[0.0, 0.0], c_mult=0.4, max_iter=40, tol=1e-6, seed=0)
         assert res.status == "fixed"
         radii = res.radii
@@ -179,7 +178,7 @@ def test_criterion_06_fisher_margulis():
         nearest = nearest_point(fixed_set, res.terminal, action.space)
         assert action.space.norm(res.terminal - nearest) <= 1e-5
         translation = bundled("translation-fm")
-        res_t = fisher_margulis_iterate(AffineAction(translation.cocycle), k_words=["t"], x0=[0.0], c_mult=1.0, seed=0)
+        res_t = fisher_margulis_iterate(translation.cocycle, k_words=["t"], x0=[0.0], c_mult=1.0, seed=0)
         assert res_t.status == "non-contracting" and len(res_t.trace) == 1
 
 

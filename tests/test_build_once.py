@@ -1,7 +1,6 @@
 """Each derived object is built once, and bad induction, space and budget inputs exit 2 with a field path."""
 
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -23,31 +22,16 @@ from lplab.cli import bundled_scenario_path, main
 from lplab.scenario import parse_scenario
 from lplab.tasks import execute
 
+from conftest import count_calls
+
 
 def _bundled(name):
     return json.loads(bundled_scenario_path(name).read_text())
 
 
-def _count_calls(functions, run):
-    """Calls of each function while ``run()`` runs, by code object (whatever name a module imports it under)."""
-    codes = {fn.__code__: fn.__qualname__ for fn in functions}
-    counts = dict.fromkeys(codes.values(), 0)
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in codes:
-            counts[codes[frame.f_code]] += 1
-
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return counts
-
-
 def test_induce_builds_the_induction_once():
     scenario = parse_scenario(_bundled("induce-sign-z4"))
-    counts = _count_calls([induce_rep, induce_cocycle, Representation.__init__], lambda: execute(scenario))
+    counts = count_calls([induce_rep, induce_cocycle, Representation.__init__], lambda: execute(scenario))
     # the subgroup representation and the induced one
     assert counts == {"induce_rep": 1, "induce_cocycle": 1, "Representation.__init__": 2}
 
@@ -55,7 +39,7 @@ def test_induce_builds_the_induction_once():
 @pytest.mark.parametrize("name", ["superrigid-diagonal-s3", "superrigid-overlap-d3"])
 def test_superrigid_builds_one_coset_structure(name):
     scenario = parse_scenario(_bundled(name))
-    counts = _count_calls([CosetStructure.__init__, induce_rep, induce_cocycle], lambda: execute(scenario))
+    counts = count_calls([CosetStructure.__init__, induce_rep, induce_cocycle], lambda: execute(scenario))
     assert counts == {"CosetStructure.__init__": 1, "induce_rep": 1, "induce_cocycle": 1}
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lplab import (
-    AffineAction,
     Cocycle,
     LampertiIsometry,
     LpSpace,
@@ -25,7 +24,7 @@ def swap_action(p=3.0, value=(1.0, -1.0)):
     group = cyclic_group(2, "s")
     image = LampertiIsometry([1, 0], [1.0, 1.0], space, space)
     rep = Representation(group, space, {"s": image})
-    return AffineAction(Cocycle(rep, {"s": list(value)}))
+    return Cocycle(rep, {"s": list(value)})
 
 
 def free_rep(dim=3, p=2.0, seed=0, letters=("a", "b")):
@@ -43,7 +42,7 @@ def free_rep(dim=3, p=2.0, seed=0, letters=("a", "b")):
 class TestCocycleExtension:
     def test_empty_word_is_zero(self):
         act = swap_action()
-        assert np.array_equal(act.cocycle.value(""), np.zeros(2))
+        assert np.array_equal(act.value(""), np.zeros(2))
 
     def test_relator_residual_blocks_invalid_values(self):
         space = LpSpace(2, 2)
@@ -100,19 +99,19 @@ class TestCocycleExtension:
     def test_unknown_symbol(self):
         act = swap_action()
         with pytest.raises(ValueError, match="unknown generator"):
-            act.cocycle.value("sz")
+            act.value("sz")
 
 
 class TestCoboundarySolve:
     def test_zero_cocycle(self):
         act = swap_action(value=(0.0, 0.0))
-        sol = coboundary_solve(act.cocycle)
+        sol = coboundary_solve(act)
         assert sol.is_coboundary
         assert np.max(np.abs(sol.vector)) <= 1e-12
 
     def test_swap_example_fixed_line(self):
         act = swap_action(p=2.5)
-        sol = coboundary_solve(act.cocycle)
+        sol = coboundary_solve(act)
         assert sol.is_coboundary and sol.residual <= 1e-10
         # returned v is a fixed point: s.v = v and lies on {x1 - x2 = 1}
         assert np.max(np.abs(act.apply("s", sol.vector) - sol.vector)) <= 1e-12
@@ -133,18 +132,18 @@ class TestCoboundarySolve:
             coc = coboundary_of(rep, rng.standard_normal(3))
             sol = coboundary_solve(coc)
             assert sol.residual <= 1e-10
-            act = AffineAction(coc)
+            act = coc
             assert act.max_displacement(sol.vector) <= 1e-10
 
 
 class TestSeminorm:
     def test_zero_cocycle(self):
         act = swap_action(value=(0.0, 0.0))
-        assert act.cocycle.seminorm(["s", "ss"]) == 0.0
+        assert act.seminorm(["s", "ss"]) == 0.0
 
     def test_single_generator(self):
         act = swap_action(p=2.0)
-        assert act.cocycle.seminorm(["s"]) == pytest.approx(np.sqrt(2.0), abs=1e-14)
+        assert act.seminorm(["s"]) == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
     def test_coboundary_over_whole_table(self, rng):
         space = LpSpace(3, 2)
@@ -158,13 +157,13 @@ class TestSeminorm:
 
     def test_empty_k(self):
         with pytest.raises(ValueError, match="nonempty"):
-            swap_action().cocycle.seminorm([])
+            swap_action().seminorm([])
 
 
 class TestOrbitBall:
     def test_fixed_point_is_singleton(self):
         act = swap_action(p=2.0)
-        sol = coboundary_solve(act.cocycle)
+        sol = coboundary_solve(act)
         ball = orbit_ball(act, sol.vector, 3)
         assert len(ball.points) == 1 and ball.diameter == 0.0
 
@@ -172,7 +171,7 @@ class TestOrbitBall:
         space = LpSpace(1, 2)
         group = PresentedGroup(["t"], [], k_set=["t"])
         rep = Representation(group, space, {"t": np.eye(1)})
-        act = AffineAction(Cocycle(rep, {"t": [2.0]}))
+        act = Cocycle(rep, {"t": [2.0]})
         for radius in (1, 2, 3):
             ball = orbit_ball(act, [5.0], radius)
             assert ball.diameter == pytest.approx(2.0 * radius * 2.0, abs=1e-12)
@@ -188,7 +187,7 @@ class TestOrbitBall:
         rep = free_rep(seed=5)
         rng = np.random.default_rng(0)
         values = {name: rng.standard_normal(3) for name in rep.generator_names}
-        act = AffineAction(Cocycle(rep, values))
+        act = Cocycle(rep, values)
         with pytest.raises(OrbitCapExceeded):
             orbit_ball(act, np.zeros(3), 12, cap=50)
 
@@ -200,7 +199,7 @@ class TestDisplacementBound:
         ua = LampertiIsometry([2, 3, 0, 1], np.ones(4), space, space)
         uh = LampertiIsometry([1, 0, 3, 2], np.ones(4), space, space)
         rep = Representation(info["group"], space, {"a": ua, "h": uh})
-        return AffineAction(Cocycle(rep, {"a": c_a, "h": c_h}))
+        return Cocycle(rep, {"a": c_a, "h": c_h})
 
     def test_corpus_scenario_passes(self):
         act = self.make_action([0.2, -0.3, -0.2, 0.3], [1.0, -1.0, 0.5, -0.5])
@@ -221,7 +220,7 @@ class TestDisplacementBound:
         info = product_group(cyclic_group(2, "a"), cyclic_group(1, "h"))
         ua = LampertiIsometry([1, 0], [1.0, 1.0], space, space)
         rep = Representation(info["group"], space, {"a": ua, "h": np.eye(2)})
-        act = AffineAction(Cocycle(rep, {"a": [1.0, -1.0], "h": [0.0, 0.0]}))
+        act = Cocycle(rep, {"a": [1.0, -1.0], "h": [0.0, 0.0]})
         report = displacement_bound_check(act, ["a"], ["h"])
         assert report.status == "not-applicable"
         assert np.isinf(report.gap)
@@ -232,7 +231,7 @@ class TestDisplacementBound:
         ut = LampertiIsometry(np.argsort([1, 0, 2]), np.ones(3), space, space)
         uc = LampertiIsometry(np.argsort([1, 2, 0]), np.ones(3), space, space)
         rep = Representation(group, space, {"t": ut, "c": uc})
-        act = AffineAction(coboundary_of(rep, np.array([1.0, 0.0, 0.0])))
+        act = coboundary_of(rep, np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="commute"):
             displacement_bound_check(act, ["t"], ["c"])
 
@@ -247,7 +246,7 @@ class TestMautner:
             {"g": np.diag([2.0, 0.5]), "h": np.array([[1.0, 1.0], [0.0, 1.0]])},
             require_isometric=False,
         )
-        return AffineAction(coboundary_of(rep, np.array([1.0, 2.0])))
+        return coboundary_of(rep, np.array([1.0, 2.0]))
 
     def test_identity_h_always_fixed(self):
         act = self.bs_action()
@@ -268,7 +267,7 @@ class TestMautner:
         group = cyclic_group(4)
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         rep = Representation(group, space, {"a": rot})
-        act = AffineAction(coboundary_of(rep, np.array([0.3, -0.7])))
+        act = coboundary_of(rep, np.array([0.3, -0.7]))
         report = mautner_check(act, "a", "a", n_max=8)
         assert report.status == "not-applicable"
         assert not report.contracting
@@ -300,7 +299,7 @@ class TestAffineIsometry:
     def test_action_preserves_distances(self, p, rng):
         rep = free_rep(dim=4, p=p, seed=11, letters=("a", "b"))
         values = {name: rng.standard_normal(4) for name in rep.generator_names}
-        act = AffineAction(Cocycle(rep, values))
+        act = Cocycle(rep, values)
         for word in ("a", "bA", "abb", "BaBa"):
             for _ in range(5):
                 x, y = rng.standard_normal(4), rng.standard_normal(4)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lplab import (
-    AffineAction,
     AffineSubspace,
     Ball,
     Cocycle,
@@ -136,20 +135,20 @@ def swap_cocycle_action(p=3.0):
     group = cyclic_group(2, "s")
     image = LampertiIsometry([1, 0], [1.0, 1.0], space, space)
     rep = Representation(group, space, {"s": image})
-    return AffineAction(Cocycle(rep, {"s": [1.0, -1.0]}))
+    return Cocycle(rep, {"s": [1.0, -1.0]})
 
 
 def translation_action():
     space = LpSpace(1, 2)
     group = PresentedGroup(["t"], [], k_set=["t"])
     rep = Representation(group, space, {"t": np.eye(1)})
-    return AffineAction(Cocycle(rep, {"t": [1.0]}))
+    return Cocycle(rep, {"t": [1.0]})
 
 
 class TestFixedPointCircumcenter:
     def test_already_fixed_point(self):
         act = swap_cocycle_action()
-        sol = coboundary_solve(act.cocycle)
+        sol = coboundary_solve(act)
         res = fixed_point_circumcenter(act, sol.vector)
         assert res.status == "fixed"
         assert np.max(np.abs(res.point - sol.vector)) <= 1e-9
@@ -169,7 +168,7 @@ class TestFixedPointCircumcenter:
 class TestFisherMargulis:
     def test_already_fixed_terminates_immediately(self):
         act = swap_cocycle_action()
-        sol = coboundary_solve(act.cocycle)
+        sol = coboundary_solve(act)
         res = fisher_margulis_iterate(act, x0=sol.vector, c_mult=0.4, seed=0)
         assert res.status == "fixed"
         assert len(res.trace) == 1

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from lplab import AffineAction, Refusal, TableGroup, fisher_margulis_iterate, symmetric_group_3
+from lplab import Refusal, TableGroup, fisher_margulis_iterate, symmetric_group_3
 from lplab.cli import bundled_scenario_path, bundled_scenarios, main
 from lplab.reports import check, status_of
 from lplab.scenario import load_scenario, parse_scenario
@@ -94,7 +94,7 @@ class TestFisherMargulisMaxIter:
 
     def test_library_status_from_checks(self):
         scenario = parse_scenario(_fm_max_iter_2())
-        res = fisher_margulis_iterate(AffineAction(scenario.cocycle), k_words=["s"], x0=[0.0, 0.0],
+        res = fisher_margulis_iterate(scenario.cocycle, k_words=["s"], x0=[0.0, 0.0],
                                       c_mult=0.4, max_iter=2, tol=1e-6)
         assert res.status == "max-iter" and res.applicable
         assert [c["name"] for c in res.checks] == ["halving_step_0", "halving_step_1", "displacement"]
@@ -171,7 +171,7 @@ def test_tree_orbit_points_equal_word_points():
     assert scenarios
     rng = np.random.default_rng(5)
     for scenario in scenarios:
-        action = AffineAction(scenario.cocycle)
+        action = scenario.cocycle
         mats, vals = action.rep.element_matrices(), scenario.cocycle.element_values()
         for _ in range(5):
             x0 = rng.standard_normal(scenario.space.dim)

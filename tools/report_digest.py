@@ -4,9 +4,10 @@
 
 Runs ``lplab.cli.main`` in this process, with BLAS pinned to one thread:
 ``run`` on every bundled scenario, ``sweep`` on the five gap scenarios over
-p = 1.25, 1.5, 2, 3, 4, 6, ``sweep`` on ``modulus-p2`` and
-``swap-cocycle-fm`` over p = 1.5, 3, 4, and ``run`` on the benchmark's
-generated ``scale`` scenarios for seeds 1 and 2 (79 reports).  Prints one
+p = 1.25, 1.5, 2, 3, 4, 6, ``sweep`` on ``modulus-p2``, the two
+Fisher--Margulis and two fixpoint scenarios, ``commuting-pair-displacement``
+and ``mautner-matrix`` over p = 1.5, 3, 4, and ``run`` on the benchmark's
+generated ``scale`` scenarios for seeds 1 and 2 (94 reports).  Prints one
 ``name sha256 sha256`` line per report, where the name is ``run/<scenario>``,
 ``sweep/<scenario>@p=<p>`` or ``scale/<seed>/<scenario>``; the first digest
 is of the whole report line, the second of the report without its
@@ -46,6 +47,8 @@ from lplab.cli import bundled_scenarios, main  # noqa: E402
 SWEEPS = (  # (scenarios, exponents)
     (("swap-gap", "cyclic3-gap", "cyclic5-gap", "dihedral4-gap", "grid-z2xz2-gap"), "1.25,1.5,2,3,4,6"),
     (("modulus-p2", "swap-cocycle-fm"), "1.5,3,4"),
+    (("translation-fixpoint", "swap-cocycle-fixpoint", "translation-fm", "commuting-pair-displacement",
+      "mautner-matrix"), "1.5,3,4"),
 )
 SCALE_SEEDS = (1, 2)
 

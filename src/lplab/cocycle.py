@@ -8,6 +8,7 @@ inverse convention c(g^-1) = -rho(g^-1) c(g) forced by that rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -36,15 +37,18 @@ __all__ = [
 _COCYCLE_TOL = 1e-9
 _MERGE_TOL = 1e-12  # two orbit points are one when they agree to this in every coordinate
 MAX_A_WORDS = 100_000  # radius 15 with one A generator (65,535 words), not 16
+_ORBIT_CAP = 100_000  # orbit points before enumeration gives up
+_ORBIT_RADIUS = 12  # radii a presented group's orbit ball may grow to in _orbit_of
 
 
 class Cocycle:
     """Generator values of a cocycle for a representation, and the affine action g.x = rho(g) x + c(g).
 
-    ``values`` maps generator names to vectors.  On construction the
-    extension is checked to vanish along every relator (presented groups)
-    or to define a consistent function on the whole group (table groups);
-    the worst deviation is stored as ``relator_residual``.
+    ``values`` maps generator names to vectors.  ``relator_residual`` is
+    the worst deviation of the extension from vanishing along every relator
+    (presented groups) or from a consistent function on the whole group
+    (table groups); with ``validate`` it is computed and checked on
+    construction, otherwise only if it is read.
     """
 
     def __init__(self, rep: Representation, values: dict, validate: bool = True):
@@ -59,7 +63,6 @@ class Cocycle:
         for name in rep.generator_names:
             val = self.values[name]
             self.letter_values[name], self.letter_values[name.upper()] = val, -rep.letter_matrices[name.upper()] @ val
-        self.relator_residual = self._relator_residual()
         if validate and self.relator_residual > _COCYCLE_TOL:
             raise ValueError(
                 f"cocycle identity violated: residual {self.relator_residual:.3e} > {_COCYCLE_TOL:.0e}"
@@ -119,7 +122,9 @@ class Cocycle:
         """max_{w in K} ||c(w)||, the K-seminorm of the cocycle: the K-displacement of 0."""
         return self.max_displacement(np.zeros(self.space.dim), k_words)
 
-    def _relator_residual(self) -> float:
+    @cached_property
+    def relator_residual(self) -> float:
+        """Worst deviation from the cocycle identity, computed when first read (at construction if validated)."""
         rep = self.rep
         if isinstance(rep.group, TableGroup):
             # consistency of the extension over the whole Cayley graph
@@ -195,7 +200,7 @@ class OrbitBall:
     diameters_by_radius: tuple  # diameter after each radius step
 
 
-def orbit_ball(cocycle: Cocycle, x0, radius: int, cap: int = 100_000) -> OrbitBall:
+def orbit_ball(cocycle: Cocycle, x0, radius: int, cap: int = _ORBIT_CAP) -> OrbitBall:
     """Points {w . x0 : |w| <= radius} over generators and inverses, with diameter.
 
     Points that agree to 1e-12 in every coordinate are identified;
@@ -230,9 +235,9 @@ def _orbit_growth(cocycle: Cocycle, x0: np.ndarray, cap: int):
         yield points, diams, not frontier
 
 
-def _orbit_of(cocycle: Cocycle, x0: np.ndarray, max_radius: int, cap: int) -> tuple:
+def _orbit_of(cocycle: Cocycle, x0: np.ndarray) -> tuple:
     """(points, diameter, bounded): a table-backed group's orbit from its element tables, else the word ball
-    by ``max_radius``, bounded when it closes or its diameter stalls for three radii (a heuristic)."""
+    by ``_ORBIT_RADIUS``, bounded when it closes or its diameter stalls for three radii (a heuristic)."""
     rep = cocycle.rep
     if isinstance(rep.group, TableGroup):
         mats, vals = rep.element_matrices(), cocycle.element_values()
@@ -242,7 +247,7 @@ def _orbit_of(cocycle: Cocycle, x0: np.ndarray, max_radius: int, cap: int) -> tu
             if _is_new(y, points):
                 points.append(y)
         return np.array(points), _diameter(points, cocycle.space), True
-    for points, ds, closed in islice(_orbit_growth(cocycle, x0, cap), max_radius):
+    for points, ds, closed in islice(_orbit_growth(cocycle, x0, _ORBIT_CAP), _ORBIT_RADIUS):
         if closed or len(ds) >= 4 and abs(ds[-1] - ds[-2]) < 1e-12 and abs(ds[-2] - ds[-3]) < 1e-12:
             return np.array(points), ds[-1], True
     return np.array(points), ds[-1], False

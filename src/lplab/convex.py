@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .cocycle import Cocycle, OrbitCapExceeded, _orbit_of
+from .cocycle import _ORBIT_CAP, Cocycle, OrbitCapExceeded, _orbit_of
 from .errors import Refusal
 from .reports import Checked, check
 from .spaces import LpSpace, as_vector, duality_map, norm_pow, norms, norms_and_grads, pow_grad, weighted_lstsq
@@ -36,6 +36,8 @@ __all__ = [
     "KleeResult",
     "klee_search",
 ]
+
+_FM_RESTARTS = 6  # minimax solves per halving step: from the current point, then from random starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,22 +349,20 @@ def fixed_point_circumcenter(
     cocycle: Cocycle,
     x0,
     fix_tol: float = 1e-6,
-    max_radius: int = 12,
-    cap: int = 100_000,
 ) -> FixedPointResult:
     """Fixed point as the circumcenter of a bounded orbit.
 
     Table-backed groups enumerate the full orbit; presented groups grow
-    word balls until the ball closes or its diameter stalls for three
-    consecutive radii (stabilization heuristic) and report "unbounded"
-    otherwise.
+    word balls, to at most radius 12 and 100,000 points, until the ball
+    closes or its diameter stalls for three consecutive radii
+    (stabilization heuristic) and report "unbounded" otherwise.
     """
     space = cocycle.space
     space.require_smooth()
     try:
-        orbit, diameter, bounded = _orbit_of(cocycle, as_vector(x0, space.dim), max_radius, cap)
+        orbit, diameter, bounded = _orbit_of(cocycle, as_vector(x0, space.dim))
     except OrbitCapExceeded:
-        return FixedPointResult((), False, None, np.nan, cap, np.nan)
+        return FixedPointResult((), False, None, np.nan, _ORBIT_CAP, np.nan)
     if not bounded:
         return FixedPointResult((), False, None, np.nan, len(orbit), diameter)
     center, _ = circumcenter(orbit, space)
@@ -411,13 +411,13 @@ def fisher_margulis_iterate(
     c_mult: float = 1.0,
     max_iter: int = 60,
     tol: float = 1e-6,
-    restarts: int = 6,
     seed: int = 0,
 ) -> FisherMargulisResult:
     """Diameter-halving iteration toward a fixed point.
 
     Each step minimizes y -> diam({y} u K.y) over the ball of radius
-    c_mult * R_n around the current point and accepts only strict halving;
+    c_mult * R_n around the current point, from the point itself and
+    ``_FM_RESTARTS - 1`` random starts, and accepts only strict halving;
     a failed halving step stops the run with status "non-contracting".
     Otherwise the run ends "fixed" when the terminal K-displacement is at
     most ``tol`` and "max-iter" when it is not.
@@ -451,7 +451,7 @@ def fisher_margulis_iterate(
             break
         ball = (x, c_mult * r_n)
         best_y, best_val = _minimize_minimax(space, pair_mats, pair_shifts, x, ball=ball)
-        for _ in range(restarts - 1):
+        for _ in range(_FM_RESTARTS - 1):
             start = x + (c_mult * r_n) * rng.uniform(-1, 1, space.dim) * 0.7
             off = space.norm(start - x)
             if off > c_mult * r_n:
@@ -503,14 +503,14 @@ def klee_search(
     trials: int = 500,
     seed: int = 0,
     margin: float = 1e-6,
-    max_points: int = 6,
 ) -> KleeResult:
     """Random hunt for a point set whose circumcenter escapes its convex hull.
 
-    Needs dim >= 3 and p != 2 (in Hilbert space the center always lies in
-    the closed hull).  A configuration counts as a witness only when the
-    separating-functional certificate puts the center at least ``margin``
-    outside the hull.  Not finding one is a legitimate outcome.
+    Each trial draws 4 to 6 Gaussian points.  Needs dim >= 3 and p != 2
+    (in Hilbert space the center always lies in the closed hull).  A
+    configuration counts as a witness only when the separating-functional
+    certificate puts the center at least ``margin`` outside the hull.  Not
+    finding one is a legitimate outcome.
     """
     if space.p == 2.0:
         raise Refusal("p = 2 refused: Hilbert circumcenters stay in the closed convex hull")
@@ -519,7 +519,7 @@ def klee_search(
     space.require_smooth()
     rng = np.random.default_rng(seed)
     for trial in range(1, trials + 1):
-        m = int(rng.integers(4, max_points + 1))
+        m = int(rng.integers(4, 7))
         pts = rng.standard_normal((m, space.dim))
         center, _ = circumcenter(pts, space)
         certified = check("certified_hull_distance", hull_separation_certificate(pts, center, space), margin, "gt")

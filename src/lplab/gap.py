@@ -25,6 +25,7 @@ __all__ = ["MAX_RESTARTS", "GapEstimate", "kazhdan_gap"]
 
 # the restarts descend together, holding (restarts, |K|+1, dim) floats
 MAX_RESTARTS = 1024
+_ITERS = 400  # descent iterations per restart
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,16 +79,13 @@ def _l2_norms(vecs: np.ndarray) -> np.ndarray:
 def kazhdan_gap(
     rep: Representation,
     k_words=None,
-    generator_names=None,
     basis: np.ndarray | None = None,
     restarts: int = 64,
-    iters: int = 400,
     seed: int = 0,
 ) -> GapEstimate:
     """Estimate the gap of ``rep`` over the word set K on the canonical complement.
 
-    ``generator_names`` restricts the acting subgroup (the complement is
-    taken for that family); ``basis`` overrides the complement basis.
+    ``basis`` overrides the complement basis.
     Returns an upper bound (value at the best witness), a heuristic lower
     bound (upper minus the observed descent slack), and the witness itself.
     An empty complement yields the +inf sentinel.  At most
@@ -102,7 +100,7 @@ def kazhdan_gap(
     if not words:
         raise ValueError("K must be nonempty")
     if basis is None:
-        basis = canonical_complement(rep, generator_names).complement_basis
+        basis = canonical_complement(rep).complement_basis
     m = basis.shape[1]
     if m == 0:
         return GapEstimate(np.inf, np.inf, None, 0)
@@ -158,7 +156,7 @@ def kazhdan_gap(
     active = np.ones(len(c), dtype=bool)
     step = np.full(len(c), 0.2)
     trace_mark = val.copy()
-    for t in range(iters):
+    for t in range(_ITERS):
         live = np.flatnonzero(active)
         if live.size == 0:
             break
@@ -181,7 +179,7 @@ def kazhdan_gap(
         rej = moved[~better]
         step[rej] *= 0.6
         active[rej[step[rej] < 1e-14]] = False
-        if t == int(0.8 * iters):
+        if t == int(0.8 * _ITERS):
             marked = moved[active[moved]]
             trace_mark[marked] = val[marked]
 

@@ -286,26 +286,24 @@ def schoenberg_violation_search(
     p: float,
     trials: int = 2000,
     seed: int = 0,
-    max_points: int = 6,
-    max_dim: int = 4,
-    s_values=(0.5, 1.0, 2.0, 4.0),
     threshold: float = -1e-6,
 ):
     """Randomized hunt for a configuration with a negative Gram eigenvalue.
 
-    A configuration violates when its smallest eigenvalue is at most
-    ``threshold``.  Returns a dict with the violating configuration (points,
-    s, dim, eigenvalue) and its ``violation_eigenvalue`` check, or None if
-    the budget is exhausted.  For p <= 2 the search is expected to find
-    nothing.
+    Each trial draws 3 to 6 points in l_p^dim, dim 1 to 4, and tries
+    s = 0.5, 1, 2, 4.  A configuration violates when its smallest
+    eigenvalue is at most ``threshold``.  Returns a dict with the violating
+    configuration (points, s, dim, eigenvalue) and its
+    ``violation_eigenvalue`` check, or None if the budget is exhausted.
+    For p <= 2 the search is expected to find nothing.
     """
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        dim = int(rng.integers(1, max_dim + 1))
-        m = int(rng.integers(3, max_points + 1))
+        dim = int(rng.integers(1, 5))
+        m = int(rng.integers(3, 7))
         space = LpSpace(dim, p)
         pts = rng.standard_normal((m, dim)) * rng.uniform(0.3, 2.0)
-        for s in s_values:
+        for s in (0.5, 1.0, 2.0, 4.0):
             _, lam_min = schoenberg_gram(pts, s, space)
             violation = check("violation_eigenvalue", lam_min, threshold, "le")
             if violation["ok"]:

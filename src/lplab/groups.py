@@ -199,8 +199,11 @@ class TableGroup:
         return sorted(closure)
 
     def is_subgroup(self, elements) -> bool:
-        elems = sorted(set(elements))
-        return elems == self.subgroup_closure(elems)
+        """Whether ``elements`` is nonempty and closed under the table (for a finite group, a subgroup)."""
+        elems = np.unique(np.asarray(list(elements), dtype=int))
+        if elems.size == 0 or elems[0] < 0 or elems[-1] >= self.order:
+            return False
+        return bool(np.isin(self.table[np.ix_(elems, elems)], elems).all())
 
     def subgroup(self, elements, generators: dict) -> tuple:
         """(subgroup, index_of) for sorted, closed ``elements`` and ``generators`` (name -> index here).
@@ -226,30 +229,31 @@ def group_from_permutations(perms: dict, k_set=None) -> tuple:
     """
     gens = {name: np.asarray(p, dtype=int) for name, p in perms.items()}
     n = len(next(iter(gens.values())))
-    ident = tuple(range(n))
-    elems = {ident: 0}
+    elems = {tuple(range(n)): 0}
     arrays = [np.arange(n)]
+    # the discovery tree: each new element is (parent, generator, reached on the right); right[name][i] = i g
+    tree = []
+    right = {name: [] for name in gens}
     queue = deque([0])
     while queue:
         i = queue.popleft()
-        for garr in gens.values():
-            prod = arrays[i][garr]  # self after generator: p(q(x)) with q = generator
-            key = tuple(prod.tolist())
-            if key not in elems:
-                elems[key] = len(arrays)
-                arrays.append(prod)
-                queue.append(len(arrays) - 1)
-            prod2 = garr[arrays[i]]
-            key2 = tuple(prod2.tolist())
-            if key2 not in elems:
-                elems[key2] = len(arrays)
-                arrays.append(prod2)
-                queue.append(len(arrays) - 1)
+        for name, garr in gens.items():
+            for prod, on_right in ((arrays[i][garr], True), (garr[arrays[i]], False)):  # i g, then g i
+                key = tuple(prod.tolist())
+                if key not in elems:
+                    elems[key] = len(arrays)
+                    arrays.append(prod)
+                    tree.append((i, name, on_right))
+                    queue.append(len(arrays) - 1)
+                if on_right:
+                    right[name].append(elems[key])
     m = len(arrays)
-    table = np.zeros((m, m), dtype=int)
-    for i in range(m):
-        for j in range(m):
-            table[i, j] = elems[tuple(arrays[i][arrays[j]].tolist())]
+    # column j holds x j for every x: R_g[x i] when j = i g, and (x g) i when j = g i
+    right = {name: np.array(col) for name, col in right.items()}
+    table = np.empty((m, m), dtype=int)
+    table[:, 0] = np.arange(m)
+    for j, (i, name, on_right) in enumerate(tree, start=1):
+        table[:, j] = right[name][table[:, i]] if on_right else table[right[name], i]
     gen_idx = {name: elems[tuple(arr.tolist())] for name, arr in gens.items()}
     group = TableGroup(table, 0, gen_idx, k_set=k_set)
     return group, {i: arrays[i] for i in range(m)}

@@ -25,7 +25,7 @@ from .errors import Refusal
 from .gap import kazhdan_gap
 from .groups import TableGroup
 from .reports import Checked, check
-from .representation import Representation, fixed_subspace, product_decomposition
+from .representation import ProductDecomposition, Representation, product_decomposition
 from .spaces import LpSpace
 
 __all__ = [
@@ -44,12 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CosetStructure:
-    """Left-coset bookkeeping for a subgroup of a table-backed group.
+    """Left-coset bookkeeping for a subgroup of a table-backed group, from one lookup of the products gS.
 
     The fundamental domain takes the smallest-index representative of each
     coset (which is the identity for the identity coset, since the identity
     has index 0 in all constructors here and membership of e in D keeps the
-    base-block pullback untwisted).
+    base-block pullback untwisted).  ``routing[name]`` lists, for each target
+    block d of the generator h, the subgroup index of chi(h^-1 d) and the
+    source block (the coset of h^-1 d).
     """
 
     group: TableGroup
@@ -60,6 +62,7 @@ class CosetStructure:
     coset_of: np.ndarray = field(init=False)
     subgroup: TableGroup = field(init=False)
     sub_index_of: dict = field(init=False)
+    routing: dict = field(init=False)  # generator name of G -> ((subgroup index, source block), ...) per block
 
     def __init__(self, group: TableGroup, subgroup_elements, subgroup_generators: dict):
         object.__setattr__(self, "group", group)
@@ -68,50 +71,42 @@ class CosetStructure:
             raise ValueError("subgroup_elements is not closed under the table")
         object.__setattr__(self, "subgroup_elements", elems)
         object.__setattr__(self, "subgroup_generators", dict(subgroup_generators))
-        m = group.order
-        k = len(elems)
+        m, k = group.order, len(elems)
         if m % k != 0:
             raise AssertionError("Lagrange violated; table corrupt")
 
-        # left cosets gS; representative = smallest index
-        coset_of = -np.ones(m, dtype=int)
-        domain = []
-        for g in range(m):
-            if coset_of[g] >= 0:
-                continue
-            members = sorted(group.mult(g, s) for s in elems)
-            rep = members[0]
-            idx = len(domain)
-            domain.append(rep)
-            for h in members:
-                if coset_of[h] >= 0:
-                    raise ValueError("cosets do not partition the group")
-                coset_of[h] = idx
+        sub = np.array(elems)
+        coset = group.table[:, sub]  # row g is the left coset gS
+        least = coset.min(axis=1)
+        domain = np.unique(least)  # each coset's smallest element, in increasing order
+        coset_of = np.searchsorted(domain, least)
+        if domain.size * k != m or np.any(least[coset] != least[:, None]):
+            raise ValueError("cosets do not partition the group")
         if group.identity not in domain:
             raise AssertionError("identity coset representative is not the identity")
 
         # chi(g): the unique s in S with g s in D
-        chi = -np.ones(m, dtype=int)
-        dset = set(domain)
-        for g in range(m):
-            hits = [s for s in elems if group.mult(g, s) in dset]
-            if len(hits) != 1:
-                raise ValueError("return map chi is not well defined; cosets broken")
-            chi[g] = hits[0]
-        # equivariance chi(g s^-1) = s chi(g), exhaustive
-        for g in range(m):
-            for s in elems:
-                lhs = chi[group.mult(g, group.inv(s))]
-                rhs = group.mult(s, chi[g])
-                if lhs != rhs:
-                    raise ValueError("chi equivariance fails; invalid coset structure")
+        hits = np.isin(coset, domain)
+        if np.any(hits.sum(axis=1) != 1):
+            raise ValueError("return map chi is not well defined; cosets broken")
+        chi_pos = hits.argmax(axis=1)
+        chi = sub[chi_pos]
+        # equivariance chi(g s^-1) = s chi(g), exhaustive; rows S of the lookup are the products inside S
+        inv_pos = (coset[sub] == group.identity).argmax(axis=1)  # s_j^-1 = s_inv_pos[j]
+        if np.any(chi[coset[:, inv_pos]] != coset[sub[None, :], chi_pos[:, None]]):
+            raise ValueError("chi equivariance fails; invalid coset structure")
 
         subgroup, sub_index_of = group.subgroup(elems, self.subgroup_generators)
-        object.__setattr__(self, "domain", tuple(domain))
+        routing = {}
+        for name in group.generator_names:
+            g = group.table[group.inv(group.generators[name]), domain]  # h^-1 d for each target block d
+            routing[name] = tuple(zip(chi_pos[g].tolist(), coset_of[g].tolist()))
+        object.__setattr__(self, "domain", tuple(domain.tolist()))
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "coset_of", coset_of)
         object.__setattr__(self, "subgroup", subgroup)
         object.__setattr__(self, "sub_index_of", sub_index_of)
+        object.__setattr__(self, "routing", routing)
 
     @property
     def index(self) -> int:
@@ -136,19 +131,6 @@ class InducedSpace:
         return float(sum(self.base.norm_pow(b) for b in np.split(np.asarray(section, dtype=float), self.index)))
 
 
-def _induction_routing(cs: CosetStructure, h: int):
-    """For each target block (rep d), the acting subgroup element and source block."""
-    group = cs.group
-    h_inv = group.inv(h)
-    routing = []
-    for d in cs.domain:
-        g = group.mult(h_inv, d)
-        s = int(cs.chi[g])
-        src = int(cs.coset_of[group.mult(g, s)])
-        routing.append((cs.sub_index_of[s], src))
-    return routing
-
-
 def induce_rep(cs: CosetStructure, rep_sub: Representation) -> tuple:
     """Induce a subgroup representation to the whole group.
 
@@ -168,9 +150,8 @@ def induce_rep(cs: CosetStructure, rep_sub: Representation) -> tuple:
     sub_mats = rep_sub.element_matrices()
     images = {}
     for name in cs.group.generator_names:
-        h = cs.group.generators[name]
         big = np.zeros((ind.ambient.dim, ind.ambient.dim))
-        for tgt, (s_idx, src) in enumerate(_induction_routing(cs, h)):
+        for tgt, (s_idx, src) in enumerate(cs.routing[name]):
             big[tgt * d : (tgt + 1) * d, src * d : (src + 1) * d] = sub_mats[s_idx]
         images[name] = big
     rep = Representation(cs.group, ind.ambient, images, require_isometric=rep_sub.require_isometric)
@@ -183,9 +164,8 @@ def induce_cocycle(cs: CosetStructure, cocycle_sub: Cocycle, induced_rep: Repres
     sub_values = cocycle_sub.element_values()
     values = {}
     for name in cs.group.generator_names:
-        h = cs.group.generators[name]
         vec = np.zeros(induced_rep.space.dim)
-        for tgt, (s_idx, _src) in enumerate(_induction_routing(cs, h)):
+        for tgt, (s_idx, _src) in enumerate(cs.routing[name]):
             vec[tgt * d : (tgt + 1) * d] = sub_values[s_idx]
         values[name] = vec
     return Cocycle(induced_rep, values, validate=validate)
@@ -257,6 +237,7 @@ class SplitReport(Checked):
     support_residual: float
     factor_validation: dict      # per factor: relator residual of the component cocycle
     cross_leak: float            # worst component value on the other factor's generators
+    decomposition: ProductDecomposition
 
 
 def split_action(
@@ -396,6 +377,7 @@ def split_action(
         support_residual=support,
         factor_validation=factor_validation,
         cross_leak=cross_leak,
+        decomposition=pd,
     )
 
 
@@ -482,11 +464,9 @@ def superrigidity_pipeline(
                 ),
             )
 
-        # pulled-back carriers: base blocks of the sections fixed by the other factor
-        e1 = fixed_subspace(rep_g, f2)  # carrier of the factor-1 component
-        e2 = fixed_subspace(rep_g, f1)
-        b1_base = e1[base_idx * d : (base_idx + 1) * d, :]
-        b2_base = e2[base_idx * d : (base_idx + 1) * d, :]
+        # pulled-back carriers: base blocks of the sections fixed by the other factor, as the split found them
+        b1_base = base_block(split.decomposition.fix2)  # carrier of the factor-1 component
+        b2_base = base_block(split.decomposition.fix1)
         r1 = int(np.linalg.matrix_rank(b1_base, tol=1e-9)) if b1_base.size else 0
         r2 = int(np.linalg.matrix_rank(b2_base, tol=1e-9)) if b2_base.size else 0
         both = np.hstack([b1_base, b2_base])

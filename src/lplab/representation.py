@@ -13,6 +13,7 @@ with projections that commute with the whole representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg
@@ -70,6 +71,7 @@ class Representation:
         Matrix-group scenarios (e.g. Mautner probes) disable this.
     validate : bool
         Verify the group relations hold; on failure raise ValueError.
+        Unvalidated, ``relation_residual`` is computed only if it is read.
     """
 
     def __init__(self, group, space: LpSpace, images: dict, require_isometric: bool = True, validate: bool = True):
@@ -90,7 +92,6 @@ class Representation:
         self.require_isometric = require_isometric
         if require_isometric:
             self._check_isometric()
-        self.relation_residual = self._relation_residual()
         if validate and self.relation_residual > _RELATION_TOL:
             raise ValueError(
                 f"group relations violated: residual {self.relation_residual:.3e} > {_RELATION_TOL:.0e}"
@@ -144,7 +145,9 @@ class Representation:
                 if abs(self.space.norm(mat @ v) - 1.0) > _ISOMETRY_TOL:
                     raise ValueError(f"image of generator {name!r} is not isometric")
 
-    def _relation_residual(self) -> float:
+    @cached_property
+    def relation_residual(self) -> float:
+        """Worst deviation from the group relations, computed when first read (at construction if validated)."""
         if isinstance(self.group, TableGroup):
             # every Cayley-graph edge g -> gs: phi(g) rho(s) = phi(gs) for all g
             # and generators s makes phi a homomorphism (induction on word length)
@@ -283,6 +286,8 @@ class ProductDecomposition:
     b0: np.ndarray       # complement piece where neither factor has fixed vectors
     b1: np.ndarray       # Fix(G1) modulo Fix(G): the G1-fixed complement piece
     b2: np.ndarray
+    fix1: np.ndarray     # Fix(G1), the basis its canonical complement found
+    fix2: np.ndarray
 
     def dims(self):
         return (self.fixed.shape[1], self.b0.shape[1], self.b1.shape[1], self.b2.shape[1])
@@ -324,7 +329,7 @@ def product_decomposition(rep: Representation, gens1, gens2, tol: float = 1e-10)
     b1 = _range_basis(p1 @ (eye - p2), dim_f1 - dim_f)
     b2 = _range_basis(p2 @ (eye - p1), dim_f2 - dim_f)
     b0 = _range_basis((eye - p1) @ (eye - p2), dim - dim_f1 - dim_f2 + dim_f)
-    return ProductDecomposition(fixed=fixed, b0=b0, b1=b1, b2=b2)
+    return ProductDecomposition(fixed=fixed, b0=b0, b1=b1, b2=b2, fix1=c1.fixed_basis, fix2=c2.fixed_basis)
 
 
 def indicator_vector(subset, dim: int) -> np.ndarray:

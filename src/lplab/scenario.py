@@ -6,12 +6,14 @@ A scenario is a JSON object with the fields
     space           {"dim": int, "p": float, "weights": [float, ...]?}
     group           {"kind": "table" | "presentation" | "permutations" | "product", ...}
     representation  {"images": {gen: image-spec, ...}, "require_isometric": bool?}
-    cocycle         {"values": {gen: [float, ...]}, "validate": bool?}   (optional)
+    cocycle         {"values": {gen: [float, ...]}}   (optional)
     task            {"command": str, "tol": float?, ...task parameters}
     seed            int >= 0?
 
 ``task.tol`` is the task tolerance (the --tol flag beats it; without either the
-command's default applies).  A top-level ``tolerances`` object is refused.
+command's default applies).  A top-level ``tolerances`` object is refused, and
+so are ``representation.validate`` and ``cocycle.validate``: the group
+relations and the cocycle identity are always checked.
 
 Image specs: {"kind": "lamperti", "perm": [...], "signs": [...]?},
 {"kind": "matrix", "entries": [[...]]}, or
@@ -248,6 +250,8 @@ def _build_image(spec: dict, space: LpSpace, path: str):
 
 
 def _build_representation(spec: dict, space: LpSpace, group) -> Representation:
+    if "validate" in spec:
+        raise ScenarioError("$.representation.validate", "no longer read; the group relations are always checked")
     images_spec = _need(spec, "images", "$.representation")
     images = {
         name: _build_image(img, space, f"$.representation.images.{name}")
@@ -259,18 +263,19 @@ def _build_representation(spec: dict, space: LpSpace, group) -> Representation:
             space,
             images,
             require_isometric=bool(spec.get("require_isometric", True)),
-            validate=bool(spec.get("validate", True)),
         )
     except ValueError as exc:
         raise ScenarioError("$.representation", str(exc)) from exc
 
 
 def _build_cocycle(spec: dict, rep: Representation) -> Cocycle:
+    if "validate" in spec:
+        raise ScenarioError("$.cocycle.validate", "no longer read; the cocycle identity is always checked")
     values = _need(spec, "values", "$.cocycle")
     if not isinstance(values, dict):
         raise ScenarioError("$.cocycle.values", "expected an object mapping generators to vectors")
     values = {gen: _finite(vec, f"$.cocycle.values.{gen}") for gen, vec in values.items()}
     try:
-        return Cocycle(rep, values, validate=bool(spec.get("validate", True)))
+        return Cocycle(rep, values)
     except ValueError as exc:
         raise ScenarioError("$.cocycle", str(exc)) from exc

@@ -6,8 +6,11 @@ Runs ``lplab.cli.main`` in this process, with BLAS pinned to one thread:
 ``run`` on every bundled scenario, ``sweep`` on the five gap scenarios over
 p = 1.25, 1.5, 2, 3, 4, 6, ``sweep`` on ``modulus-p2``, the two
 Fisher--Margulis and two fixpoint scenarios, ``commuting-pair-displacement``
-and ``mautner-matrix`` over p = 1.5, 3, 4, and ``run`` on the benchmark's
-generated ``scale`` scenarios for seeds 1 and 2 (94 reports).  Prints one
+and ``mautner-matrix`` over p = 1.5, 3, 4, ``run`` on the benchmark's
+generated ``scale`` scenarios for seeds 1 and 2, and ``sweep`` on the
+induction and splitting scenarios (``induce-sign-z4``, the two
+``superrigid`` scenarios and ``grid-z2xz2-split``) over p = 1.5, 3, 4
+(106 reports).  Prints one
 ``name sha256 sha256`` line per report, where the name is ``run/<scenario>``,
 ``sweep/<scenario>@p=<p>`` or ``scale/<seed>/<scenario>``; the first digest
 is of the whole report line, the second of the report without its
@@ -51,6 +54,9 @@ SWEEPS = (  # (scenarios, exponents)
       "mautner-matrix"), "1.5,3,4"),
 )
 SCALE_SEEDS = (1, 2)
+# swept after the scale reports, so that the earlier lines keep their order
+INDUCTION_SWEEP = (("induce-sign-z4", "superrigid-diagonal-s3", "superrigid-overlap-d3", "grid-z2xz2-split"),
+                   "1.5,3,4")
 
 
 def _reports(argv) -> list:
@@ -68,6 +74,12 @@ def _digest(line: str) -> str:
     return f"{hashlib.sha256(line.encode()).hexdigest()} {hashlib.sha256(bare.encode()).hexdigest()}"
 
 
+def _sweeps(names, exponents):
+    for name in names:
+        for line in _reports(["sweep", name, "--p", exponents]):
+            yield f"sweep/{json.loads(line)['scenario']}", _digest(line)
+
+
 def digests():
     """(name, digests) for every report, in a fixed order."""
     for file_name in bundled_scenarios():
@@ -75,15 +87,14 @@ def digests():
         for line in _reports(["run", name]):
             yield f"run/{name}", _digest(line)
     for names, exponents in SWEEPS:
-        for name in names:
-            for line in _reports(["sweep", name, "--p", exponents]):
-                yield f"sweep/{json.loads(line)['scenario']}", _digest(line)
+        yield from _sweeps(names, exponents)
     for seed in SCALE_SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             # the same generator that ``workloads.build("scale", seed)`` seeds
             for op in workloads._build_scale(np.random.default_rng(seed), Path(tmp)):
                 for line in _reports(op["argv"]):
                     yield f"scale/{seed}/{op['name']}", _digest(line)
+    yield from _sweeps(*INDUCTION_SWEEP)
 
 
 if __name__ == "__main__":

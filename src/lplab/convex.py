@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .cocycle import _ORBIT_CAP, Cocycle, OrbitCapExceeded, _orbit_of
 from .errors import Refusal
@@ -98,6 +97,7 @@ def _minimize_minimax(space: LpSpace, mats: np.ndarray, shifts: np.ndarray, y0: 
     continuation with warm starts, then an epigraph SQP polish; returns the
     best point found by true objective value.
     """
+    from scipy import optimize  # lazy: importing the CLI loads no SciPy
     w, p = space.weights, space.p
 
     def value(y):
@@ -240,6 +240,7 @@ def _residual_pow(space: LpSpace, x: np.ndarray, mat: np.ndarray):
 
 
 def _project_affine(cset: AffineSubspace, x, space, tol) -> np.ndarray:
+    from scipy import optimize  # lazy: importing the CLI loads no SciPy
     basis = cset.basis
     if basis.size == 0:
         return cset.base.copy()
@@ -253,6 +254,7 @@ def _project_affine(cset: AffineSubspace, x, space, tol) -> np.ndarray:
 
 
 def _hull_contains(pts: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
+    from scipy import optimize  # lazy: importing the CLI loads no SciPy
     m, dim = pts.shape
     a_eq = np.vstack([pts.T, np.ones((1, m))])
     b_eq = np.concatenate([x, [1.0]])
@@ -261,6 +263,7 @@ def _hull_contains(pts: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def _project_hull(cset: ConvexHull, x, space, tol) -> np.ndarray:
+    from scipy import optimize  # lazy: importing the CLI loads no SciPy
     pts = cset.points
     m = pts.shape[0]
     if m == 1:

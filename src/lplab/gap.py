@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .representation import Representation, canonical_complement
 from .spaces import norms, norms_and_grads
@@ -94,6 +93,7 @@ def kazhdan_gap(
     is deterministic for a fixed seed; ties between witnesses break toward
     the lexicographically smaller vector.
     """
+    from scipy import linalg  # lazy: importing the CLI loads no SciPy
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
     words = list(k_words) if k_words is not None else list(rep.group.k_set)

@@ -13,7 +13,6 @@ from itertools import accumulate, repeat
 from operator import mul
 
 import numpy as np
-from scipy import optimize
 
 from .reports import check
 from .spaces import LpSpace, as_vector, norm_pow, norms, pow_grad, weighted_lstsq
@@ -212,6 +211,7 @@ def quotient_norm(space: LpSpace, basis, v, tol: float = 1e-10) -> QuotientNormR
     checked by rank.  The infimum is computed by smooth convex minimization
     of ||v + W c||^p for p > 1 and by linear programming at p = 1.
     """
+    from scipy import optimize  # lazy: importing the CLI loads no SciPy
     v = as_vector(v, space.dim)
     basis = np.asarray(basis, dtype=float)
     if basis.size == 0:
@@ -249,6 +249,7 @@ def quotient_norm(space: LpSpace, basis, v, tol: float = 1e-10) -> QuotientNormR
 
 
 def _quotient_norm_l1(space: LpSpace, basis: np.ndarray, v: np.ndarray) -> QuotientNormResult:
+    from scipy import optimize  # lazy: importing the CLI loads no SciPy
     # min sum_i w_i t_i  s.t.  -t <= v + W c <= t, variables (c, t)
     n, k = basis.shape
     c_obj = np.concatenate([np.zeros(k), space.weights])

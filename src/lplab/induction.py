@@ -352,8 +352,9 @@ def split_action(
     ):
         sub_elems = rep.group.subgroup_closure([rep.group.generators[g] for g in gens])
         sub_group, _ = rep.group.subgroup(sub_elems, {g: rep.group.generators[g] for g in gens})
+        # the images were checked when ``rep`` was built; sampling them again proves nothing new
         sub_rep = Representation(sub_group, space, {g: rep.images[g] for g in gens},
-                                 require_isometric=rep.require_isometric, validate=False)
+                                 require_isometric=False, validate=False)
         sub_coc = Cocycle(sub_rep, {g: own_comp[g] for g in gens}, validate=False)
         factor_validation[label] = sub_coc.relator_residual
         for g in gens:

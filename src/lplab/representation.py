@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg
 
 from .groups import TableGroup, group_from_permutations
 from .lamperti import LampertiIsometry
@@ -181,6 +180,7 @@ def _stack_fixed_system(pairs, dim: int) -> np.ndarray:
 
 
 def _fixed_basis(pairs, dim: int) -> np.ndarray:
+    from scipy import linalg  # lazy: importing the CLI loads no SciPy
     system = _stack_fixed_system(pairs, dim)
     if system.shape[0] == 0:
         return np.eye(dim)
@@ -234,6 +234,7 @@ def canonical_complement(rep: Representation, generator_names=None) -> Complemen
     pairing; the projections commute with every generator image.  Requires
     p > 1.
     """
+    from scipy import linalg  # lazy: importing the CLI loads no SciPy
     space = rep.space
     space.require_smooth()
     dim = space.dim
@@ -355,6 +356,7 @@ def zero_mean_rep(perms: dict, weights, p: float, k_set=None):
     Returns (rep, zero_mean_basis) where the basis columns span
     { f : sum_i w_i f_i = 0 }.
     """
+    from scipy import linalg  # lazy: importing the CLI loads no SciPy
     arrays = {name: np.asarray(perm, dtype=int) for name, perm in perms.items()}
     dims = {arr.shape[0] for arr in arrays.values()}
     if len(dims) != 1:

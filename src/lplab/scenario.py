@@ -257,13 +257,11 @@ def _build_representation(spec: dict, space: LpSpace, group) -> Representation:
         name: _build_image(img, space, f"$.representation.images.{name}")
         for name, img in images_spec.items()
     }
+    isometric = spec.get("require_isometric", True)
+    if not isinstance(isometric, bool):
+        raise ScenarioError("$.representation.require_isometric", f"expected true or false, got {isometric!r}")
     try:
-        return Representation(
-            group,
-            space,
-            images,
-            require_isometric=bool(spec.get("require_isometric", True)),
-        )
+        return Representation(group, space, images, require_isometric=isometric)
     except ValueError as exc:
         raise ScenarioError("$.representation", str(exc)) from exc
 

@@ -23,6 +23,7 @@ from .lamperti import (
 )
 from .groups import (
     PresentedGroup,
+    ProductGroup,
     TableGroup,
     cyclic_group,
     dihedral_group,

@@ -14,6 +14,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import Refusal
+from .gap import kazhdan_gap
 from .groups import TableGroup
 from .reports import Checked, check
 from .representation import Representation, canonical_complement, letter_steps
@@ -331,7 +332,6 @@ def displacement_bound_check(
         return DisplacementReport(checks, True, comm, ident, nan, nan, nan, nan, nan, 0)
 
     complement = canonical_complement(rep, gens_h)
-    from .gap import kazhdan_gap  # local import to avoid a cycle
 
     est = kazhdan_gap(rep, k_words=k_h, basis=complement.complement_basis, restarts=16, seed=seed)
     if est.infinite:

@@ -19,6 +19,7 @@ __all__ = [
     "word_letters",
     "check_word",
     "TableGroup",
+    "ProductGroup",
     "PresentedGroup",
     "cyclic_group",
     "dihedral_group",
@@ -280,43 +281,45 @@ def symmetric_group_3() -> TableGroup:
     return group
 
 
-def product_group(g1: TableGroup, g2: TableGroup, rename2: dict | None = None) -> dict:
+@dataclass(frozen=True, eq=False)
+class ProductGroup(TableGroup):
+    """Direct product G1 x G2 of two table groups, as built by :func:`product_group`.
+
+    Element (i, j) has index i * |G2| + j.  ``factor_orders`` is (|G1|, |G2|)
+    and ``factor_generators`` the sorted names of each factor's generators here.
+    """
+
+    factor_orders: tuple = (1, 1)
+    factor_generators: tuple = ((), ())
+
+    def project(self, g):
+        """(i, j) for the element (i, j); elementwise for an index array."""
+        return divmod(g, self.factor_orders[1])
+
+
+def product_group(g1: TableGroup, g2: TableGroup, rename2: dict | None = None) -> ProductGroup:
     """Direct product of two table groups.
 
-    Element (i, j) gets index i * |G2| + j.  Factor-2 generators are renamed
-    to avoid clashes (pass ``rename2`` to control the new names, otherwise
-    the next free letters are used).  Returns a dict with the product group
-    and the factor bookkeeping needed by the splitting/superrigidity ops.
+    Factor-2 generators are renamed to avoid clashes: ``rename2`` maps each
+    of them to a distinct single lowercase letter that names no factor-1
+    generator; without it the next free letters are used.
     """
     m1, m2 = g1.order, g2.order
-    i1 = np.arange(m1 * m2) // m2
-    i2 = np.arange(m1 * m2) % m2
+    i1, i2 = np.divmod(np.arange(m1 * m2), m2)
     table = g1.table[i1[:, None], i1[None, :]] * m2 + g2.table[i2[:, None], i2[None, :]]
     identity = g1.identity * m2 + g2.identity
 
-    used = set(g1.generators)
     if rename2 is None:
-        rename2 = {}
-        alphabet = [c for c in "abcdefghijklmnopqrstuvwxyz" if c not in used]
+        rename2, used, alphabet = {}, set(g1.generators), iter("abcdefghijklmnopqrstuvwxyz")
         for name in sorted(g2.generators):
-            rename2[name] = name if name not in used else alphabet.pop(0)
+            rename2[name] = name if name not in used else next(c for c in alphabet if c not in used)
             used.add(rename2[name])
-    gens = {}
-    gens1 = {}
-    gens2 = {}
-    for name, idx in g1.generators.items():
-        gens[name] = idx * m2 + g2.identity
-        gens1[name] = gens[name]
-    for name, idx in g2.generators.items():
-        new = rename2[name]
-        gens[new] = g1.identity * m2 + idx
-        gens2[new] = gens[new]
-    group = TableGroup(table, identity, gens)
-    return {
-        "group": group,
-        "factor1_generators": sorted(gens1),
-        "factor2_generators": sorted(gens2),
-        "embed1": lambda i: i * m2 + g2.identity,
-        "embed2": lambda j: g1.identity * m2 + j,
-        "project": lambda k: (k // m2, k % m2),
-    }
+    elif not (isinstance(rename2, dict) and set(rename2) == set(g2.generators) and all(
+            isinstance(new, str) and len(new) == 1 and new.islower() and new not in g1.generators
+            for new in rename2.values()) and len(set(rename2.values())) == len(rename2)):
+        raise ValueError(f"rename2 must map each of {sorted(g2.generators)} to a distinct single lowercase "
+                         f"letter that names no factor-1 generator, got {rename2!r}")
+    gens1 = {name: idx * m2 + g2.identity for name, idx in g1.generators.items()}
+    gens2 = {rename2[name]: g1.identity * m2 + idx for name, idx in g2.generators.items()}
+    return ProductGroup(table, identity, {**gens1, **gens2}, factor_orders=(m1, m2),
+                        factor_generators=(tuple(sorted(gens1)), tuple(sorted(gens2))))

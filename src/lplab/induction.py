@@ -23,7 +23,7 @@ import numpy as np
 from .cocycle import Cocycle, _diameter, coboundary_solve
 from .errors import Refusal
 from .gap import kazhdan_gap
-from .groups import TableGroup
+from .groups import ProductGroup, TableGroup
 from .reports import Checked, check
 from .representation import ProductDecomposition, Representation, product_decomposition
 from .spaces import LpSpace
@@ -385,9 +385,7 @@ def split_action(
 @dataclass(frozen=True, eq=False)
 class PipelineReport(Checked):
     checks: tuple                # the split's residual checks, then the pullback reconstruction
-    stage: str                   # last stage completed
     index: int
-    projections_dense: bool
     split: SplitReport | None
     base_dims: dict              # dims of the pulled-back carriers and their overlap
     sub_reconstruction_residual: float
@@ -396,7 +394,6 @@ class PipelineReport(Checked):
 
 
 def superrigidity_pipeline(
-    product_info: dict,
     cs: CosetStructure,
     cocycle_sub: Cocycle,
     gap_threshold: float = 0.01,
@@ -405,27 +402,20 @@ def superrigidity_pipeline(
 ) -> PipelineReport:
     """Induce, split, and pull back a lattice cocycle over a finite product group.
 
-    ``product_info`` is the record produced by :func:`lplab.groups.product_group`
-    and ``cs`` the coset structure of the lattice in its group.  Stages:
-    dense-projection check, induction of the representation and cocycle,
-    product splitting on the induced space, and the base-block pullback of
-    each component (evaluating sections at the identity coset, which inverts
-    the orbit-map embedding of carrier vectors).  Errors carry their stage in
-    the message.
+    ``cs`` is the coset structure of the lattice in a
+    :class:`lplab.groups.ProductGroup`.  Stages: dense-projection check,
+    induction of the representation and cocycle, product splitting on the
+    induced space, and the base-block pullback of each component (evaluating
+    sections at the identity coset, which inverts the orbit-map embedding of
+    carrier vectors).  Errors carry their stage in the message.
     """
-    group: TableGroup = product_info["group"]
-    if cs.group is not group:
-        raise ValueError("coset structure is not over the product group")
+    group = cs.group
+    if not isinstance(group, ProductGroup):
+        raise Refusal("superrigid requires a product group")
     stage = "projections"
     try:
-        proj = product_info["project"]
-        f1 = product_info["factor1_generators"]
-        f2 = product_info["factor2_generators"]
-        order2 = len({proj(g)[1] for g in range(group.order)})
-        order1 = group.order // order2
-        m1 = {proj(g)[0] for g in cs.subgroup_elements}
-        m2 = {proj(g)[1] for g in cs.subgroup_elements}
-        if len(m1) != order1 or len(m2) != order2:
+        firsts, seconds = group.project(np.asarray(cs.subgroup_elements))
+        if (len(set(firsts)), len(set(seconds))) != group.factor_orders:
             raise Refusal("subgroup projections are not dense (do not surject onto the factors)")
 
         stage = "induction"
@@ -433,7 +423,8 @@ def superrigidity_pipeline(
         coc_g = induce_cocycle(cs, cocycle_sub, rep_g)
 
         stage = "split"
-        split = split_action(rep_g, coc_g, f1, f2, gap_threshold=gap_threshold, tol=tol, seed=seed)
+        split = split_action(rep_g, coc_g, *group.factor_generators, gap_threshold=gap_threshold, tol=tol,
+                             seed=seed)
 
         stage = "pullback"
         base_idx = cs.domain.index(group.identity)
@@ -479,9 +470,7 @@ def superrigidity_pipeline(
         checks.append(check("pullback_reconstruction_residual", recon, 10 * tol))
         return PipelineReport(
             checks=tuple(checks),
-            stage="complete",
             index=cs.index,
-            projections_dense=True,
             split=split,
             base_dims=base_dims,
             sub_reconstruction_residual=recon,

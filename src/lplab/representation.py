@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import Refusal
 from .groups import TableGroup, group_from_permutations
 from .lamperti import LampertiIsometry
 from .spaces import LpSpace, as_vector
@@ -310,13 +311,13 @@ def product_decomposition(rep: Representation, gens1, gens2, tol: float = 1e-10)
 
     Fix(G_i) = Fix(G) + B_i holds by construction: the canonical projections
     of the two factors commute, and the four pieces are the ranges of their
-    products.  Raises if the families fail to commute to ``tol``.
+    products.  Refuses families that fail to commute to ``tol``.
     """
     for a in gens1:
         for b in gens2:
             ma, mb = rep.generator_matrix(a), rep.generator_matrix(b)
             if np.max(np.abs(ma @ mb - mb @ ma)) > tol:
-                raise ValueError(f"generator families do not commute: [{a!r}, {b!r}]")
+                raise Refusal(f"generator families do not commute: [{a!r}, {b!r}]")
     dim = rep.space.dim
     c1 = canonical_complement(rep, gens1)
     c2 = canonical_complement(rep, gens2)

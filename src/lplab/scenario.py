@@ -103,7 +103,6 @@ class Scenario:
     name: str
     space: LpSpace
     group: object
-    group_extras: dict
     representation: Representation | None
     cocycle: Cocycle | None
     task: dict
@@ -131,7 +130,7 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError("$", "scenario must be a JSON object")
     name = _need(raw, "name", "$")
     space = _build_space(_need(raw, "space", "$"))
-    group, extras = _build_group(_need(raw, "group", "$"))
+    group = _build_group(_need(raw, "group", "$"))
     task = _need(raw, "task", "$")
     command = _need(task, "command", "$.task")
     if command not in _COMMANDS:
@@ -155,7 +154,6 @@ def parse_scenario(raw: dict) -> Scenario:
         name=name,
         space=space,
         group=group,
-        group_extras=extras,
         representation=rep,
         cocycle=cocycle,
         task=task,
@@ -180,51 +178,40 @@ def _build_space(spec: dict) -> LpSpace:
 
 def _build_plain_group(spec: dict, path: str):
     kind = _need(spec, "kind", path)
+    if kind not in ("table", "permutations", "presentation"):
+        raise ScenarioError(f"{path}.kind", f"unknown group kind {kind!r}")
+    k_set = spec.get("k")
+    if k_set is not None and not (isinstance(k_set, list) and k_set and all(isinstance(w, str) for w in k_set)):
+        raise ScenarioError(f"{path}.k", f"expected a nonempty list of words, got {k_set!r}")
     try:
         if kind == "table":
-            return (
-                TableGroup(
-                    np.asarray(_need(spec, "table", path)),
-                    int(_need(spec, "identity", path)),
-                    {str(k): int(v) for k, v in _need(spec, "generators", path).items()},
-                    k_set=spec.get("k"),
-                ),
-                {},
+            return TableGroup(
+                np.asarray(_need(spec, "table", path)),
+                int(_need(spec, "identity", path)),
+                {str(k): int(v) for k, v in _need(spec, "generators", path).items()},
+                k_set=k_set,
             )
         if kind == "permutations":
-            group, action = group_from_permutations(
-                {str(k): v for k, v in _need(spec, "generators", path).items()}, k_set=spec.get("k")
-            )
-            return group, {"action": action}
-        if kind == "presentation":
-            return (
-                PresentedGroup(
-                    _need(spec, "generators", path),
-                    spec.get("relators", []),
-                    k_set=spec.get("k"),
-                ),
-                {},
-            )
+            gens = {str(k): v for k, v in _need(spec, "generators", path).items()}
+            return group_from_permutations(gens, k_set=k_set)[0]
+        return PresentedGroup(_need(spec, "generators", path), spec.get("relators", []), k_set=k_set)
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from exc
-    raise ScenarioError(f"{path}.kind", f"unknown group kind {kind!r}")
 
 
 def _build_group(spec: dict):
     kind = _need(spec, "kind", "$.group")
     if kind == "product":
-        g1, ex1 = _build_plain_group(_need(spec, "factor1", "$.group.factor1"), "$.group.factor1")
-        g2, ex2 = _build_plain_group(_need(spec, "factor2", "$.group.factor2"), "$.group.factor2")
+        g1 = _build_plain_group(_need(spec, "factor1", "$.group.factor1"), "$.group.factor1")
+        g2 = _build_plain_group(_need(spec, "factor2", "$.group.factor2"), "$.group.factor2")
         if not isinstance(g1, TableGroup) or not isinstance(g2, TableGroup):
             raise ScenarioError("$.group", "product factors must be table-backed groups")
         try:
-            info = product_group(g1, g2, rename2=spec.get("rename2"))
+            return product_group(g1, g2, rename2=spec.get("rename2"))
         except ValueError as exc:
             raise ScenarioError("$.group", str(exc)) from exc
-        extras = {"product": info, "factor_extras": (ex1, ex2)}
-        return info["group"], extras
     return _build_plain_group(spec, "$.group")
 
 

@@ -9,7 +9,7 @@ from .convex import fisher_margulis_iterate, fixed_point_circumcenter, klee_sear
 from .errors import Refusal
 from .gap import MAX_RESTARTS, kazhdan_gap
 from .geometry import modulus_table, schoenberg_gram, schoenberg_violation_search
-from .groups import TableGroup, check_word
+from .groups import ProductGroup, TableGroup, check_word
 from .induction import CosetStructure, fixed_point_transfer, induce_cocycle, induce_rep, split_action, superrigidity_pipeline
 from .lamperti import LampertiIsometry, mazur_conjugate, mazur_conjugation_residual
 from .reports import Report, check, status_of
@@ -276,9 +276,10 @@ def _task_induce(scenario, seed, tol, budget):
 
 def _factors(scenario, key1: str, key2: str) -> list:
     """The generator-name lists task.<key1> and task.<key2>, by default a product group's two factors."""
-    extras = scenario.group_extras.get("product")
-    factors = [_words(scenario.task.get(key, extras[f"factor{i}_generators"] if extras else None), key,
-                      scenario.group, names=True) for i, key in ((1, key1), (2, key2))]
+    group = scenario.group
+    defaults = [list(f) for f in group.factor_generators] if isinstance(group, ProductGroup) else [None, None]
+    factors = [_words(scenario.task.get(key, default), key, group, names=True)
+               for key, default in zip((key1, key2), defaults)]
     if None in factors:
         raise ScenarioError("$.task", f"needs {key1}/{key2} generator lists (or a product group)")
     return factors
@@ -306,15 +307,12 @@ def _task_split(scenario, seed, tol, budget):
 
 
 def _task_superrigid(scenario, seed, tol, budget):
-    extras = scenario.group_extras.get("product")
-    if extras is None:
-        raise Refusal("superrigid requires a product group")
     cs, _, coc_sub = _induction_inputs(scenario)
     if coc_sub is None:
         raise ScenarioError("$.cocycle", "superrigid requires a cocycle")
     params = scenario.task
     report = superrigidity_pipeline(
-        extras, cs, coc_sub,
+        cs, coc_sub,
         gap_threshold=_positive(params.get("gap_threshold", 0.01), "$.task.gap_threshold"), tol=tol, seed=seed,
     )
     payload = {

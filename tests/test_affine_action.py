@@ -119,7 +119,7 @@ def test_a_word_ball_is_capped_before_any_word_is_formed():
     info = product_group(cyclic_group(2, "a"), cyclic_group(2, "h"))
     images = {"a": LampertiIsometry([2, 3, 0, 1], np.ones(4), space, space),
               "h": LampertiIsometry([1, 0, 3, 2], np.ones(4), space, space)}
-    coc = Cocycle(Representation(info["group"], space, images),
+    coc = Cocycle(Representation(info, space, images),
                   {"a": [0.2, -0.3, -0.2, 0.3], "h": [1.0, -1.0, 0.5, -0.5]})
 
     def refuse():

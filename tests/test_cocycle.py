@@ -84,7 +84,7 @@ class TestCocycleExtension:
             "a": LampertiIsometry([3, 4, 5, 0, 1, 2], np.ones(n), space, space),
             "b": LampertiIsometry([1, 2, 0, 4, 5, 3], np.ones(n), space, space),
         }
-        rep = Representation(info["group"], space, images)
+        rep = Representation(info, space, images)
         if valid:
             coc = coboundary_of(rep, rng.standard_normal(n))
         else:
@@ -198,7 +198,7 @@ class TestDisplacementBound:
         info = product_group(cyclic_group(2, "a"), cyclic_group(2, "h"))
         ua = LampertiIsometry([2, 3, 0, 1], np.ones(4), space, space)
         uh = LampertiIsometry([1, 0, 3, 2], np.ones(4), space, space)
-        rep = Representation(info["group"], space, {"a": ua, "h": uh})
+        rep = Representation(info, space, {"a": ua, "h": uh})
         return Cocycle(rep, {"a": c_a, "h": c_h})
 
     def test_corpus_scenario_passes(self):
@@ -219,7 +219,7 @@ class TestDisplacementBound:
         space = LpSpace(2, 2)
         info = product_group(cyclic_group(2, "a"), cyclic_group(1, "h"))
         ua = LampertiIsometry([1, 0], [1.0, 1.0], space, space)
-        rep = Representation(info["group"], space, {"a": ua, "h": np.eye(2)})
+        rep = Representation(info, space, {"a": ua, "h": np.eye(2)})
         act = Cocycle(rep, {"a": [1.0, -1.0], "h": [0.0, 0.0]})
         report = displacement_bound_check(act, ["a"], ["h"])
         assert report.status == "not-applicable"

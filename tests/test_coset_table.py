@@ -111,8 +111,8 @@ def all_subgroups(group):
 GROUPS = {
     "S3": symmetric_group_3(),
     "D4": dihedral_group(4),
-    "Z2xZ2": product_group(cyclic_group(2), cyclic_group(2))["group"],
-    "S3xS3": product_group(symmetric_group_3(), symmetric_group_3())["group"],
+    "Z2xZ2": product_group(cyclic_group(2), cyclic_group(2)),
+    "S3xS3": product_group(symmetric_group_3(), symmetric_group_3()),
 }
 
 

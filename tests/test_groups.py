@@ -3,6 +3,7 @@ import pytest
 
 from lplab import (
     PresentedGroup,
+    ProductGroup,
     TableGroup,
     cyclic_group,
     dihedral_group,
@@ -97,13 +98,12 @@ def test_group_from_permutations_composition_convention():
 
 
 def test_product_group_structure():
-    info = product_group(cyclic_group(2, "a"), cyclic_group(3, "b"))
-    g = info["group"]
+    g = product_group(cyclic_group(2, "a"), cyclic_group(3, "b"))
     assert g.order == 6
     assert sorted(g.generators) == ["a", "b"]
-    i, j = 1, 2
-    assert info["project"](info["embed1"](i)) == (i, 0)
-    assert info["project"](info["embed2"](j)) == (0, j)
+    a, b = g.generators["a"], g.generators["b"]
+    assert g.project(a) == (1, 0)
+    assert g.project(g.mult(b, b)) == (0, 2)
     # factors commute
     ab = g.mult(g.generators["a"], g.generators["b"])
     ba = g.mult(g.generators["b"], g.generators["a"])
@@ -112,9 +112,58 @@ def test_product_group_structure():
 
 def test_product_group_renames_clashing_generators():
     info = product_group(cyclic_group(2, "a"), cyclic_group(2, "a"))
-    assert len(info["group"].generators) == 2
-    assert info["factor1_generators"] == ["a"]
-    assert info["factor2_generators"] != ["a"]
+    assert len(info.generators) == 2
+    assert info.factor_generators[0] == ("a",)
+    assert info.factor_generators[1] != ("a",)
+
+
+@pytest.mark.parametrize("g1, g2", [(cyclic_group(2, "a"), cyclic_group(3, "b")),
+                                    (symmetric_group_3(), symmetric_group_3())])
+def test_product_group_projects_onto_its_factors(g1, g2):
+    g = product_group(g1, g2)
+    assert isinstance(g, ProductGroup)
+    assert g.factor_orders == (g1.order, g2.order)
+    assert g.order == g1.order * g2.order
+    f1, f2 = g.factor_generators
+    for i in range(g1.order):
+        for j in range(g2.order):
+            assert g.project(i * g2.order + j) == (i, j)
+    for name in f1:
+        assert g.project(g.generators[name]) == (g1.generators[name], g2.identity)
+    assert sorted(g.project(g.generators[name])[1] for name in f2) == sorted(g2.generators.values())
+    # the product law is the factors' laws, coordinatewise
+    for x in range(g.order):
+        for y in range(g.order):
+            (a, b), (c, d) = g.project(x), g.project(y)
+            assert g.project(g.mult(x, y)) == (g1.mult(a, c), g2.mult(b, d))
+
+
+def test_product_of_a_product():
+    inner = product_group(cyclic_group(2, "a"), cyclic_group(3, "b"))
+    g = product_group(inner, cyclic_group(2, "a"))
+    assert isinstance(g, ProductGroup)
+    assert g.factor_orders == (6, 2)
+    assert g.factor_generators == (("a", "b"), ("c",))
+    assert g.project(g.generators["c"]) == (inner.identity, 1)
+    assert inner.project(g.project(g.generators["b"])[0]) == (0, 1)
+
+
+def test_default_rename_skips_letters_a_kept_name_took():
+    # factor 2's "a" is kept, so its clashing "b" must not be renamed to "a" as well
+    g = product_group(cyclic_group(2, "b"), product_group(cyclic_group(2, "a"), cyclic_group(2, "b")))
+    assert g.factor_generators == (("b",), ("a", "c"))
+    assert g.order == 8
+
+
+@pytest.mark.parametrize("rename2", [
+    ["u", "d"], "ud", 7, True, {}, {"t": "u"}, {"t": "u", "c": "d", "x": "y"},
+    {"t": 1, "c": "d"}, {"t": None, "c": "d"}, {"t": True, "c": "d"}, {"t": "uu", "c": "d"},
+    {"t": "U", "c": "d"}, {"t": "", "c": "d"}, {"t": "u", "c": "u"}, {"t": "t", "c": "d"}, {"t": "u", "c": "c"},
+])
+def test_bad_rename2_refused(rename2):
+    s3 = symmetric_group_3()
+    with pytest.raises(ValueError, match="rename2 must map each of"):
+        product_group(s3, s3, rename2=rename2)
 
 
 def test_presented_group_validation():

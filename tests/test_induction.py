@@ -183,7 +183,7 @@ def grid_setup(p=3.0):
     info = product_group(cyclic_group(2, "a"), cyclic_group(2, "b"))
     ua = LampertiIsometry([2, 3, 0, 1], np.ones(4), space, space)
     ub = LampertiIsometry([1, 0, 3, 2], np.ones(4), space, space)
-    rep = Representation(info["group"], space, {"a": ua, "b": ub})
+    rep = Representation(info, space, {"a": ua, "b": ub})
     return space, info, rep
 
 
@@ -237,7 +237,7 @@ class TestSuperrigidity:
         info = product_group(s3, s3, rename2={"t": "u", "c": "d"})
         diag = sorted(g * 6 + g for g in range(6))
         sub_gens = {name: idx * 6 + idx for name, idx in s3.generators.items()}
-        cs = CosetStructure(info["group"], diag, sub_gens)
+        cs = CosetStructure(info, diag, sub_gens)
         space = LpSpace(3, p)
         images = {
             "t": LampertiIsometry(np.argsort([1, 0, 2]), np.ones(3), space, space),
@@ -249,7 +249,7 @@ class TestSuperrigidity:
     def test_factor_one_cocycle_recovered(self):
         info, cs, rep_sub = self.diagonal_s3()
         coc = coboundary_of(rep_sub, [1.0, -1.0, 0.0])
-        report = superrigidity_pipeline(info, cs, coc)
+        report = superrigidity_pipeline(cs, coc)
         assert report.status == "pass"
         assert report.index == 6
         assert report.sub_reconstruction_residual <= 1e-8
@@ -273,13 +273,13 @@ class TestSuperrigidity:
             "y": d3.generators["r"],
             "z": d3.generators["s"] * d3.order + d3.generators["s"],
         }
-        cs = CosetStructure(info["group"], gamma, sub_gens)
+        cs = CosetStructure(info, gamma, sub_gens)
         space = LpSpace(1, 3)
         rep_sub = Representation(
             cs.subgroup, space, {"x": np.eye(1), "y": np.eye(1), "z": -np.eye(1)}
         )
         coc = coboundary_of(rep_sub, [0.5])
-        report = superrigidity_pipeline(info, cs, coc)
+        report = superrigidity_pipeline(cs, coc)
         assert report.status == "pass"
         assert report.index == 2
         assert report.base_dims["b1"] == 1
@@ -294,23 +294,31 @@ class TestSuperrigidity:
         gamma = sorted(i * 6 + j for i in a3 for j in a3)
         sub_gens = {"c": s3.generators["c"] * 6, "d": s3.generators["c"]}
         space = LpSpace(1, 2.5)
-        cs = CosetStructure(info["group"], gamma, sub_gens)
+        cs = CosetStructure(info, gamma, sub_gens)
         rep_sub = Representation(cs.subgroup, space, {"c": np.eye(1), "d": np.eye(1)})
         coc = Cocycle(rep_sub, {"c": [0.0], "d": [0.0]})
         with pytest.raises(Refusal, match="dense"):
-            superrigidity_pipeline(info, cs, coc)
+            superrigidity_pipeline(cs, coc)
+
+    def test_non_product_group_refused(self):
+        # Z/4 has the index-2 subgroup {0, 2} but is no product group
+        cs, rep_sub = sign_z2_in_z4()
+        coc = coboundary_of(rep_sub, [1.0])
+        with pytest.raises(Refusal) as err:
+            superrigidity_pipeline(cs, coc)
+        assert str(err.value) == "superrigid requires a product group"
 
     def test_whole_group_reduces_to_split(self):
         space, info, rep = grid_setup(p=2.5)
         everything = list(range(4))
-        sub_gens = {"a": info["group"].generators["a"], "b": info["group"].generators["b"]}
-        cs = CosetStructure(info["group"], everything, sub_gens)
+        sub_gens = {"a": info.generators["a"], "b": info.generators["b"]}
+        cs = CosetStructure(info, everything, sub_gens)
         rep_sub = Representation(
             cs.subgroup,
             space,
             {"a": rep.images["a"], "b": rep.images["b"]},
         )
         coc = coboundary_of(rep_sub, np.array([0.4, -0.2, 0.1, -0.3]))
-        report = superrigidity_pipeline(info, cs, coc)
+        report = superrigidity_pipeline(cs, coc)
         assert report.status == "pass"
         assert report.index == 1

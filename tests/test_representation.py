@@ -40,7 +40,7 @@ def grid_rep(p=2.0):
     space = LpSpace(4, p)
     ua = LampertiIsometry([2, 3, 0, 1], np.ones(4), space, space)
     ub = LampertiIsometry([1, 0, 3, 2], np.ones(4), space, space)
-    return Representation(info["group"], space, {"a": ua, "b": ub})
+    return Representation(info, space, {"a": ua, "b": ub})
 
 
 def rotation_z6():
@@ -333,7 +333,7 @@ class TestProductDecomposition:
         space = LpSpace(2, 3)
         ua = LampertiIsometry([1, 0], [1.0, 1.0], space, space)
         ub = LampertiIsometry([0, 1], [1.0, 1.0], space, space)
-        rep = Representation(info["group"], space, {"a": ua, "b": ub})
+        rep = Representation(info, space, {"a": ua, "b": ub})
         pd = product_decomposition(rep, ["a"], ["b"])
         assert pd.dims() == (1, 0, 0, 1)
 
@@ -341,7 +341,7 @@ class TestProductDecomposition:
         info = product_group(cyclic_group(1, "a"), cyclic_group(1, "b"))
         space = LpSpace(2, 3)
         ident = LampertiIsometry([0, 1], [1.0, 1.0], space, space)
-        rep = Representation(info["group"], space, {"a": ident, "b": ident})
+        rep = Representation(info, space, {"a": ident, "b": ident})
         pd = product_decomposition(rep, ["a"], ["b"])
         assert pd.dims() == (2, 0, 0, 0)
 

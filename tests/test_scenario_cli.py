@@ -104,6 +104,19 @@ class TestBundledScenarios:
     def test_refused_split_exit_code(self):
         assert main(["run", "grid-split-refused"]) == 2
 
+    def test_split_with_non_commuting_factors_is_refused(self, tmp_path, capsys):
+        raw = json.loads(bundled_scenario_path("superrigid-diagonal-s3").read_text())
+        raw["group"] = raw["group"]["factor1"]  # S3 itself: its t and c do not commute
+        raw["task"] = {"command": "split", "factor1": ["t"], "factor2": ["c"]}
+        path = tmp_path / "s3-split.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["status"] == "refused"
+        assert doc["payload"]["error"] == "generator families do not commute: ['t', 'c']"
+        assert captured.err == ""
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["cyclic3-gap", "grid-z2xz2-split", "swap-cocycle-fm", "modulus-p2"])

@@ -154,7 +154,7 @@ def induce_rep(cs: CosetStructure, rep_sub: Representation) -> tuple:
         for tgt, (s_idx, src) in enumerate(cs.routing[name]):
             big[tgt * d : (tgt + 1) * d, src * d : (src + 1) * d] = sub_mats[s_idx]
         images[name] = big
-    rep = Representation(cs.group, ind.ambient, images, require_isometric=rep_sub.require_isometric)
+    rep = Representation(cs.group, ind.ambient, images, require_isometric=False)  # block copies of rep_sub's images
     return ind, rep
 
 
@@ -352,7 +352,7 @@ def split_action(
     ):
         sub_elems = rep.group.subgroup_closure([rep.group.generators[g] for g in gens])
         sub_group, _ = rep.group.subgroup(sub_elems, {g: rep.group.generators[g] for g in gens})
-        # the images were checked when ``rep`` was built; sampling them again proves nothing new
+        # the images were checked when ``rep`` was built; checking them again proves nothing new
         sub_rep = Representation(sub_group, space, {g: rep.images[g] for g in gens},
                                  require_isometric=False, validate=False)
         sub_coc = Cocycle(sub_rep, {g: own_comp[g] for g in gens}, validate=False)
@@ -433,19 +433,19 @@ def superrigidity_pipeline(
         def base_block(vec):
             return vec[base_idx * d : (base_idx + 1) * d]
 
-        coc1 = Cocycle(rep_g, split.component1, validate=False)
-        coc2 = Cocycle(rep_g, split.component2, validate=False)
-        g_words = group.element_words()
+        # the element tables form the sums and products of the BFS words, as a walk along each would
+        values1 = Cocycle(rep_g, split.component1, validate=False).element_values()
+        values2 = Cocycle(rep_g, split.component2, validate=False).element_values()
+        mats = rep_g.element_matrices()
         sub_names = sorted(cs.subgroup.generators)
         pulled = [{}, {}]
         boundary = {}
         v0 = split.coboundary_vector
         for name in sub_names:
-            word = g_words[cs.subgroup_generators[name]]
-            rho_w, c1_w = coc1.walk(word)  # rho(w) is the product rep_g.operator(word) forms
-            pulled[0][name] = base_block(c1_w)
-            pulled[1][name] = base_block(coc2.value(word))
-            boundary[name] = base_block(v0 - rho_w @ v0)
+            g = cs.subgroup_generators[name]
+            pulled[0][name] = base_block(values1[g])
+            pulled[1][name] = base_block(values2[g])
+            boundary[name] = base_block(v0 - mats[g] @ v0)
 
         recon = 0.0
         for name in sub_names:

@@ -22,7 +22,9 @@ __all__ = [
     "LampertiIsometry",
     "identity_isometry",
     "random_lamperti",
+    "as_isometry",
     "mazur_conjugate",
+    "mazur_composition",
     "mazur_conjugation_residual",
     "InvariantNorm",
     "invariant_norm",
@@ -109,6 +111,24 @@ def random_lamperti(space: LpSpace, rng: np.random.Generator, target: LpSpace | 
     return LampertiIsometry(perm, signs, space, tgt)
 
 
+def as_isometry(mat: np.ndarray, space: LpSpace):
+    """The matrix ``mat`` as the isometry of ``space`` it is, or None when it is none (Lamperti's theorem).
+
+    A signed weighted permutation is its LampertiIsometry, at any p, when |‖Av‖ - 1| <= 1e-10 on the unit
+    sphere, whose extremes are ‖A e_j‖ / ‖e_j‖ = |a_ij| (w_i / w_j)^(1/p).  At p = 2 any other matrix
+    stays a matrix when sup |‖Av‖² - 1| = ‖W^-1/2 (AᵀWA - W) W^-1/2‖₂ <= 2e-10.
+    """
+    rows, cols = np.nonzero(mat)
+    w = space.weights
+    if np.array_equal(rows, np.arange(space.dim)) and np.array_equal(np.sort(cols), rows):
+        if np.all(np.abs(np.abs(mat[rows, cols]) * (w / w[cols]) ** (1.0 / space.p) - 1.0) <= 1e-10):
+            return LampertiIsometry(cols, np.sign(mat[rows, cols]), space, space)
+    if space.p != 2.0:
+        return None
+    deviation = (mat.T @ (w[:, None] * mat) - np.diag(w)) / np.sqrt(np.outer(w, w))
+    return mat if np.linalg.norm(deviation, 2) <= 2e-10 else None
+
+
 def mazur_conjugate(iso: LampertiIsometry) -> LampertiIsometry:
     """Conjugate a lp isometry by the Mazur map into an l2 isometry.
 
@@ -123,19 +143,23 @@ def mazur_conjugate(iso: LampertiIsometry) -> LampertiIsometry:
     return LampertiIsometry(iso.perm, iso.signs, src2, tgt2)
 
 
+def mazur_composition(iso: LampertiIsometry, v) -> np.ndarray:
+    """The nonlinear conjugation M_{p,2}(U(M_{2,p}(v))) of ``iso`` at a vector v of the l2 space."""
+    return mazur_map(iso.target, iso.apply(mazur_map(iso.source.with_exponent(2.0), v, iso.source.p)), 2.0)
+
+
 def mazur_conjugation_residual(iso: LampertiIsometry, n_samples: int = 50, seed: int = 0) -> float:
     """Max deviation between the predicted l2 isometry and the nonlinear conjugation.
 
     Samples unit vectors v in l2 and compares the closed form against
-    M_{p,2}(U(M_{2,p}(v))) coordinatewise.
+    :func:`mazur_composition` coordinatewise.
     """
     rng = np.random.default_rng(seed)
     predicted = mazur_conjugate(iso)
-    src2 = predicted.source
     worst = 0.0
     for _ in range(n_samples):
-        v = src2.random_unit(rng)
-        via_mazur = mazur_map(iso.target, iso.apply(mazur_map(src2, v, iso.source.p)), 2.0)
+        v = predicted.source.random_unit(rng)
+        via_mazur = mazur_composition(iso, v)
         worst = max(worst, float(np.max(np.abs(via_mazur - predicted.apply(v)))))
     return worst
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import Refusal
 from .groups import TableGroup, group_from_permutations
-from .lamperti import LampertiIsometry
+from .lamperti import LampertiIsometry, as_isometry
 from .spaces import LpSpace, as_vector
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 _RELATION_TOL = 1e-9
-_ISOMETRY_TOL = 1e-10
 
 
 def letter_steps(table: dict, word: str) -> list:
@@ -46,15 +45,6 @@ def letter_steps(table: dict, word: str) -> list:
         return [table[letter] for letter in word]
     except KeyError as exc:
         raise ValueError(f"unknown generator symbol {exc.args[0].lower()!r}") from None
-
-
-def _operator_matrix(op, dim: int) -> np.ndarray:
-    if isinstance(op, LampertiIsometry):
-        return op.matrix()
-    mat = np.asarray(op, dtype=float)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"generator image must be {dim}x{dim}")
-    return mat
 
 
 class Representation:
@@ -67,8 +57,13 @@ class Representation:
     images : dict
         Generator name -> LampertiIsometry or dim x dim array.
     require_isometric : bool
-        Check each image preserves the space norm on samples (default).
-        Matrix-group scenarios (e.g. Mautner probes) disable this.
+        Read each image by the one isometry rule, :func:`lplab.lamperti.as_isometry`
+        (default).  It is exact for p != 2, where the isometries are the signed
+        weighted permutations and each is kept as its LampertiIsometry (a monomial
+        isometric matrix becomes one); at p = 2 it also keeps any matrix with
+        AᵀWA = W.  Any other image is refused.  Matrix-group scenarios (e.g.
+        Mautner probes) and images isometric by construction (induced, dual and
+        split-factor representations) disable this.
     validate : bool
         Verify the group relations hold; on failure raise ValueError.
         Unvalidated, ``relation_residual`` is computed only if it is read.
@@ -80,18 +75,23 @@ class Representation:
         names = set(self.generator_names)
         if set(images) != names:
             raise ValueError(f"images must be given exactly for generators {sorted(names)}")
-        self.images = dict(images)
-        mats = {name: _operator_matrix(op, space.dim) for name, op in images.items()}
         # the letter table: each generator name, then its uppercase inverse letter
-        self.letter_matrices = {}
+        self.images, self.letter_matrices = {}, {}
         for name in self.generator_names:
             op = images[name]
-            inv = op.inverse().matrix() if isinstance(op, LampertiIsometry) else np.linalg.inv(mats[name])
-            self.letter_matrices[name], self.letter_matrices[name.upper()] = mats[name], inv
+            mat = op.matrix() if isinstance(op, LampertiIsometry) else np.asarray(op, dtype=float)
+            if mat.shape != (space.dim, space.dim):
+                raise ValueError(f"generator image must be {space.dim}x{space.dim}")
+            if require_isometric:
+                op = as_isometry(mat, space)
+                if op is None:
+                    raise ValueError(f"image of generator {name!r} is not isometric")
+            if isinstance(op, LampertiIsometry):
+                mat, inv = op.matrix(), op.inverse().matrix()
+            else:
+                inv = np.linalg.inv(mat)
+            self.images[name], self.letter_matrices[name], self.letter_matrices[name.upper()] = op, mat, inv
         self._element_mats = None
-        self.require_isometric = require_isometric
-        if require_isometric:
-            self._check_isometric()
         if validate and self.relation_residual > _RELATION_TOL:
             raise ValueError(
                 f"group relations violated: residual {self.relation_residual:.3e} > {_RELATION_TOL:.0e}"
@@ -135,15 +135,6 @@ class Representation:
         return self._element_mats
 
     # -- validation ---------------------------------------------------------
-
-    def _check_isometric(self, n_samples: int = 20, seed: int = 7):
-        rng = np.random.default_rng(seed)
-        for name in self.images:
-            mat = self.letter_matrices[name]
-            for _ in range(n_samples):
-                v = self.space.random_unit(rng)
-                if abs(self.space.norm(mat @ v) - 1.0) > _ISOMETRY_TOL:
-                    raise ValueError(f"image of generator {name!r} is not isometric")
 
     @cached_property
     def relation_residual(self) -> float:
@@ -209,7 +200,7 @@ def dual_rep(rep: Representation) -> Representation:
         name: _dual_image(rep.images[name], rep.letter_matrices[name.upper()], rep.space)
         for name in rep.generator_names
     }
-    return Representation(rep.group, dual_space, images, require_isometric=rep.require_isometric)
+    return Representation(rep.group, dual_space, images, require_isometric=False)  # isometric by construction
 
 
 @dataclass(frozen=True, eq=False)

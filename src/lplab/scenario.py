@@ -17,13 +17,23 @@ relations and the cocycle identity are always checked.
 
 Image specs: {"kind": "lamperti", "perm": [...], "signs": [...]?},
 {"kind": "matrix", "entries": [[...]]}, or
-{"kind": "permutation_action", "map": [...]} (the quasi-regular isometry of
-an atom permutation, weight-twisted).  Group specs:
+{"kind": "permutation_action", "map": [...], "signs": [...]?} (the
+quasi-regular isometry of an atom permutation, weight-twisted).  ``perm`` and
+``map`` are permutations of 0..dim-1 given as integers; ``signs`` and
+``entries`` are finite numbers, not booleans.  Unless ``require_isometric`` is
+false, every image is read by the one isometry rule
+(:func:`lplab.lamperti.as_isometry`): exact for p != 2, where only signed
+weighted permutations are isometries; at p = 2 also any matrix with
+AᵀWA = W.  A monomial isometric ``matrix`` is read as the Lamperti image it
+is, so the ``mazur`` task accepts it.  Group specs:
 
     table          {"table": [[int]], "identity": int, "generators": {name: int}, "k": [word]?}
     presentation   {"generators": [name], "relators": [word], "k": [word]?}
     permutations   {"generators": {name: [int]}, "k": [word]?}
     product        {"factor1": <table|permutations spec>, "factor2": ..., "rename2": {name: name}?}
+
+A product's K is its generators; its own ``k`` is refused (give other words
+as ``task.k``).
 
 Validation failures raise :class:`ScenarioError` carrying the offending
 field path.
@@ -69,14 +79,28 @@ class ScenarioError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _object(value, path: str) -> dict:
+    """``value`` if it is a JSON object; anything else is refused at ``path``."""
+    if not isinstance(value, dict):
+        raise ScenarioError(path, f"expected an object, got {value!r}")
+    return value
+
+
 def _need(obj: dict, key: str, path: str):
-    if key not in obj:
+    if key not in _object(obj, path):
         raise ScenarioError(f"{path}.{key}", "missing required field")
     return obj[key]
 
 
 def _finite(value, path: str) -> np.ndarray:
-    """``value`` as a float array; non-numeric or non-finite entries are refused at ``path``."""
+    """``value`` as a float array; non-numeric (booleans too) or non-finite entries are refused at ``path``."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, bool):
+            raise ScenarioError(path, f"expected numbers, got {item!r}")
+        if isinstance(item, list):
+            items.extend(item)
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -188,11 +212,11 @@ def _build_plain_group(spec: dict, path: str):
             return TableGroup(
                 np.asarray(_need(spec, "table", path)),
                 int(_need(spec, "identity", path)),
-                {str(k): int(v) for k, v in _need(spec, "generators", path).items()},
+                {str(k): int(v) for k, v in _object(_need(spec, "generators", path), f"{path}.generators").items()},
                 k_set=k_set,
             )
         if kind == "permutations":
-            gens = {str(k): v for k, v in _need(spec, "generators", path).items()}
+            gens = {str(k): v for k, v in _object(_need(spec, "generators", path), f"{path}.generators").items()}
             return group_from_permutations(gens, k_set=k_set)[0]
         return PresentedGroup(_need(spec, "generators", path), spec.get("relators", []), k_set=k_set)
     except ScenarioError:
@@ -204,6 +228,8 @@ def _build_plain_group(spec: dict, path: str):
 def _build_group(spec: dict):
     kind = _need(spec, "kind", "$.group")
     if kind == "product":
+        if "k" in spec:
+            raise ScenarioError("$.group.k", "a product's K is its generators; give other words as task.k")
         g1 = _build_plain_group(_need(spec, "factor1", "$.group.factor1"), "$.group.factor1")
         g2 = _build_plain_group(_need(spec, "factor2", "$.group.factor2"), "$.group.factor2")
         if not isinstance(g1, TableGroup) or not isinstance(g2, TableGroup):
@@ -215,31 +241,39 @@ def _build_group(spec: dict):
     return _build_plain_group(spec, "$.group")
 
 
+def _permutation(spec: dict, key: str, path: str, dim: int) -> np.ndarray:
+    """``spec[key]``, a permutation of 0..dim-1 given as a list of integers; refused at ``path.key``."""
+    perm = _need(spec, key, path)
+    path = f"{path}.{key}"
+    if not isinstance(perm, list):
+        raise ScenarioError(path, f"expected a list of integers, got {perm!r}")
+    perm = [_integer(i, path, 0, dim - 1) for i in perm]
+    if sorted(perm) != list(range(dim)):
+        raise ScenarioError(path, f"not a permutation of 0..{dim - 1}: {perm}")
+    return np.array(perm)
+
+
 def _build_image(spec: dict, space: LpSpace, path: str):
     kind = _need(spec, "kind", path)
+    if kind == "matrix":
+        return _finite(_need(spec, "entries", path), f"{path}.entries")
+    if kind == "lamperti":
+        perm = _permutation(spec, "perm", path, space.dim)
+    elif kind == "permutation_action":
+        perm = np.argsort(_permutation(spec, "map", path, space.dim))  # coordinates pull back along the map
+    else:
+        raise ScenarioError(f"{path}.kind", f"unknown image kind {kind!r}")
+    signs = _finite(spec.get("signs", np.ones(space.dim)), f"{path}.signs")
     try:
-        if kind == "lamperti":
-            perm = np.asarray(_need(spec, "perm", path), dtype=int)
-            signs = np.asarray(spec.get("signs", np.ones(space.dim)), dtype=float)
-            return LampertiIsometry(perm, signs, space, space)
-        if kind == "matrix":
-            return _finite(_need(spec, "entries", path), path)
-        if kind == "permutation_action":
-            action = np.asarray(_need(spec, "map", path), dtype=int)
-            sigma = np.argsort(action)
-            signs = np.asarray(spec.get("signs", np.ones(space.dim)), dtype=float)
-            return LampertiIsometry(sigma, signs, space, space)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
-    raise ScenarioError(f"{path}.kind", f"unknown image kind {kind!r}")
+        return LampertiIsometry(perm, signs, space, space)
+    except ValueError as exc:  # the permutation holds: the signs are at fault
+        raise ScenarioError(f"{path}.signs", str(exc)) from exc
 
 
 def _build_representation(spec: dict, space: LpSpace, group) -> Representation:
-    if "validate" in spec:
+    if "validate" in _object(spec, "$.representation"):
         raise ScenarioError("$.representation.validate", "no longer read; the group relations are always checked")
-    images_spec = _need(spec, "images", "$.representation")
+    images_spec = _object(_need(spec, "images", "$.representation"), "$.representation.images")
     images = {
         name: _build_image(img, space, f"$.representation.images.{name}")
         for name, img in images_spec.items()
@@ -254,7 +288,7 @@ def _build_representation(spec: dict, space: LpSpace, group) -> Representation:
 
 
 def _build_cocycle(spec: dict, rep: Representation) -> Cocycle:
-    if "validate" in spec:
+    if "validate" in _object(spec, "$.cocycle"):
         raise ScenarioError("$.cocycle.validate", "no longer read; the cocycle identity is always checked")
     values = _need(spec, "values", "$.cocycle")
     if not isinstance(values, dict):

@@ -11,11 +11,10 @@ from .gap import MAX_RESTARTS, kazhdan_gap
 from .geometry import modulus_table, schoenberg_gram, schoenberg_violation_search
 from .groups import ProductGroup, TableGroup, check_word
 from .induction import CosetStructure, fixed_point_transfer, induce_cocycle, induce_rep, split_action, superrigidity_pipeline
-from .lamperti import LampertiIsometry, mazur_conjugate, mazur_conjugation_residual
+from .lamperti import LampertiIsometry, mazur_composition, mazur_conjugation_residual
 from .reports import Report, check, status_of
 from .representation import canonical_complement
 from .scenario import _COMMANDS, Scenario, ScenarioError, _build_cocycle, _build_representation, _finite, _integer
-from .spaces import mazur_map
 
 __all__ = ["execute", "refused", "sweep"]
 
@@ -340,14 +339,10 @@ def _task_mazur(scenario, seed, tol, budget):
         if not isinstance(op, LampertiIsometry):
             raise Refusal("mazur conjugation task needs Lamperti images")
         worst_conj = max(worst_conj, mazur_conjugation_residual(op, n_samples, seed))
-        conj = mazur_conjugate(op)
-        src2 = conj.source
         for _ in range(10):
             a, b = rng.standard_normal(2)
-            x, y = src2.random_vector(rng), src2.random_vector(rng)
-            def nonlinear(v):
-                return mazur_map(op.target, op.apply(mazur_map(src2, v, op.source.p)), 2.0)
-            dev = nonlinear(a * x + b * y) - a * nonlinear(x) - b * nonlinear(y)
+            x, y = op.source.random_vector(rng), op.source.random_vector(rng)
+            dev = mazur_composition(op, a * x + b * y) - a * mazur_composition(op, x) - b * mazur_composition(op, y)
             worst_linear = max(worst_linear, float(np.max(np.abs(dev))))
     checks = [
         check("conjugation_residual", worst_conj, 1e-10),

@@ -188,9 +188,9 @@ def test_induction_runs_derive_each_structure_once(name, mult_below):
     if name.startswith("superrigid"):
         # the split's three canonical complements, primal and dual; the pullback reads Fix(G_i) from the split
         assert counts["_fixed_basis"] == 6
-        # the subgroup cocycle's check, its induction and that one's check, the two factor cocycles' checks;
-        # the pullback's component cocycles are walked, never extended over G
-        assert counts["Cocycle.element_values"] == 5
+        # the subgroup cocycle's check, its induction and that one's check, the two factor cocycles' checks,
+        # and the pullback's two component tables (read at the subgroup generators instead of walking words)
+        assert counts["Cocycle.element_values"] == 7
 
 
 def test_unvalidated_cocycle_extends_only_when_its_residual_is_read():

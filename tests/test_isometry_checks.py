@@ -1,11 +1,12 @@
-"""Each image is sampled for isometry once, and ``require_isometric`` must be a JSON boolean."""
+"""The isometry rule is applied once to each image, and ``require_isometric`` must be a JSON boolean."""
 
 import json
 
 import pytest
 
 from lplab.cli import bundled_scenario_path, main
-from lplab.representation import Representation
+from lplab.cocycle import Cocycle
+from lplab.lamperti import as_isometry
 from lplab.scenario import parse_scenario
 from lplab.tasks import execute
 
@@ -17,18 +18,19 @@ def _bundled(name):
 
 
 @pytest.mark.parametrize("name", ["superrigid-diagonal-s3", "superrigid-overlap-d3"])
-def test_superrigid_run_samples_each_representation_once(name):
-    # the subgroup representation and its induction; the split's factor representations reuse their images
+def test_superrigid_run_checks_each_subgroup_image_once(name):
+    # the induced and the split's factor representations are isometric by construction; the pullback
+    # reads the element tables instead of walking words
     raw = _bundled(name)
-    counts = count_calls([Representation._check_isometric], lambda: execute(parse_scenario(raw)))
-    assert counts == {"Representation._check_isometric": 2}
+    counts = count_calls([as_isometry, Cocycle.walk, Cocycle.value], lambda: execute(parse_scenario(raw)))
+    assert counts == {"as_isometry": len(raw["task"]["subgroup_generators"]), "Cocycle.walk": 0, "Cocycle.value": 0}
 
 
-def test_split_task_samples_no_image_again():
+def test_split_task_checks_no_image_again():
     scenario = parse_scenario(_bundled("grid-z2xz2-split"))
     reports = []
-    counts = count_calls([Representation._check_isometric], lambda: reports.append(execute(scenario)))
-    assert counts == {"Representation._check_isometric": 0}
+    counts = count_calls([as_isometry], lambda: reports.append(execute(scenario)))
+    assert counts == {"as_isometry": 0}
     assert reports[0].status == "pass"
 
 

@@ -297,3 +297,38 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert "$.representation.images.h" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestNonObjectFields:
+    """A number where the schema wants an object is refused at its path (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize(("name", "keys", "path"), [
+        ("swap-gap", ("task",), "$.task"),
+        ("swap-gap", ("space",), "$.space"),
+        ("swap-gap", ("group",), "$.group"),
+        ("grid-z2xz2-split", ("group", "factor1"), "$.group.factor1"),
+        ("grid-z2xz2-split", ("group", "factor1", "generators"), "$.group.factor1.generators"),
+        ("swap-gap", ("representation",), "$.representation"),
+        ("swap-gap", ("representation", "images"), "$.representation.images"),
+        ("swap-gap", ("representation", "images", "s"), "$.representation.images.s"),
+        ("swap-cocycle-cobound", ("cocycle",), "$.cocycle"),
+    ])
+    def test_number_refused_at_its_path(self, tmp_path, capsys, name, keys, path):
+        def edit(raw):
+            node = raw
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = 5
+
+        assert main(["run", _write_bundled_variant(tmp_path, name, edit)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"invalid input: {path}:" in captured.err
+
+    @pytest.mark.parametrize("value", ["abc", ["a", "b"], None])
+    def test_product_k_is_refused(self, tmp_path, capsys, value):
+        def edit(raw):
+            raw["group"]["k"] = value
+
+        assert main(["run", _write_bundled_variant(tmp_path, "grid-z2xz2-split", edit)]) == 2
+        captured = capsys.readouterr()
+        assert "invalid input: $.group.k:" in captured.err and "task.k" in captured.err

@@ -9,10 +9,15 @@ Fisher--Margulis and two fixpoint scenarios, ``commuting-pair-displacement``
 and ``mautner-matrix`` over p = 1.5, 3, 4, ``run`` on the benchmark's
 generated ``scale`` scenarios for seeds 1 and 2, and ``sweep`` on the
 induction and splitting scenarios (``induce-sign-z4``, the two
-``superrigid`` scenarios and ``grid-z2xz2-split``) over p = 1.5, 3, 4
-(106 reports).  Prints one
+``superrigid`` scenarios and ``grid-z2xz2-split``) over p = 1.5, 3, 4,
+and last ``run`` on the matrix twins of ``swap-decompose``, ``mazur-z4``,
+``cyclic3-gap`` and ``dihedral4-gap``: the scenario, name included, with
+every image written as the ``matrix`` entries of its generator matrix
+(110 reports).  Prints one
 ``name sha256 sha256`` line per report, where the name is ``run/<scenario>``,
-``sweep/<scenario>@p=<p>`` or ``scale/<seed>/<scenario>``; the first digest
+``sweep/<scenario>@p=<p>``, ``scale/<seed>/<scenario>`` or
+``twin/<scenario>``; a twin's line equals its ``run`` line when a monomial
+isometric ``matrix`` image is read as the Lamperti image it is.  The first digest
 is of the whole report line, the second of the report without its
 ``provenance`` object, so a change that moves only the recorded seed or
 tolerances keeps the second column.  The package is imported from the ``src/``
@@ -45,7 +50,8 @@ sys.path.insert(1, str(ROOT / "bench"))
 sys.dont_write_bytecode = True  # leave no __pycache__ behind in bench/
 
 import workloads  # noqa: E402
-from lplab.cli import bundled_scenarios, main  # noqa: E402
+from lplab.cli import bundled_scenario_path, bundled_scenarios, main  # noqa: E402
+from lplab.scenario import parse_scenario  # noqa: E402
 
 SWEEPS = (  # (scenarios, exponents)
     (("swap-gap", "cyclic3-gap", "cyclic5-gap", "dihedral4-gap", "grid-z2xz2-gap"), "1.25,1.5,2,3,4,6"),
@@ -57,6 +63,8 @@ SCALE_SEEDS = (1, 2)
 # swept after the scale reports, so that the earlier lines keep their order
 INDUCTION_SWEEP = (("induce-sign-z4", "superrigid-diagonal-s3", "superrigid-overlap-d3", "grid-z2xz2-split"),
                    "1.5,3,4")
+# run last with every image written as its matrix entries
+TWINS = ("swap-decompose", "mazur-z4", "cyclic3-gap", "dihedral4-gap")
 
 
 def _reports(argv) -> list:
@@ -80,6 +88,18 @@ def _sweeps(names, exponents):
             yield f"sweep/{json.loads(line)['scenario']}", _digest(line)
 
 
+def _twin(name: str, directory: Path) -> Path:
+    """The bundled scenario ``name`` with each image replaced by its generator matrix, as a file."""
+    raw = json.loads(bundled_scenario_path(name).read_text())
+    rep = parse_scenario(raw).representation
+    raw["representation"]["images"] = {
+        gen: {"kind": "matrix", "entries": rep.generator_matrix(gen).tolist()} for gen in rep.generator_names
+    }
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
 def digests():
     """(name, digests) for every report, in a fixed order."""
     for file_name in bundled_scenarios():
@@ -95,6 +115,10 @@ def digests():
                 for line in _reports(op["argv"]):
                     yield f"scale/{seed}/{op['name']}", _digest(line)
     yield from _sweeps(*INDUCTION_SWEEP)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in TWINS:
+            for line in _reports(["run", str(_twin(name, Path(tmp)))]):
+                yield f"twin/{name}", _digest(line)
 
 
 if __name__ == "__main__":

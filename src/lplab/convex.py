@@ -36,7 +36,7 @@ __all__ = [
     "klee_search",
 ]
 
-_FM_RESTARTS = 6  # minimax solves per halving step: from the current point, then from random starts
+_FM_RESTARTS = 6  # starts per halving step: the current point, then random ones, solved only after a miss
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,9 +419,13 @@ def fisher_margulis_iterate(
     """Diameter-halving iteration toward a fixed point.
 
     Each step minimizes y -> diam({y} u K.y) over the ball of radius
-    c_mult * R_n around the current point, from the point itself and
-    ``_FM_RESTARTS - 1`` random starts, and accepts only strict halving;
-    a failed halving step stops the run with status "non-contracting".
+    c_mult * R_n around the current point, starting from the point itself,
+    and accepts only strict halving.  Only when that one solve misses
+    halving are the step's ``_FM_RESTARTS - 1`` random starts solved too,
+    keeping the best; every step draws its random starts, solved or not, so
+    the starts of a missed step do not depend on which earlier steps hit.
+    A halving step that still misses stops the run with status
+    "non-contracting".
     Otherwise the run ends "fixed" when the terminal K-displacement is at
     most ``tol`` and "max-iter" when it is not.
     The K-orbit diameter includes the point itself so that it always bounds
@@ -452,16 +456,18 @@ def fisher_margulis_iterate(
         r_n = trace[-1].diameter
         if k_displacement(x) <= tol:
             break
-        ball = (x, c_mult * r_n)
+        radius = c_mult * r_n
+        ball = (x, radius)
+        starts = [x + radius * rng.uniform(-1, 1, space.dim) * 0.7 for _ in range(_FM_RESTARTS - 1)]
         best_y, best_val = _minimize_minimax(space, pair_mats, pair_shifts, x, ball=ball)
-        for _ in range(_FM_RESTARTS - 1):
-            start = x + (c_mult * r_n) * rng.uniform(-1, 1, space.dim) * 0.7
-            off = space.norm(start - x)
-            if off > c_mult * r_n:
-                start = x + (start - x) * (c_mult * r_n / off)
-            cand_y, cand_val = _minimize_minimax(space, pair_mats, pair_shifts, start, ball=ball)
-            if cand_val < best_val:
-                best_y, best_val = cand_y, cand_val
+        if best_val >= r_n / 2.0:  # a miss: solve the random starts too and keep the best
+            for start in starts:
+                off = space.norm(start - x)
+                if off > radius:
+                    start = x + (start - x) * (radius / off)
+                cand_y, cand_val = _minimize_minimax(space, pair_mats, pair_shifts, start, ball=ball)
+                if cand_val < best_val:
+                    best_y, best_val = cand_y, cand_val
         if best_val < r_n / 2.0:
             x = best_y
             trace.append(FisherMargulisStep(point=x.copy(), diameter=best_val))

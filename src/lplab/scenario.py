@@ -28,12 +28,14 @@ AᵀWA = W.  A monomial isometric ``matrix`` is read as the Lamperti image it
 is, so the ``mazur`` task accepts it.  Group specs:
 
     table          {"table": [[int]], "identity": int, "generators": {name: int}, "k": [word]?}
-    presentation   {"generators": [name], "relators": [word], "k": [word]?}
+    presentation   {"generators": [name], "relators": [word]?, "k": [word]?}
     permutations   {"generators": {name: [int]}, "k": [word]?}
     product        {"factor1": <table|permutations spec>, "factor2": ..., "rename2": {name: name}?}
 
-A product's K is its generators; its own ``k`` is refused (give other words
-as ``task.k``).
+A table is square with entries in 0..m-1, and the identity and generator
+indices lie in that range; permutation generators permute the same atoms.
+A product's K is its generators; a ``k`` of its own or of a factor is
+refused (give other words as ``task.k``).
 
 Validation failures raise :class:`ScenarioError` carrying the offending
 field path.
@@ -122,6 +124,21 @@ def _integer(value, path: str, lo: int, hi: int | None = None) -> int:
     return value
 
 
+def _words(value, path: str, nonempty: bool = False) -> list:
+    """``value`` if it is a (nonempty, if asked) list of strings; anything else is refused at ``path``."""
+    if not (isinstance(value, list) and (value or not nonempty) and all(isinstance(w, str) for w in value)):
+        raise ScenarioError(path, f"expected a {'nonempty ' if nonempty else ''}list of words, got {value!r}")
+    return value
+
+
+def _table(value, path: str) -> np.ndarray:
+    """``value``, a square list of integer lists with entries in 0..m-1, as an array; refused at ``path``."""
+    m = len(value) if isinstance(value, list) else 0
+    if not (m and all(isinstance(row, list) and len(row) == m for row in value)):
+        raise ScenarioError(path, "expected a square list of integer lists")
+    return np.array([[_integer(entry, path, 0, m - 1) for entry in row] for row in value])
+
+
 @dataclass(eq=False)
 class Scenario:
     name: str
@@ -205,33 +222,46 @@ def _build_plain_group(spec: dict, path: str):
     if kind not in ("table", "permutations", "presentation"):
         raise ScenarioError(f"{path}.kind", f"unknown group kind {kind!r}")
     k_set = spec.get("k")
-    if k_set is not None and not (isinstance(k_set, list) and k_set and all(isinstance(w, str) for w in k_set)):
-        raise ScenarioError(f"{path}.k", f"expected a nonempty list of words, got {k_set!r}")
+    if k_set is not None:
+        _words(k_set, f"{path}.k", nonempty=True)
     try:
+        if kind == "presentation":
+            gens = _words(_need(spec, "generators", path), f"{path}.generators")
+            return PresentedGroup(gens, _words(spec.get("relators", []), f"{path}.relators"), k_set=k_set)
+        gens = _object(_need(spec, "generators", path), f"{path}.generators")
         if kind == "table":
-            return TableGroup(
-                np.asarray(_need(spec, "table", path)),
-                int(_need(spec, "identity", path)),
-                {str(k): int(v) for k, v in _object(_need(spec, "generators", path), f"{path}.generators").items()},
-                k_set=k_set,
-            )
-        if kind == "permutations":
-            gens = {str(k): v for k, v in _object(_need(spec, "generators", path), f"{path}.generators").items()}
-            return group_from_permutations(gens, k_set=k_set)[0]
-        return PresentedGroup(_need(spec, "generators", path), spec.get("relators", []), k_set=k_set)
+            table = _table(_need(spec, "table", path), f"{path}.table")
+            identity = _integer(_need(spec, "identity", path), f"{path}.identity", 0, len(table) - 1)
+            gens = {name: _integer(g, f"{path}.generators.{name}", 0, len(table) - 1) for name, g in gens.items()}
+            return TableGroup(table, identity, gens, k_set=k_set)
+        if not gens:
+            raise ScenarioError(f"{path}.generators", "expected at least one generator")
+        first = next(iter(gens.values()))
+        degree = len(first) if isinstance(first, list) and first else 1  # a wrong first entry is refused below
+        gens = {name: _permutation(gens, name, f"{path}.generators", degree) for name in gens}
+        return group_from_permutations(gens, k_set=k_set)[0]
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from exc
 
 
+_PRODUCT_K = "a product's K is its generators; give other words as task.k"
+
+
 def _build_group(spec: dict):
     kind = _need(spec, "kind", "$.group")
     if kind == "product":
         if "k" in spec:
-            raise ScenarioError("$.group.k", "a product's K is its generators; give other words as task.k")
-        g1 = _build_plain_group(_need(spec, "factor1", "$.group.factor1"), "$.group.factor1")
-        g2 = _build_plain_group(_need(spec, "factor2", "$.group.factor2"), "$.group.factor2")
+            raise ScenarioError("$.group.k", _PRODUCT_K)
+        factors = []
+        for key in ("factor1", "factor2"):
+            path = f"$.group.{key}"
+            factor = _need(spec, key, "$.group")
+            if "k" in _object(factor, path):
+                raise ScenarioError(f"{path}.k", _PRODUCT_K)
+            factors.append(_build_plain_group(factor, path))
+        g1, g2 = factors
         if not isinstance(g1, TableGroup) or not isinstance(g2, TableGroup):
             raise ScenarioError("$.group", "product factors must be table-backed groups")
         try:

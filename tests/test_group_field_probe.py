@@ -1,8 +1,10 @@
 """Hostile values in the group fields of every bundled scenario end in an exit code, never a traceback.
 
 For each bundled scenario, each probed leaf (``group.k`` and its first word,
-each product factor's ``k``, and ``group.rename2`` and each of its entries)
-is set to each of ten hostile values and the file is run through
+each product factor's ``k``, ``group.rename2`` and each of its entries, and in
+the group and each factor the ``table``, ``identity``, ``generators`` and each
+generator, and ``relators``, as its kind has them) is set to each of ten
+hostile values and the file is run through
 ``lplab.cli.main`` in this process.  The run must return 0, 1 or 2; an exit 2
 for invalid input must name the probed field or a field that holds it, and any
 other exit 2 must be a refused report.
@@ -16,6 +18,8 @@ import pytest
 from lplab.cli import bundled_scenario_path, bundled_scenarios, main
 
 PROBE_VALUES = (None, "abc", -1, 0, 10**7, float("nan"), [], {}, True, 2.5)
+SHAPE_FIELDS = {"table": ("table", "identity", "generators"), "permutations": ("generators",),
+                "presentation": ("generators", "relators")}
 
 
 def _leaves(raw):
@@ -30,6 +34,9 @@ def _leaves(raw):
         yield prefix + ("k",)
         if spec.get("k"):
             yield prefix + ("k", 0)
+        yield from (prefix + (key,) for key in SHAPE_FIELDS.get(spec["kind"], ()))
+        if isinstance(spec.get("generators"), dict):
+            yield from (prefix + ("generators", name) for name in spec["generators"])
 
 
 def _set(raw, keys, value):

@@ -332,3 +332,52 @@ class TestNonObjectFields:
         assert main(["run", _write_bundled_variant(tmp_path, "grid-z2xz2-split", edit)]) == 2
         captured = capsys.readouterr()
         assert "invalid input: $.group.k:" in captured.err and "task.k" in captured.err
+
+    @pytest.mark.parametrize(("factor", "words"), [("factor1", ["aaaa", "a"]), ("factor2", ["b"])])
+    def test_factor_k_is_refused(self, tmp_path, capsys, factor, words):
+        def edit(raw):
+            raw["group"][factor]["k"] = words
+
+        assert main(["run", _write_bundled_variant(tmp_path, "grid-z2xz2-gap", edit)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"invalid input: $.group.{factor}.k:" in captured.err
+        assert "a product's K is its generators; give other words as task.k" in captured.err
+
+
+class TestGroupShapes:
+    """Group tables, identities, generator indices and presentation lists are refused at their paths."""
+
+    @pytest.mark.parametrize(("name", "keys", "value", "message"), [
+        ("swap-gap", ("group", "generators", "s"), None, "expected an integer, got None"),
+        ("swap-gap", ("group", "generators", "s"), True, "expected an integer, got True"),
+        ("swap-gap", ("group", "identity"), None, "expected an integer, got None"),
+        ("swap-gap", ("group", "identity"), 2, "must be between 0 and 1, got 2"),
+        ("swap-gap", ("group", "table"), 5, "expected a square list of integer lists"),
+        ("swap-gap", ("group", "table"), [[0, 1], [1]], "expected a square list of integer lists"),
+        ("swap-gap", ("group", "table"), [[0, 1], [1, 0.5]], "expected an integer, got 0.5"),
+        ("swap-gap", ("group", "table"), [[0, 1], [1, 2]], "must be between 0 and 1, got 2"),
+        ("cyclic3-gap", ("group", "generators", "a"), None, "expected a list of integers, got None"),
+        ("cyclic3-gap", ("group", "generators"), {}, "expected at least one generator"),
+        ("klee-p4", ("group", "generators"), 5, "expected a list of words, got 5"),
+        ("klee-p4", ("group", "generators"), "e", "expected a list of words, got 'e'"),
+        ("klee-p4", ("group", "relators"), 5, "expected a list of words, got 5"),
+        ("grid-z2xz2-gap", ("group", "factor1", "identity"), None, "expected an integer, got None"),
+    ])
+    def test_refused_at_its_path(self, tmp_path, capsys, name, keys, value, message):
+        def edit(raw):
+            node = raw
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+
+        assert main(["run", _write_bundled_variant(tmp_path, name, edit)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"invalid input: $.{'.'.join(keys)}: {message}" in captured.err
+
+    def test_integral_float_entries_still_count(self, tmp_path, capsys):
+        def edit(raw):
+            raw["group"]["table"] = [[0.0, 1.0], [1.0, 0.0]]
+            raw["group"]["identity"] = 0.0
+
+        assert main(["run", _write_bundled_variant(tmp_path, "swap-gap", edit)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"

@@ -10,6 +10,7 @@ from .geometry import (
     modulus_table,
     quotient_norm,
     schoenberg_gram,
+    schoenberg_scan,
     schoenberg_violation_search,
 )
 from .lamperti import (

@@ -25,7 +25,9 @@ __all__ = [
     "inverse_modulus",
     "QuotientNormResult",
     "quotient_norm",
+    "MAX_POINTS",
     "schoenberg_gram",
+    "schoenberg_scan",
     "schoenberg_violation_search",
 ]
 
@@ -42,42 +44,95 @@ class ModulusEstimate:
 _KAPPAS = np.array(list(accumulate(repeat(0.7, 79), mul, initial=1.0)))[:, None]
 # ||d|| <= (||xs_k|| + ||ys_k||) / 2, so nothing fits once ||d|| passes 1 by more than rounding (~dim * 1e-16)
 _NO_FIT = 1.0 + 5e-13
+# candidate rows evaluated together; bounds every stack (80 shrink rows per candidate) for any budget
+_BLOCK = 256
+# the first speculative polish window; it doubles, up to _BLOCK, after each window without an acceptance
+_WINDOW = 16
 
 
-def _make_feasible(norm_fn, first_fit, x, y, eps, max_rounds: int = 60):
-    """Project a candidate pair into {||x||,||y|| <= 1, ||x-y|| >= eps}.
+def _shrink_fits(norm_fn, mid, d):
+    """Each row's midpoint shrunk by the first factor that fits: ``(x, y, found)``.
 
-    Alternates difference inflation with ball clipping; if the alternation
-    stalls, shrinks the midpoint by the first factor 0.7**k that puts both
-    points back in the ball (which never hurts either constraint).
-    ``first_fit(xs, ys)`` is the first row k with ||xs[k]||, ||ys[k]|| <= 1,
-    or None.  Returns None only for degenerate candidates.
+    Row i tries ``mid[i] * 0.7**k +- d[i]`` for k = 0..79 and takes the
+    first k with both norms <= 1; ``found[i]`` is False where none fits.
+    Factors from k = 4 on are built only for the rows none of k < 4 fits.
     """
-    x = x.copy()
-    y = y.copy()
+    x, y = np.empty_like(mid), np.empty_like(mid)
+    found = np.zeros(len(mid), dtype=bool)
+    rows = np.arange(len(mid))
+    flat = (-1, mid.shape[1])
+    for kappas in (_KAPPAS[:4], _KAPPAS[4:]):
+        shrunk = mid[rows, None, :] * kappas
+        xs, ys = shrunk + d[rows, None, :], shrunk - d[rows, None, :]
+        fits = ((norm_fn(xs.reshape(flat)) <= 1.0) & (norm_fn(ys.reshape(flat)) <= 1.0)).reshape(shrunk.shape[:2])
+        hit = fits.any(axis=1)
+        k = fits[hit].argmax(axis=1)
+        x[rows[hit]], y[rows[hit]] = xs[hit, k], ys[hit, k]
+        found[rows[hit]] = True
+        rows = rows[~hit]
+        if not rows.size:
+            break
+    return x, y, found
+
+
+def _make_feasible(norm_fn, x, y, eps, max_rounds: int = 60):
+    """Project each candidate pair (x[i], y[i]) into {||x||,||y|| <= 1, ||x-y|| >= eps}.
+
+    The rows advance in lockstep, each with the arithmetic of one pair on
+    its own: alternate difference inflation with ball clipping; when the
+    alternation stalls, shrink the midpoint by the first factor 0.7**k that
+    puts both points back in the ball (which never hurts either
+    constraint).  The shrink stack is built only for rows with ||d|| <=
+    ``_NO_FIT``; at eps = 2 no row gets one.  A row leaves the lockstep
+    feasible, degenerate (gap < 1e-14) or after ``max_rounds`` rounds.
+    ``norm_fn`` maps a stack of rows to their norms.  Returns ``(x, y, ok)``:
+    the projected rows, and ``ok[i]`` False where row i is degenerate or ran
+    out of rounds (its x[i], y[i] are then meaningless).
+    """
+    out_x, out_y = np.empty_like(x), np.empty_like(y)
+    ok = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
+    x, y = x.copy(), y.copy()
+
+    def settle(gap, degenerate):
+        """Record the rows whose gap reaches eps; keep the rest (less the degenerate ones) live."""
+        nonlocal live, x, y
+        done = gap >= eps
+        out_x[live[done]], out_y[live[done]] = x[done], y[done]
+        ok[live[done]] = True
+        keep = ~(done | degenerate)
+        live, x, y = live[keep], x[keep], y[keep]
+
     for _ in range(max_rounds):
+        if not live.size:
+            break
         nx, ny = norm_fn(x), norm_fn(y)
-        if nx > 1.0:
-            x /= nx
-        if ny > 1.0:
-            y /= ny
+        big = nx > 1.0
+        x[big] /= nx[big, None]
+        big = ny > 1.0
+        y[big] /= ny[big, None]
         gap = norm_fn(x - y)
-        if gap >= eps:
-            return x, y
-        if gap < 1e-14:
-            return None
+        settle(gap, gap < 1e-14)
+        if not live.size:
+            break
         mid = (x + y) / 2.0
         d = (x - y) / 2.0
-        d *= (eps / (2.0 * norm_fn(d))) * (1.0 + 1e-12)
-        fit = None
-        if norm_fn(d) <= _NO_FIT:
-            shrunk = mid * _KAPPAS
-            xs, ys = shrunk + d, shrunk - d
-            fit = first_fit(xs, ys)
-        x, y = (d, -d) if fit is None else (xs[fit], ys[fit])
-        if norm_fn(x - y) >= eps:
-            return x, y
-    return None
+        d *= ((eps / (2.0 * norm_fn(d))) * (1.0 + 1e-12))[:, None]
+        x, y = d.copy(), -d
+        near = np.flatnonzero(norm_fn(d) <= _NO_FIT)
+        if near.size:
+            fx, fy, found = _shrink_fits(norm_fn, mid[near], d[near])
+            x[near[found]], y[near[found]] = fx[found], fy[found]
+        settle(norm_fn(x - y), False)
+    return out_x, out_y, ok
+
+
+def _objective(norm_fn, x, y, ok):
+    """1 - ||x + y|| / 2 for each feasible row, inf for the others."""
+    vals = np.full(len(x), np.inf)
+    if ok.any():
+        vals[ok] = 1.0 - norm_fn(x[ok] + y[ok]) / 2.0
+    return vals
 
 
 def convexity_modulus(
@@ -90,11 +145,27 @@ def convexity_modulus(
 ) -> ModulusEstimate:
     """Upper-bound estimate of the convexity modulus at ``eps``.
 
-    Samples feasible pairs, keeps the best, and polishes it with a
-    shrinking-step random search that preserves feasibility.  ``norm_fn``
+    Samples ``budget`` feasible pairs, keeps the best, and polishes it with
+    a shrinking-step random search that preserves feasibility.  ``norm_fn``
     may override the space norm (used for estimating the modulus of
-    constructed invariant norms); p = 1 with the default norm is rejected
-    since l1 has no positive modulus.
+    constructed invariant norms, e.g. :meth:`InvariantNorm.norms`); it maps
+    a stack of rows to their norms.  p = 1 with the default norm is
+    rejected since l1 has no positive modulus.
+
+    The candidates are drawn as one (budget, 2, dim) normal stack, which is
+    the stream of per-candidate draws, and evaluated as stacks of rows in
+    blocks of ``_BLOCK`` by :func:`_make_feasible`; ``argmin`` keeps the
+    first best candidate, as a one-at-a-time loop with a strict ``<`` does.
+    The polish draws all its normals up front (the loop drew 2 * dim of
+    them every iteration, whatever the outcome) and evaluates the next
+    iterations speculatively, as if each were rejected: steps shrink by
+    0.93 per iteration and stop at the ``step < 1e-9`` break.  The first
+    row that is feasible and strictly better is the loop's next acceptance;
+    it is taken and evaluation restarts from the next iteration.  Windows
+    start at ``_WINDOW`` rows and double, up to ``_BLOCK``, after each
+    window without an acceptance.  The draws and every accepted pair are
+    those of the one-at-a-time loop, so the estimate and its witness are
+    too.
 
     Returns the estimate together with the witness pair; the witness is
     feasible, hence delta_hat >= delta(eps).
@@ -103,48 +174,45 @@ def convexity_modulus(
         raise ValueError("eps must lie in (0, 2]")
     if norm_fn is None:
         space.require_smooth()
-        norm_fn = space.norm
         w, p = space.weights, space.p
 
-        def first_fit(xs, ys):
-            return next(iter(np.flatnonzero((norms(w, p, xs) <= 1.0) & (norms(w, p, ys) <= 1.0))), None)
-    else:
-        def first_fit(xs, ys):  # a caller's norm, evaluated only up to the first fit
-            return next((k for k in range(len(xs)) if norm_fn(xs[k]) <= 1.0 and norm_fn(ys[k]) <= 1.0), None)
+        def norm_fn(rows):
+            return norms(w, p, rows)
     rng = np.random.default_rng(seed)
     dim = space.dim
 
-    def objective(pair):
-        return 1.0 - norm_fn(pair[0] + pair[1]) / 2.0
-
     best = None
     best_val = np.inf
-    for _ in range(budget):
-        cand = _make_feasible(norm_fn, first_fit, rng.standard_normal(dim), rng.standard_normal(dim), eps)
-        if cand is None:
-            continue
-        val = objective(cand)
-        if val < best_val:
-            best, best_val = cand, val
+    for start in range(0, budget, _BLOCK):
+        pairs = rng.standard_normal((min(_BLOCK, budget - start), 2, dim))
+        x, y, ok = _make_feasible(norm_fn, pairs[:, 0], pairs[:, 1], eps)
+        vals = _objective(norm_fn, x, y, ok)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best, best_val = (x[i], y[i]), float(vals[i])
     if best is None:
         raise RuntimeError("no feasible pair found; this should not happen for eps <= 2")
 
     x, y = best
     step = 0.3
-    for _ in range(polish_iters):
-        cand = _make_feasible(
-            norm_fn,
-            first_fit,
-            x + step * rng.standard_normal(dim),
-            y + step * rng.standard_normal(dim),
-            eps,
-        )
-        if cand is not None:
-            val = objective(cand)
-            if val < best_val:
-                (x, y), best_val = cand, val
-                continue
-        step *= 0.93
+    kicks = rng.standard_normal((polish_iters, 2, dim))
+    it, window = 0, _WINDOW
+    while it < polish_iters:
+        # the steps of the next iterations if none is accepted, up to the break
+        steps = [step]
+        while len(steps) < min(window, polish_iters - it) and steps[-1] * 0.93 >= 1e-9:
+            steps.append(steps[-1] * 0.93)
+        s = np.array(steps)[:, None]
+        ahead = kicks[it:it + len(steps)]
+        cx, cy, ok = _make_feasible(norm_fn, x + s * ahead[:, 0], y + s * ahead[:, 1], eps)
+        vals = _objective(norm_fn, cx, cy, ok)
+        better = np.flatnonzero(vals < best_val)
+        if better.size:
+            k = int(better[0])
+            (x, y), best_val = (cx[k], cy[k]), float(vals[k])
+            step, it, window = steps[k], it + k + 1, _WINDOW
+            continue
+        step, it, window = steps[-1] * 0.93, it + len(steps), min(2 * window, _BLOCK)
         if step < 1e-9:
             break
     return ModulusEstimate(eps=eps, delta=best_val, witness_x=x, witness_y=y)
@@ -263,24 +331,75 @@ def _quotient_norm_l1(space: LpSpace, basis: np.ndarray, v: np.ndarray) -> Quoti
     return QuotientNormResult(space.norm(point), coeffs, point)
 
 
+def _gram_stack(w, p, pts, s_values):
+    """Gram matrices exp(-s ||x_i - x_j||**p) and their smallest eigenvalues, for a stack of configurations.
+
+    ``pts`` is a (c, m, dim) stack of m-point configurations and ``s_values``
+    a 1-d array; returns the (c, k, m, m) Gram matrices and the (c, k)
+    smallest eigenvalues for the k values of s.  The pair distances are
+    taken once for every s, and each entry, like each eigenvalue of the
+    stacked ``eigvalsh``, equals the one a single configuration gets.
+    """
+    c, m, _ = pts.shape
+    iu, ju = np.triu_indices(m, 1)
+    kernel = np.exp(-s_values[:, None] * norm_pow(w, p, pts[:, iu] - pts[:, ju])[:, None, :])
+    gram = np.broadcast_to(np.eye(m), (c, len(s_values), m, m)).copy()
+    gram[..., iu, ju] = gram[..., ju, iu] = kernel
+    return gram, np.linalg.eigvalsh(gram)[..., 0]
+
+
 def schoenberg_gram(points, s: float, space: LpSpace):
     """Gram matrix G_ij = exp(-s ||x_i - x_j||**p) and its minimum eigenvalue.
 
     Positive semidefiniteness is a theorem for p <= 2 and generally fails
-    for p > 2; this routine just reports, it asserts nothing.
+    for p > 2; this routine just reports, it asserts nothing.  It is one
+    configuration of the stacked kernel :func:`schoenberg_scan` and
+    :func:`schoenberg_violation_search` use.
     """
     if s <= 0:
         raise ValueError("s must be positive")
     pts = [as_vector(x, space.dim) for x in points]
     if not pts:
         raise ValueError("need at least one point")
-    m = len(pts)
-    gram = np.eye(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            gram[i, j] = gram[j, i] = np.exp(-s * space.norm_pow(pts[i] - pts[j]))
-    lam_min = float(np.linalg.eigvalsh(gram)[0])
-    return gram, lam_min
+    gram, lam = _gram_stack(space.weights, space.p, np.array(pts)[None], np.array([float(s)]))
+    return gram[0, 0], float(lam[0, 0])
+
+
+# the largest configuration schoenberg_scan draws
+MAX_POINTS = 256
+# Gram entries and pair-difference coordinates per stacked call of schoenberg_scan
+_SCAN_ENTRIES = 1 << 20
+
+
+def schoenberg_scan(space: LpSpace, n_configs: int, n_points: int, s_values, seed: int = 0) -> float:
+    """The smallest Gram eigenvalue over random configurations and values of s.
+
+    Configuration c has m = 2..``n_points`` standard normal points in
+    ``space`` (m drawn first, then the points, configuration by
+    configuration).  The configurations are drawn in that order, in chunks
+    that bound the stacked arrays; within a chunk they are grouped by m, and
+    each group takes one distance computation, one ``exp`` per s and one
+    stacked ``eigvalsh`` (:func:`_gram_stack`).  The value equals the
+    minimum of :func:`schoenberg_gram` over every configuration and s.
+    """
+    if not 2 <= n_points <= MAX_POINTS:
+        raise ValueError(f"n_points must lie in [2, {MAX_POINTS}], got {n_points}")
+    s_values = np.asarray(s_values, dtype=float)
+    rng = np.random.default_rng(seed)
+    chunk = max(1, _SCAN_ENTRIES // ((len(s_values) + space.dim) * n_points**2))
+    lam_min = np.inf
+    for start in range(0, n_configs, chunk):
+        configs = []
+        for _ in range(min(chunk, n_configs - start)):
+            m = int(rng.integers(2, n_points + 1))
+            configs.append(rng.standard_normal((m, space.dim)))
+        lams = np.empty((len(configs), len(s_values)))
+        sizes = np.array([len(pts) for pts in configs])
+        for m in np.unique(sizes):
+            group = np.flatnonzero(sizes == m)
+            lams[group] = _gram_stack(space.weights, space.p, np.array([configs[i] for i in group]), s_values)[1]
+        lam_min = min(lam_min, *lams.ravel().tolist())
+    return lam_min
 
 
 def schoenberg_violation_search(
@@ -292,25 +411,27 @@ def schoenberg_violation_search(
     """Randomized hunt for a configuration with a negative Gram eigenvalue.
 
     Each trial draws 3 to 6 points in l_p^dim, dim 1 to 4, and tries
-    s = 0.5, 1, 2, 4.  A configuration violates when its smallest
-    eigenvalue is at most ``threshold``.  Returns a dict with the violating
-    configuration (points, s, dim, eigenvalue) and its
-    ``violation_eigenvalue`` check, or None if the budget is exhausted.
-    For p <= 2 the search is expected to find nothing.
+    s = 0.5, 1, 2, 4, taking the pair distances once for all four
+    (:func:`_gram_stack`).  A configuration violates when its smallest
+    eigenvalue is at most ``threshold``.  Returns a dict with the first
+    violating configuration in (trial, s) order (points, s, dim,
+    eigenvalue) and its ``violation_eigenvalue`` check, or None if the
+    budget is exhausted.  For p <= 2 the search is expected to find nothing.
     """
     rng = np.random.default_rng(seed)
+    s_values = np.array([0.5, 1.0, 2.0, 4.0])
     for _ in range(trials):
         dim = int(rng.integers(1, 5))
         m = int(rng.integers(3, 7))
         space = LpSpace(dim, p)
         pts = rng.standard_normal((m, dim)) * rng.uniform(0.3, 2.0)
-        for s in (0.5, 1.0, 2.0, 4.0):
-            _, lam_min = schoenberg_gram(pts, s, space)
+        _, lams = _gram_stack(space.weights, p, pts[None], s_values)
+        for s, lam_min in zip(s_values.tolist(), lams[0].tolist()):
             violation = check("violation_eigenvalue", lam_min, threshold, "le")
             if violation["ok"]:
                 return {
                     "p": p,
-                    "s": float(s),
+                    "s": s,
                     "dim": dim,
                     "points": pts.tolist(),
                     "lambda_min": lam_min,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import LpSpace, as_vector, mazur_map
+from .spaces import LpSpace, as_vector, mazur_map, norms
 
 __all__ = [
     "LampertiIsometry",
@@ -189,10 +189,22 @@ class InvariantNorm:
         if not any(np.max(np.abs(m - np.eye(n))) <= tol for m in mats):
             raise ValueError("map list does not contain the identity")
         self.maps = mats
+        self._stack = np.array(mats)
 
     def norm(self, v) -> float:
         v = as_vector(v, self.space.dim)
         return max(self.space.norm(m @ v) for m in self.maps)
+
+    def norms(self, rows) -> np.ndarray:
+        """The norm of each row of the 2-d array ``rows``, equal to :meth:`norm` row by row.
+
+        Each ``g @ row`` is one matrix-vector product of a stack, which numpy
+        takes with the kernel of the single product, so the images are those
+        :meth:`norm` measures.
+        """
+        images = (self._stack @ rows[:, None, :, None])[..., 0]
+        vals = norms(self.space.weights, self.space.p, images.reshape(-1, self.space.dim))
+        return vals.reshape(images.shape[:2]).max(axis=1)
 
     def __call__(self, v) -> float:
         return self.norm(v)

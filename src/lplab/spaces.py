@@ -54,7 +54,8 @@ def norm_pow(w, p, r):
 
 
 def _roots(w, p, rows) -> list:
-    return [s ** (1.0 / p) for s in norm_pow(w, p, rows).tolist()]
+    e = 1.0 / p
+    return [s ** e for s in norm_pow(w, p, rows).tolist()]
 
 
 def norms(w, p, rows) -> np.ndarray:

@@ -8,7 +8,7 @@ from .cocycle import _a_word_count, coboundary_solve, displacement_bound_check, 
 from .convex import fisher_margulis_iterate, fixed_point_circumcenter, klee_search
 from .errors import Refusal
 from .gap import MAX_RESTARTS, kazhdan_gap
-from .geometry import modulus_table, schoenberg_gram, schoenberg_violation_search
+from .geometry import MAX_POINTS, modulus_table, schoenberg_scan, schoenberg_violation_search
 from .groups import ProductGroup, TableGroup, check_word
 from .induction import CosetStructure, fixed_point_transfer, induce_cocycle, induce_rep, split_action, superrigidity_pipeline
 from .lamperti import LampertiIsometry, mazur_composition, mazur_conjugation_residual
@@ -32,11 +32,14 @@ def _positive(value, path: str) -> float:
     return float(number)
 
 
-def _provenance(scenario: Scenario, seed: int | None, tol: float | None) -> tuple:
+def _provenance(scenario: Scenario, seed: int | None, tol: float | None, budget: int | None = None) -> tuple:
     """The effective seed, the run's tolerance and its provenance record.
 
     The tolerance is ``tol`` (the --tol flag) if given, else task.tol, else the command's default.
+    ``budget`` (the --budget flag), if given, must be at least 1.
     """
+    if budget is not None:
+        _integer(budget, "--budget", 1)
     if tol is not None:
         tol = _positive(tol, "--tol")
     elif "tol" in scenario.task:
@@ -56,7 +59,7 @@ def execute(scenario: Scenario, seed: int | None = None, tol: float | None = Non
     turns the two into the status.
     """
     command = scenario.task["command"]
-    eff_seed, eff_tol, tolerances = _provenance(scenario, seed, tol)
+    eff_seed, eff_tol, tolerances = _provenance(scenario, seed, tol, budget)
     applicable, payload = _HANDLERS[command](scenario, eff_seed, eff_tol, budget)
     return Report(scenario.name, command, status_of(payload["checks"], applicable), payload, eff_seed, tolerances)
 
@@ -70,9 +73,13 @@ def refused(scenario: Scenario, error: Exception, seed: int | None = None, tol: 
 
 
 def sweep(scenario: Scenario, p_values, seed: int | None = None, tol: float | None = None, budget: int | None = None):
-    """Re-run the scenario across exponents; per-cell errors are recorded, not raised."""
+    """Re-run the scenario across exponents; per-cell errors are recorded, not raised.
+
+    A bad flag is refused once, before the first cell.
+    """
     import time
 
+    _provenance(scenario, seed, tol, budget)
     cells = []
     for p in p_values:
         t0 = time.perf_counter()
@@ -362,18 +369,11 @@ def _task_schoenberg(scenario, seed, tol, budget):
     mode = params.get("mode", "random" if space.p <= 2.0 else "search")
     if mode == "random":
         n_configs = _int_param(params, "n_configs", 200 if budget is None else budget, 1)
-        n_points = _int_param(params, "n_points", 6, 2)
+        n_points = _int_param(params, "n_points", 6, 2, MAX_POINTS)
         s_values = _finite(params.get("s", [0.1, 1.0, 10.0]), "$.task.s")
         if s_values.ndim != 1 or s_values.size == 0 or np.any(s_values <= 0.0):
             raise ScenarioError("$.task.s", "expected a nonempty list of positive numbers")
-        rng = np.random.default_rng(seed)
-        lam_min = np.inf
-        for _ in range(n_configs):
-            m = int(rng.integers(2, n_points + 1))
-            pts = rng.standard_normal((m, space.dim))
-            for s in s_values:
-                _, lam = schoenberg_gram(pts, float(s), space)
-                lam_min = min(lam_min, lam)
+        lam_min = schoenberg_scan(space, n_configs, n_points, s_values, seed)
         checks = []
         if space.p <= 2.0:
             checks.append(check("lambda_min", lam_min, -1e-9, "ge"))

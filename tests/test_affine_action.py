@@ -25,8 +25,8 @@ from lplab import (
 )
 from lplab.cli import bundled_scenario_path, main
 from lplab.cocycle import MAX_A_WORDS, _a_word_count, _diameter
+from lplab.geometry import _shrink_fits
 from lplab.scenario import parse_scenario
-from lplab.spaces import norms
 from lplab.tasks import execute
 
 from conftest import count_calls
@@ -157,6 +157,6 @@ def test_bad_task_word_refused_at_its_field(tmp_path, capsys, name, field, value
 def test_hopeless_shrink_rounds_evaluate_no_candidate():
     # at eps = 2 every stalled round has ||d|| = 1 + 1e-12 > 1, where no shrink factor can fit
     results = []
-    counts = count_calls([norms], lambda: results.append(convexity_modulus(LpSpace(3, 3.0), 2.0, budget=40, seed=0)))
-    assert counts == {"norms": 0}
+    counts = count_calls([_shrink_fits], lambda: results.append(convexity_modulus(LpSpace(3, 3.0), 2.0, budget=40, seed=0)))
+    assert counts == {"_shrink_fits": 0}
     assert results[0].delta >= 1.0 - 1e-8

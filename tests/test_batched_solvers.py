@@ -1,10 +1,12 @@
 """The batched solver paths agree exactly with their one-at-a-time oracles.
 
 The gap estimator advances every restart in lockstep, the convexity modulus
-tries all midpoint shrink factors at once, and the minimax gradient reduces
-its terms in one masked pass.  Each oracle below is the sequential loop the
-batched code replaced, kept here only as a test reference (like
-``pair_residual`` in ``test_representation.py``); every comparison is ``==``.
+evaluates its candidates and their midpoint shrink factors as stacks of rows
+(the polish speculatively), the Schoenberg scans take one stacked Gram kernel
+per configuration size, and the minimax gradient reduces its terms in one
+masked pass.  Each oracle below is the sequential loop the batched code
+replaced, kept here only as a test reference (like ``pair_residual`` in
+``test_representation.py``); every comparison is ``==``.
 """
 
 import json
@@ -13,13 +15,19 @@ import numpy as np
 import pytest
 from scipy import linalg, optimize
 
-from lplab import LpSpace, convexity_modulus, invariant_norm
-from lplab.cli import bundled_scenario_path, bundled_scenarios
+from lplab import (
+    LpSpace, convexity_modulus, invariant_norm, schoenberg_gram, schoenberg_scan, schoenberg_violation_search,
+)
+from lplab import geometry
+from lplab.cli import bundled_scenario_path, bundled_scenarios, main
 from lplab.convex import _minimize_minimax, _transpose_times
+from lplab.geometry import _BLOCK
 from lplab.gap import _canonical_sign, _matvecs, _sphere_directions, kazhdan_gap
 from lplab.representation import canonical_complement
 from lplab.scenario import parse_scenario
 from lplab.spaces import norm_grad, norm_pow, norms, norms_and_grads, pow_grad
+
+from conftest import count_calls
 
 GAP_EXPONENTS = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0)
 
@@ -165,6 +173,44 @@ def sequential_modulus(space, eps, budget=400, seed=0, norm_fn=None, polish_iter
     return best_val, x, y
 
 
+def pairwise_gram(points, s, space):
+    """The Schoenberg Gram matrix entry by entry, and its smallest eigenvalue."""
+    pts = np.asarray(points, dtype=float)
+    m = len(pts)
+    gram = np.eye(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            gram[i, j] = gram[j, i] = np.exp(-s * space.norm_pow(pts[i] - pts[j]))
+    return gram, float(np.linalg.eigvalsh(gram)[0])
+
+
+def looped_schoenberg_scan(space, n_configs, n_points, s_values, seed):
+    """The smallest Gram eigenvalue, one configuration and one s at a time."""
+    rng = np.random.default_rng(seed)
+    lam_min = np.inf
+    for _ in range(n_configs):
+        m = int(rng.integers(2, n_points + 1))
+        pts = rng.standard_normal((m, space.dim))
+        for s in s_values:
+            lam_min = min(lam_min, pairwise_gram(pts, float(s), space)[1])
+    return lam_min
+
+
+def looped_violation_search(p, trials, seed, threshold=-1e-6):
+    """The first configuration and s, in (trial, s) order, whose Gram eigenvalue is at most ``threshold``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        dim = int(rng.integers(1, 5))
+        m = int(rng.integers(3, 7))
+        space = LpSpace(dim, p)
+        pts = rng.standard_normal((m, dim)) * rng.uniform(0.3, 2.0)
+        for s in (0.5, 1.0, 2.0, 4.0):
+            lam = pairwise_gram(pts, s, space)[1]
+            if lam <= threshold:
+                return s, dim, pts.tolist(), lam
+    return None
+
+
 def sequential_minimax(space, mats, shifts, y0, ball=None, gtol=1e-12):
     """The minimax solver with its softmax gradient summed term by term: (y, value)."""
     w, p = space.weights, space.p
@@ -286,10 +332,81 @@ def test_stacked_shrink_modulus_equals_sequential(p, dim):
 def test_stacked_shrink_modulus_equals_sequential_for_invariant_norm(p):
     space = LpSpace(2, p)
     norm = invariant_norm([np.eye(2), np.array([[0.0, 1.25], [0.8, 0.0]])], space)
-    est = convexity_modulus(space, 1.0, budget=25, seed=2, norm_fn=norm, polish_iters=80)
+    est = convexity_modulus(space, 1.0, budget=25, seed=2, norm_fn=norm.norms, polish_iters=80)
     delta, x, y = sequential_modulus(space, 1.0, budget=25, seed=2, norm_fn=norm, polish_iters=80)
     assert est.delta == delta
     assert np.array_equal(est.witness_x, x) and np.array_equal(est.witness_y, y)
+
+
+@pytest.mark.parametrize("p", GAP_EXPONENTS)
+@pytest.mark.parametrize("dim", (1, 2, 3, 4, 5, 6))
+def test_stacked_modulus_table_equals_sequential(p, dim):
+    # a full modulus task's table: five eps values at budget 300, seeds as modulus_table gives them
+    space = LpSpace(dim, p)
+    for i, eps in enumerate((0.25, 0.5, 1.0, 1.5, 2.0)):
+        est = convexity_modulus(space, eps, budget=300, seed=i)
+        delta, x, y = sequential_modulus(space, eps, budget=300, seed=i)
+        assert est.delta == delta
+        assert np.array_equal(est.witness_x, x) and np.array_equal(est.witness_y, y)
+
+
+@pytest.mark.parametrize("eps", (0.5, 1.5))
+def test_modulus_beyond_one_block_equals_sequential(eps):
+    # the budget spans three candidate blocks, and the polish runs long enough to fill a whole window
+    space = LpSpace(3, 3.0, np.array([0.5, 1.0, 2.0]))
+    budget, polish = 2 * _BLOCK + 37, 2 * _BLOCK
+    est = convexity_modulus(space, eps, budget=budget, seed=4, polish_iters=polish)
+    delta, x, y = sequential_modulus(space, eps, budget=budget, seed=4, polish_iters=polish)
+    assert est.delta == delta
+    assert np.array_equal(est.witness_x, x) and np.array_equal(est.witness_y, y)
+
+
+def test_modulus_run_takes_no_single_vector_norm(capsys):
+    counts = count_calls([LpSpace.norm], lambda: main(["run", "modulus-p2"]))
+    assert counts == {"LpSpace.norm": 0}
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("p", GAP_EXPONENTS)
+def test_invariant_norm_rows_equal_single_norms(p):
+    rng = np.random.default_rng(int(p * 8))
+    for dim in (2, 3, 5):
+        flip = np.eye(dim)
+        flip[:2, :2] = [[0.0, 1.25], [0.8, 0.0]]
+        norm = invariant_norm([np.eye(dim), flip], LpSpace(dim, p, rng.uniform(0.5, 2.0, dim)))
+        rows = rng.standard_normal((120, dim))
+        rows[7] = 0.0
+        assert np.array_equal(norm.norms(rows), [norm.norm(row) for row in rows])
+        assert norm.norms(rows[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("p", (1.0, 1.5, 2.0, 3.0, 4.0))
+def test_stacked_schoenberg_scan_equals_config_loop(p, monkeypatch):
+    rng = np.random.default_rng(int(p * 10))
+    for dim in (1, 2, 3, 5):
+        space = LpSpace(dim, p, rng.uniform(0.5, 2.0, dim))
+        for n_points in (2, 6, 9):
+            assert schoenberg_scan(space, 40, n_points, [0.1, 1.0, 10.0], seed=dim) == looped_schoenberg_scan(
+                space, 40, n_points, [0.1, 1.0, 10.0], seed=dim)
+        pts = rng.standard_normal((6, dim))
+        gram, lam = schoenberg_gram(pts, 0.7, space)
+        gram_ref, lam_ref = pairwise_gram(pts, 0.7, space)
+        assert lam == lam_ref and np.array_equal(gram, gram_ref)
+    # chunks of a few configurations each draw and scan the same configurations
+    monkeypatch.setattr(geometry, "_SCAN_ENTRIES", 700)
+    space = LpSpace(2, p)
+    assert schoenberg_scan(space, 50, 7, [0.5, 2.0], seed=3) == looped_schoenberg_scan(space, 50, 7, [0.5, 2.0], seed=3)
+
+
+@pytest.mark.parametrize("p", (2.0, 3.0, 4.0, 6.0))
+def test_stacked_violation_search_equals_config_loop(p):
+    for seed in range(4):
+        found = schoenberg_violation_search(p, trials=80, seed=seed)
+        expected = looped_violation_search(p, 80, seed)
+        if expected is None:
+            assert found is None
+        else:
+            assert (found["s"], found["dim"], found["points"], found["lambda_min"]) == expected
 
 
 @pytest.mark.parametrize("p", (1.5, 3.0, 4.0))

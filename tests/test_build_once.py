@@ -101,7 +101,7 @@ def _without_n_configs():
         pytest.param(_space_variant("swap-gap", p=None), (), "$.space.p", id="p-null"),
         pytest.param(_space_variant("swap-gap", p="abc"), (), "$.space.p", id="p-text"),
         pytest.param(_space_variant("swap-gap", weights=[1.0, "a"]), (), "$.space.weights", id="weights-text"),
-        pytest.param(_without_n_configs(), ("--budget", "0"), "$.task.n_configs", id="n-configs-from-budget"),
+        pytest.param(_without_n_configs(), ("--budget", "0"), "--budget", id="n-configs-from-budget"),
         pytest.param(_task_variant("schoenberg-p15", n_points=1), (), "$.task.n_points", id="n-points-one"),
         pytest.param(_task_variant("schoenberg-p3-search", trials=0), (), "$.task.trials", id="schoenberg-trials"),
         pytest.param(_task_variant("klee-p4", trials=0), (), "$.task.trials", id="klee-trials"),

@@ -164,5 +164,5 @@ class TestInvariantNorm:
         c = norm.bound(n_samples=400, seed=0)
         eps = 1.0
         base = convexity_modulus(space, eps / c, budget=250, seed=1)
-        primed = convexity_modulus(space, eps, budget=250, seed=2, norm_fn=norm)
+        primed = convexity_modulus(space, eps, budget=250, seed=2, norm_fn=norm.norms)
         assert primed.delta >= base.delta - 2e-2

@@ -106,6 +106,9 @@ def test_provenance_records_the_resolved_tolerance(capsys):
         pytest.param(_variant("schoenberg-p15", s=[1.0, -2.0]), (), None, "$.task.s", id="s-negative"),
         pytest.param(_variant("schoenberg-p15", s=["abc"]), (), None, "$.task.s", id="s-text"),
         pytest.param(_variant("schoenberg-p15", s=[]), (), None, "$.task.s", id="s-empty"),
+        pytest.param(_variant("schoenberg-p15", n_points=10**7), (), None, "$.task.n_points", id="n-points-huge"),
+        pytest.param(_bundled("modulus-p2"), ("--budget", "0"), None, "--budget", id="budget-flag-zero"),
+        pytest.param(_bundled("swap-decompose"), ("--budget", "-5"), None, "--budget", id="budget-flag-negative"),
     ],
 )
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, monkeypatch, raw, flags, env, field):
@@ -133,3 +136,10 @@ def test_run_at_p1_is_refused(tmp_path, capsys, name):
     doc = json.loads(captured.out)
     assert code == 2 and doc["status"] == "refused"
     assert "p > 1" in doc["payload"]["error"]
+
+
+def test_bad_budget_refuses_a_sweep_once(capsys):
+    assert main(["sweep", "modulus-p2", "--p", "1.5,3", "--budget", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("--budget") == 1

@@ -6,8 +6,9 @@
 
 Exit codes: 0 = pass/not-applicable, 1 = fail, 2 = refused or invalid input.
 The environment variable LPLAB_SEED overrides the scenario seed; the --seed
-flag overrides both.  --tol overrides the task tolerance (task.tol, else the
-command's default).  Reports are deterministic for a fixed (scenario, seed):
+flag overrides both.  --tol and --budget each replace a task field (task.tol;
+the command's budget field, see README), which holds the file's value or else
+the command's default.  Reports are deterministic for a fixed (scenario, seed):
 identical runs produce byte-identical JSON.
 """
 
@@ -19,10 +20,9 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .errors import Refusal
 from .reports import report_csv_rows, sweep_csv
 from .scenario import ScenarioError, _integer, load_scenario
-from .tasks import execute, refused, sweep
+from .tasks import execute, sweep
 
 __all__ = ["main", "bundled_scenarios", "bundled_scenario_path"]
 
@@ -75,18 +75,17 @@ def _emit(args, name: str, json_text: str, csv_text: str | None):
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(_resolve_scenario(args.scenario))
-    seed = _effective_seed(args)
-    try:
-        report = execute(scenario, seed=seed, tol=args.tol, budget=args.budget)
-    except Refusal as exc:
-        report = refused(scenario, exc, seed=seed, tol=args.tol)
+    report = execute(scenario, seed=_effective_seed(args), tol=args.tol, budget=args.budget)
     _emit(args, f"{scenario.name}.{scenario.task['command']}", report.to_json(), report_csv_rows(report))
     return report.exit_code
 
 
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(_resolve_scenario(args.scenario))
-    p_values = [float(tok) for tok in args.p.split(",") if tok.strip()]
+    try:
+        p_values = [float(tok) for tok in args.p.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ScenarioError("--p", f"expected comma-separated numbers, got {args.p!r}") from exc
     cells = sweep(scenario, p_values, seed=_effective_seed(args), tol=args.tol, budget=args.budget)
     json_text = "".join(report.to_json() for _, report, _ in cells)
     csv_text = sweep_csv(cells)
@@ -111,7 +110,7 @@ def main(argv=None) -> int:
         sp.add_argument("scenario", help="scenario file path or bundled scenario name")
         sp.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         sp.add_argument("--tol", type=float, default=None, help="override the task tolerance")
-        sp.add_argument("--budget", type=int, default=None, help="override search/sample budgets")
+        sp.add_argument("--budget", type=int, default=None, help="replace the command's budget field (see README)")
         sp.add_argument("--out", default=None, help="directory to write report files")
         sp.add_argument("--format", choices=("json", "csv", "both"), default="json")
 
@@ -132,9 +131,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ScenarioError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
-        return 2
-    except Refusal as exc:
-        sys.stderr.write(f"refused: {exc}\n")
         return 2
 
 

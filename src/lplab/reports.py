@@ -86,6 +86,7 @@ class Report:
     payload: dict
     seed: int
     tolerances: dict
+    budget: dict | None = None  # the task field the --budget flag replaced and its value, if the flag was given
 
     def to_json(self) -> str:
         doc = {
@@ -99,6 +100,8 @@ class Report:
                 "version": __version__,
             },
         }
+        if self.budget:
+            doc["provenance"]["budget"] = self.budget
         return _serialize(doc) + "\n"
 
     @property

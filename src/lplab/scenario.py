@@ -1,41 +1,24 @@
 """Scenario files: the JSON schema and its translation into lab objects.
 
-A scenario is a JSON object with the fields
-
-    name            str
-    space           {"dim": int, "p": float, "weights": [float, ...]?}
-    group           {"kind": "table" | "presentation" | "permutations" | "product", ...}
-    representation  {"images": {gen: image-spec, ...}, "require_isometric": bool?}
-    cocycle         {"values": {gen: [float, ...]}}   (optional)
-    task            {"command": str, "tol": float?, ...task parameters}
-    seed            int >= 0?
-
-``task.tol`` is the task tolerance (the --tol flag beats it; without either the
-command's default applies).  A top-level ``tolerances`` object is refused, and
-so are ``representation.validate`` and ``cocycle.validate``: the group
-relations and the cocycle identity are always checked.
-
-Image specs: {"kind": "lamperti", "perm": [...], "signs": [...]?},
-{"kind": "matrix", "entries": [[...]]}, or
-{"kind": "permutation_action", "map": [...], "signs": [...]?} (the
-quasi-regular isometry of an atom permutation, weight-twisted).  ``perm`` and
-``map`` are permutations of 0..dim-1 given as integers; ``signs`` and
-``entries`` are finite numbers, not booleans.  Unless ``require_isometric`` is
-false, every image is read by the one isometry rule
-(:func:`lplab.lamperti.as_isometry`): exact for p != 2, where only signed
-weighted permutations are isometries; at p = 2 also any matrix with
-AᵀWA = W.  A monomial isometric ``matrix`` is read as the Lamperti image it
-is, so the ``mazur`` task accepts it.  Group specs:
-
-    table          {"table": [[int]], "identity": int, "generators": {name: int}, "k": [word]?}
-    presentation   {"generators": [name], "relators": [word]?, "k": [word]?}
-    permutations   {"generators": {name: [int]}, "k": [word]?}
-    product        {"factor1": <table|permutations spec>, "factor2": ..., "rename2": {name: name}?}
-
-A table is square with entries in 0..m-1, and the identity and generator
-indices lie in that range; permutation generators permute the same atoms.
-A product's K is its generators; a ``k`` of its own or of a factor is
-refused (give other words as ``task.k``).
+The schema is one table per object: ``_SCENARIO`` for the top level
+(``name``, ``space``, ``group``, ``task``, ``seed``, ``representation``,
+``cocycle``), ``_SPACE``, ``_GROUPS`` by ``kind`` (``_FACTORS`` for the two
+factors of a ``product``), ``_REPRESENTATION``, ``_IMAGES`` by ``kind``,
+``_COCYCLE``, and one per task command in ``_COMMANDS``, which also names the
+objects the command needs and the field the --budget flag replaces.  A table
+maps each field to its reader, its default and the reader's bounds
+(:func:`_read`).  :func:`parse_scenario` reads every field once, in table
+order, before any task runs.  A key that its object's table does not name is
+refused at its path (exit 2), so a misspelled field never runs on its
+default.  ``tolerances``, ``representation.validate``, ``cocycle.validate``
+and the ``k`` of a product or of its factors (a product's K is its
+generators; give other words as ``task.k``) are refused where given.  The
+size fields are capped (``space.dim`` at MAX_DIM, ``space.p`` at MAX_P, the
+sample and search budgets at MAX_SAMPLES) and refused before anything is
+allocated.  ``task.tol`` is the task tolerance (the --tol flag beats it;
+without either the command's default applies).  Unless ``require_isometric``
+is false, every image is read by the one isometry rule
+(:func:`lplab.lamperti.as_isometry`).
 
 Validation failures raise :class:`ScenarioError` carrying the offending
 field path.
@@ -45,32 +28,26 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from collections import namedtuple
+from functools import partial
+from types import FunctionType
 
 import numpy as np
 
-from .cocycle import Cocycle
-from .groups import PresentedGroup, TableGroup, group_from_permutations, product_group
+from .cocycle import Cocycle, _a_word_count
+from .gap import MAX_RESTARTS
+from .geometry import MAX_POINTS
+from .groups import PresentedGroup, ProductGroup, TableGroup, check_word, group_from_permutations, product_group
 from .lamperti import LampertiIsometry
 from .representation import Representation
 from .spaces import LpSpace
 
-__all__ = ["ScenarioError", "Scenario", "load_scenario", "parse_scenario"]
+__all__ = ["MAX_DIM", "MAX_P", "MAX_SAMPLES", "ScenarioError", "Scenario", "load_scenario", "parse_scenario"]
 
-_COMMANDS = (
-    "decompose",
-    "gap",
-    "fixpoint",
-    "cobound",
-    "induce",
-    "split",
-    "superrigid",
-    "mazur",
-    "schoenberg",
-    "modulus",
-    "klee",
-    "displacement",
-    "mautner",
-)
+# size caps: each bundled scenario with a field at its cap runs in under 10 s (BENCH_scenario_schema.json)
+MAX_DIM = 1024
+MAX_P = 256.0  # the lp kernels sum w_i |x_i|^p unscaled, which over- or underflows at p of a few hundred
+MAX_SAMPLES = 100_000  # the sample and search budgets
 
 
 class ScenarioError(ValueError):
@@ -79,6 +56,9 @@ class ScenarioError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+# -- readers: reader(value, path, *bounds) returns the typed value or raises ScenarioError at path ----------------
 
 
 def _object(value, path: str) -> dict:
@@ -94,8 +74,31 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _finite(value, path: str) -> np.ndarray:
-    """``value`` as a float array; non-numeric (booleans too) or non-finite entries are refused at ``path``."""
+def _optional(read):
+    """``read``, except that null stands for the absent field."""
+    return lambda value, path, *bounds: None if value is None else read(value, path, *bounds)
+
+
+def _refused(value, path: str, message: str):
+    """A field that is no longer read: any value is refused at ``path`` with ``message``."""
+    raise ScenarioError(path, message)
+
+
+def _typed(value, path: str, kind: type):
+    if not isinstance(value, kind):
+        raise ScenarioError(path, f"expected {'a string' if kind is str else 'true or false'}, got {value!r}")
+    return value
+
+
+def _choice(value, path: str, *options) -> str:
+    if not (isinstance(value, str) and value in options):
+        raise ScenarioError(path, f"unknown value {value!r}; expected one of {options}")
+    return value
+
+
+def _finite(value, path: str, shape: tuple | None = None) -> np.ndarray:
+    """``value`` as a float array (of ``shape``, if given); non-numeric (booleans too) or non-finite entries are
+    refused at ``path``."""
     items = [value]
     while items:
         item = items.pop()
@@ -109,6 +112,32 @@ def _finite(value, path: str) -> np.ndarray:
         raise ScenarioError(path, f"expected numbers: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise ScenarioError(path, "non-finite number")
+    if shape is not None and arr.shape != shape:
+        raise ScenarioError(path, f"expected {shape[0]} numbers, got shape {arr.shape}")
+    return arr
+
+
+def _positive(value, path: str) -> float:
+    """``value`` as a finite positive number; anything else is refused at ``path``."""
+    number = _finite(value, path)
+    if number.ndim != 0 or not number > 0.0:
+        raise ScenarioError(path, f"expected a positive number, got {value!r}")
+    return float(number)
+
+
+def _exponent(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 1.0 <= value <= MAX_P:
+        raise ScenarioError(path, f"exponent p must be a number in [1, {MAX_P:g}], got {value!r}")
+    return float(value)
+
+
+def _grid(value, path: str, hi: float = np.inf, increasing: bool = False) -> np.ndarray:
+    """``value``, a nonempty list of numbers in (0, hi] (strictly increasing, if asked), as an array."""
+    arr = _finite(value, path)
+    if arr.ndim != 1 or arr.size == 0 or np.any(arr <= 0.0) or np.any(arr > hi):
+        raise ScenarioError(path, f"expected a nonempty list of numbers in (0, {hi:g}]")
+    if increasing and np.any(np.diff(arr) <= 0.0):
+        raise ScenarioError(path, "values must be strictly increasing")
     return arr
 
 
@@ -124,11 +153,33 @@ def _integer(value, path: str, lo: int, hi: int | None = None) -> int:
     return value
 
 
-def _words(value, path: str, nonempty: bool = False) -> list:
-    """``value`` if it is a (nonempty, if asked) list of strings; anything else is refused at ``path``."""
-    if not (isinstance(value, list) and (value or not nonempty) and all(isinstance(w, str) for w in value)):
-        raise ScenarioError(path, f"expected a {'nonempty ' if nonempty else ''}list of words, got {value!r}")
-    return value
+def _indices(value, path: str, hi: int | None = None) -> list:
+    """``value``, a list of integers in [0, hi]; refused at ``path``."""
+    if not isinstance(value, list):
+        raise ScenarioError(path, f"expected a list of integers, got {value!r}")
+    return [_integer(i, path, 0, hi) for i in value]
+
+
+def _map(value, path: str, *bounds, item) -> dict:
+    """``value``, an object whose every entry is read as item(entry, path.<name>, *bounds)."""
+    return {name: item(entry, f"{path}.{name}", *bounds) for name, entry in _object(value, path).items()}
+
+
+def _permutation(value, path: str, n: int) -> np.ndarray:
+    """``value``, a permutation of 0..n-1 given as a list of integers; refused at ``path``."""
+    perm = _indices(value, path, n - 1)
+    if sorted(perm) != list(range(n)):
+        raise ScenarioError(path, f"not a permutation of 0..{n - 1}: {perm}")
+    return np.array(perm)
+
+
+def _permutations(value, path: str) -> dict:
+    """``value``, a nonempty object mapping names to permutations of the same atoms."""
+    if not _object(value, path):
+        raise ScenarioError(path, "expected at least one generator")
+    first = next(iter(value.values()))
+    degree = len(first) if isinstance(first, list) and first else 1  # a wrong first entry is refused below
+    return _map(value, path, degree, item=_permutation)
 
 
 def _table(value, path: str) -> np.ndarray:
@@ -139,16 +190,222 @@ def _table(value, path: str) -> np.ndarray:
     return np.array([[_integer(entry, path, 0, m - 1) for entry in row] for row in value])
 
 
+def _words(value, path: str, generators=None, nonempty: bool = False, names: bool = False) -> list:
+    """``value`` if it is a list of words (nonempty, or of generator names, if asked) over ``generators``, if
+    given; anything else is refused at ``path``."""
+    kind = "list of generator names" if names else f"{'nonempty ' if nonempty else ''}list of words"
+    if not (isinstance(value, list) and (value or not nonempty) and all(
+            isinstance(w, str) and (not names or len(w) == 1 and w.islower()) for w in value)):
+        raise ScenarioError(path, f"expected a {kind}, got {value!r}")
+    for word in value if generators is not None else ():
+        _built(path, check_word, generators, word)
+    return value
+
+
+def _word(value, path: str, generators) -> str:
+    return _words([value], path, generators, True)[0]
+
+
+def _radius(value, path: str, n_gens: int) -> int:
+    """An A-word radius: an integer >= 1 whose ball over ``n_gens`` generators holds at most MAX_A_WORDS words."""
+    radius = _integer(value, path, 1)
+    _built(path, _a_word_count, n_gens, radius)
+    return radius
+
+
+def _built(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError it raises is refused at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from exc
+
+
+# -- the tables -------------------------------------------------------------------------------------------------
+
+
+def _read(obj, path: str, table: dict, ctx: dict | None = None) -> dict:
+    """The fields of the object ``obj`` that ``table`` names, each read once, in table order.
+
+    Each entry is (reader, default, *bounds).  A key of ``obj`` that the table does not name is refused at its
+    path before any field is read.  A field's value, or its default when it is absent (``...``: the field is
+    required), is read as reader(value, path, *bounds); an absent field whose default is None stays None.  A
+    default or bound that is a function is first called with ``ctx`` updated by the fields read so far.
+    """
+    for key in _object(obj, path):
+        if key not in table:
+            known = [name for name, entry in table.items() if entry[0] is not _refused]
+            raise ScenarioError(f"{path}.{key}", f"unknown field; expected one of {known}")
+    ctx = dict(ctx or {})
+    for key, entry in table.items():
+        default = entry[1]
+        value = obj[key] if key in obj else default(ctx) if isinstance(default, FunctionType) else default
+        if value is ...:
+            raise ScenarioError(f"{path}.{key}", "missing required field")
+        ctx[key] = value if key not in obj and value is None else _field(entry, value, f"{path}.{key}", ctx)
+    return {key: ctx[key] for key in table}
+
+
+def _field(entry: tuple, value, path: str, ctx: dict):
+    """``value`` read by the table entry ``entry`` at ``path``."""
+    read, _, *bounds = entry
+    return read(value, path, *(b(ctx) if isinstance(b, FunctionType) else b for b in bounds))
+
+
+def _kind(obj, path: str, tables: dict, ctx: dict | None = None) -> dict:
+    """:func:`_read` with the table of ``tables`` that ``obj["kind"]`` names."""
+    return _read(obj, path, tables[_choice(_need(obj, "kind", path), f"{path}.kind", *tables)], ctx)
+
+
+def _dim(ctx):
+    return ctx["space"].dim
+
+
+def _gens(ctx):
+    return ctx["group"].generators
+
+
+def _space(value, path: str) -> LpSpace:
+    space = _read(value, path, _SPACE)
+    # dim and p hold here: the weights are at fault
+    return _built(f"{path}.weights", LpSpace, space["dim"], space["p"], space["weights"])
+
+
+def _group(value, path: str, factor: bool = False):
+    spec = _kind(value, path, _FACTORS if factor else _GROUPS)
+    kind = spec["kind"]
+    try:
+        if kind == "table":
+            return TableGroup(spec["table"], spec["identity"], spec["generators"], k_set=spec["k"])
+        if kind == "presentation":
+            return PresentedGroup(spec["generators"], spec["relators"], k_set=spec["k"])
+        if kind == "permutations":
+            return group_from_permutations(spec["generators"], k_set=spec["k"])[0]
+        if not isinstance(spec["factor1"], TableGroup) or not isinstance(spec["factor2"], TableGroup):
+            raise ValueError("product factors must be table-backed groups")
+        return product_group(spec["factor1"], spec["factor2"], rename2=spec["rename2"])
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from exc
+
+
+def _image(value, path: str, ctx: dict):
+    spec = _kind(value, path, _IMAGES, ctx)
+    if spec["kind"] == "matrix":
+        return spec["entries"]
+    # a map moves atoms; coordinates pull back along it
+    perm = spec["perm"] if spec["kind"] == "lamperti" else np.argsort(spec["map"])
+    # the permutation holds: the signs are at fault
+    return _built(f"{path}.signs", LampertiIsometry, perm, spec["signs"], ctx["space"], ctx["space"])
+
+
+def _command(value, path: str) -> str:
+    """The task's command; its other fields are read last, by :func:`parse_scenario`."""
+    return _choice(_need(value, "command", path), f"{path}.command", *_COMMANDS)
+
+
+def _factor(i: int) -> tuple:
+    """A list of generator names; by default a product group's i-th factor generators, required on other groups."""
+    return (_words, lambda ctx: list(ctx["group"].factor_generators[i]) if isinstance(ctx["group"], ProductGroup)
+            else ..., _gens, False, True)
+
+
+_KIND = (_typed, ..., str)  # a kind or command, already checked by _kind or _command
+_PRODUCT_K = "a product's K is its generators; give other words as task.k"
+
+_SPACE = {"dim": (_integer, ..., 1, MAX_DIM), "p": (_exponent, ...), "weights": (_optional(_finite), None)}
+_GROUPS = {
+    "table": {"kind": _KIND, "k": (_optional(_words), None, None, True), "table": (_table, ...),
+              "identity": (_integer, ..., 0, lambda ctx: len(ctx["table"]) - 1),
+              "generators": (partial(_map, item=_integer), ..., 0, lambda ctx: len(ctx["table"]) - 1)},
+    "permutations": {"kind": _KIND, "k": (_optional(_words), None, None, True), "generators": (_permutations, ...)},
+    "presentation": {"kind": _KIND, "k": (_optional(_words), None, None, True), "generators": (_words, ...),
+                     "relators": (_words, [])},
+}
+_FACTORS = {kind: {**fields, "k": (_refused, None, _PRODUCT_K)} for kind, fields in _GROUPS.items()}
+_GROUPS["product"] = {"kind": _KIND, "k": (_refused, None, _PRODUCT_K), "factor1": (_group, ..., True),
+                      "factor2": (_group, ..., True), "rename2": (lambda value, path: value, None)}
+_SIGNS = (_finite, lambda ctx: np.ones(_dim(ctx)))
+_IMAGES = {
+    "lamperti": {"kind": _KIND, "perm": (_permutation, ..., _dim), "signs": _SIGNS},
+    "permutation_action": {"kind": _KIND, "map": (_permutation, ..., _dim), "signs": _SIGNS},
+    "matrix": {"kind": _KIND, "entries": (_finite, ...)},
+}
+_REPRESENTATION = {"validate": (_refused, None, "no longer read; the group relations are always checked"),
+                   "images": (partial(_map, item=_image), ..., lambda ctx: ctx),
+                   "require_isometric": (_typed, True, bool)}
+_COCYCLE = {"validate": (_refused, None, "no longer read; the cocycle identity is always checked"),
+            "values": (partial(_map, item=_finite), ...)}
+_SCENARIO = {
+    "name": (_typed, ..., str),
+    "space": (_space, ...),
+    "group": (_group, ...),
+    "task": (_command, ...),
+    "seed": (_integer, 0, 0),
+    "tolerances": (_refused, None, "no longer read; give the task tolerance as task.tol"),
+    "representation": (_read, None, _REPRESENTATION, lambda ctx: ctx),
+    "cocycle": (_read, None, _COCYCLE),
+}
+
+
+# a command's task fields, the objects it needs, and (task, B) -> (field, value) for the --budget flag B
+_Command = namedtuple("_Command", "fields needs budget")
+
+
+def _task(tol, needs, by_budget=None, **fields) -> _Command:
+    """A command's table; ``tol`` is its default tolerance (None: it checks against none)."""
+    return _Command({"command": _KIND, "tol": (_positive, tol), **fields}, needs, by_budget)
+
+
+_K = (_optional(_words), None, _gens, True)  # task words; absent or null: the group's K
+_SUBGROUP = {"subgroup": (_indices, ..., lambda ctx: ctx["group"].order - 1 if isinstance(ctx["group"], TableGroup)
+                          else None), "subgroup_generators": (partial(_map, item=_integer), ..., 0)}
+_COMMANDS = {
+    "decompose": _task(None, ("representation",)),
+    "gap": _task(None, ("representation",), lambda task, b: ("restarts", min(MAX_RESTARTS, max(4, b // 25))),
+                 restarts=(_integer, 16, 1, MAX_RESTARTS), k=_K),
+    "fixpoint": _task(1e-6, ("cocycle",), method=(_choice, "circumcenter", "circumcenter", "fisher-margulis"),
+                      x0=(_finite, lambda ctx: np.zeros(_dim(ctx)), lambda ctx: (_dim(ctx),)), k=_K,
+                      c=(_positive, 1.0), max_iter=(_integer, 60, 0)),
+    "cobound": _task(1e-8, ("cocycle",)),
+    "induce": _task(1e-8, ("representation",), **_SUBGROUP),
+    "split": _task(1e-8, ("representation", "cocycle"), factor1=_factor(0), factor2=_factor(1),
+                   gap_threshold=(_positive, 0.01)),
+    "superrigid": _task(1e-8, ("representation", "cocycle"), **_SUBGROUP, gap_threshold=(_positive, 0.01)),
+    "mazur": _task(None, ("representation",), n_samples=(_integer, 50, 1, MAX_SAMPLES)),
+    "schoenberg": _task(None, (), lambda task, b: ("n_configs" if task["mode"] == "random" else "trials", b),
+                        mode=(_choice, lambda ctx: "random" if ctx["space"].p <= 2.0 else "search", "random", "search"),
+                        n_configs=(_integer, 200, 1, MAX_SAMPLES), n_points=(_integer, 6, 2, MAX_POINTS),
+                        s=(_grid, [0.1, 1.0, 10.0]), trials=(_integer, 2000, 1, MAX_SAMPLES)),
+    "modulus": _task(None, (), lambda task, b: ("budget", b), eps_grid=(_grid, [0.25, 0.5, 1.0, 1.5, 2.0], 2.0, True),
+                     budget=(_integer, 300, 1, MAX_SAMPLES)),
+    "klee": _task(None, (), lambda task, b: ("trials", b), trials=(_integer, 200, 1, MAX_SAMPLES)),
+    "displacement": _task(1e-6, ("cocycle",), factor_a=_factor(0), factor_h=_factor(1),
+                          radius=(_radius, 6, lambda ctx: len(ctx["factor_a"])), k_h=_K),
+    "mautner": _task(1e-6, ("cocycle",), g=(_word, "g", _gens), h=(_word, "h", _gens),
+                     n_max=(_integer, 12, 0, MAX_SAMPLES)),
+}
+
+
 @dataclass(eq=False)
 class Scenario:
     name: str
     space: LpSpace
     group: object
-    representation: Representation | None
+    representation: Representation | None  # over ``group``; None for an induction task, which builds its own
     cocycle: Cocycle | None
-    task: dict
+    task: dict  # every field of the command's table, typed, with its default where the file gives none
     seed: int
     raw: dict
+    specs: tuple  # the read ``representation`` and ``cocycle`` objects, None where absent
+
+    def action(self, group) -> tuple:
+        """The representation and cocycle the file gives, built over ``group`` (None where absent)."""
+        rep_spec, coc_spec = self.specs
+        if coc_spec is not None and rep_spec is None:
+            raise ScenarioError("$.cocycle", "cocycle requires a representation")
+        rep = None if rep_spec is None else _built("$.representation", Representation, group, self.space,
+                                                   rep_spec["images"], require_isometric=rep_spec["require_isometric"])
+        return rep, None if coc_spec is None else _built("$.cocycle", Cocycle, rep, coc_spec["values"])
 
     def with_exponent(self, p: float) -> "Scenario":
         raw = json.loads(json.dumps(self.raw))
@@ -167,164 +424,19 @@ def load_scenario(path) -> Scenario:
 
 
 def parse_scenario(raw: dict) -> Scenario:
+    """Read every field of ``raw`` in the order of the tables: the top level (building the space and the group),
+    the representation and cocycle (built here unless the task is an induction), the objects the command needs,
+    and last the task fields."""
     if not isinstance(raw, dict):
         raise ScenarioError("$", "scenario must be a JSON object")
-    name = _need(raw, "name", "$")
-    space = _build_space(_need(raw, "space", "$"))
-    group = _build_group(_need(raw, "group", "$"))
-    task = _need(raw, "task", "$")
-    command = _need(task, "command", "$.task")
-    if command not in _COMMANDS:
-        raise ScenarioError("$.task.command", f"unknown command {command!r}; expected one of {_COMMANDS}")
-    seed = _integer(raw.get("seed", 0), "$.seed", 0)
-    if "tolerances" in raw:
-        raise ScenarioError("$.tolerances", "no longer read; give the task tolerance as task.tol")
-
-    rep = None
-    cocycle = None
-    if command not in ("induce", "superrigid"):
-        # induction tasks interpret the representation/cocycle over the
-        # subgroup named in the task parameters; built in the task layer
-        if "representation" in raw:
-            rep = _build_representation(raw["representation"], space, group)
-        if "cocycle" in raw:
-            if rep is None:
-                raise ScenarioError("$.cocycle", "cocycle requires a representation")
-            cocycle = _build_cocycle(raw["cocycle"], rep)
-    return Scenario(
-        name=name,
-        space=space,
-        group=group,
-        representation=rep,
-        cocycle=cocycle,
-        task=task,
-        seed=seed,
-        raw=raw,
-    )
-
-
-def _build_space(spec: dict) -> LpSpace:
-    dim = _integer(_need(spec, "dim", "$.space"), "$.space.dim", 1)
-    p = _need(spec, "p", "$.space")
-    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 1.0 <= p < np.inf:
-        raise ScenarioError("$.space.p", f"exponent p must be a number in [1, inf), got {p!r}")
-    weights = spec.get("weights")
-    if weights is not None:
-        weights = _finite(weights, "$.space.weights")
-    try:
-        return LpSpace(dim, float(p), weights)
-    except ValueError as exc:  # dim and p hold here: the weights are at fault
-        raise ScenarioError("$.space.weights", str(exc)) from exc
-
-
-def _build_plain_group(spec: dict, path: str):
-    kind = _need(spec, "kind", path)
-    if kind not in ("table", "permutations", "presentation"):
-        raise ScenarioError(f"{path}.kind", f"unknown group kind {kind!r}")
-    k_set = spec.get("k")
-    if k_set is not None:
-        _words(k_set, f"{path}.k", nonempty=True)
-    try:
-        if kind == "presentation":
-            gens = _words(_need(spec, "generators", path), f"{path}.generators")
-            return PresentedGroup(gens, _words(spec.get("relators", []), f"{path}.relators"), k_set=k_set)
-        gens = _object(_need(spec, "generators", path), f"{path}.generators")
-        if kind == "table":
-            table = _table(_need(spec, "table", path), f"{path}.table")
-            identity = _integer(_need(spec, "identity", path), f"{path}.identity", 0, len(table) - 1)
-            gens = {name: _integer(g, f"{path}.generators.{name}", 0, len(table) - 1) for name, g in gens.items()}
-            return TableGroup(table, identity, gens, k_set=k_set)
-        if not gens:
-            raise ScenarioError(f"{path}.generators", "expected at least one generator")
-        first = next(iter(gens.values()))
-        degree = len(first) if isinstance(first, list) and first else 1  # a wrong first entry is refused below
-        gens = {name: _permutation(gens, name, f"{path}.generators", degree) for name in gens}
-        return group_from_permutations(gens, k_set=k_set)[0]
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
-
-
-_PRODUCT_K = "a product's K is its generators; give other words as task.k"
-
-
-def _build_group(spec: dict):
-    kind = _need(spec, "kind", "$.group")
-    if kind == "product":
-        if "k" in spec:
-            raise ScenarioError("$.group.k", _PRODUCT_K)
-        factors = []
-        for key in ("factor1", "factor2"):
-            path = f"$.group.{key}"
-            factor = _need(spec, key, "$.group")
-            if "k" in _object(factor, path):
-                raise ScenarioError(f"{path}.k", _PRODUCT_K)
-            factors.append(_build_plain_group(factor, path))
-        g1, g2 = factors
-        if not isinstance(g1, TableGroup) or not isinstance(g2, TableGroup):
-            raise ScenarioError("$.group", "product factors must be table-backed groups")
-        try:
-            return product_group(g1, g2, rename2=spec.get("rename2"))
-        except ValueError as exc:
-            raise ScenarioError("$.group", str(exc)) from exc
-    return _build_plain_group(spec, "$.group")
-
-
-def _permutation(spec: dict, key: str, path: str, dim: int) -> np.ndarray:
-    """``spec[key]``, a permutation of 0..dim-1 given as a list of integers; refused at ``path.key``."""
-    perm = _need(spec, key, path)
-    path = f"{path}.{key}"
-    if not isinstance(perm, list):
-        raise ScenarioError(path, f"expected a list of integers, got {perm!r}")
-    perm = [_integer(i, path, 0, dim - 1) for i in perm]
-    if sorted(perm) != list(range(dim)):
-        raise ScenarioError(path, f"not a permutation of 0..{dim - 1}: {perm}")
-    return np.array(perm)
-
-
-def _build_image(spec: dict, space: LpSpace, path: str):
-    kind = _need(spec, "kind", path)
-    if kind == "matrix":
-        return _finite(_need(spec, "entries", path), f"{path}.entries")
-    if kind == "lamperti":
-        perm = _permutation(spec, "perm", path, space.dim)
-    elif kind == "permutation_action":
-        perm = np.argsort(_permutation(spec, "map", path, space.dim))  # coordinates pull back along the map
-    else:
-        raise ScenarioError(f"{path}.kind", f"unknown image kind {kind!r}")
-    signs = _finite(spec.get("signs", np.ones(space.dim)), f"{path}.signs")
-    try:
-        return LampertiIsometry(perm, signs, space, space)
-    except ValueError as exc:  # the permutation holds: the signs are at fault
-        raise ScenarioError(f"{path}.signs", str(exc)) from exc
-
-
-def _build_representation(spec: dict, space: LpSpace, group) -> Representation:
-    if "validate" in _object(spec, "$.representation"):
-        raise ScenarioError("$.representation.validate", "no longer read; the group relations are always checked")
-    images_spec = _object(_need(spec, "images", "$.representation"), "$.representation.images")
-    images = {
-        name: _build_image(img, space, f"$.representation.images.{name}")
-        for name, img in images_spec.items()
-    }
-    isometric = spec.get("require_isometric", True)
-    if not isinstance(isometric, bool):
-        raise ScenarioError("$.representation.require_isometric", f"expected true or false, got {isometric!r}")
-    try:
-        return Representation(group, space, images, require_isometric=isometric)
-    except ValueError as exc:
-        raise ScenarioError("$.representation", str(exc)) from exc
-
-
-def _build_cocycle(spec: dict, rep: Representation) -> Cocycle:
-    if "validate" in _object(spec, "$.cocycle"):
-        raise ScenarioError("$.cocycle.validate", "no longer read; the cocycle identity is always checked")
-    values = _need(spec, "values", "$.cocycle")
-    if not isinstance(values, dict):
-        raise ScenarioError("$.cocycle.values", "expected an object mapping generators to vectors")
-    values = {gen: _finite(vec, f"$.cocycle.values.{gen}") for gen, vec in values.items()}
-    try:
-        return Cocycle(rep, values)
-    except ValueError as exc:
-        raise ScenarioError("$.cocycle", str(exc)) from exc
+    top = _read(raw, "$", _SCENARIO)
+    scenario = Scenario(top["name"], top["space"], top["group"], None, None, {}, top["seed"], raw,
+                        (top["representation"], top["cocycle"]))
+    if top["task"] not in ("induce", "superrigid"):  # these build theirs over the subgroup the task names
+        scenario.representation, scenario.cocycle = scenario.action(scenario.group)
+    command = _COMMANDS[top["task"]]
+    for field in command.needs:
+        if top[field] is None:
+            raise ScenarioError(f"$.{field}", f"this task requires a {field}")
+    scenario.task = _read(raw["task"], "$.task", command.fields, top)
+    return scenario

@@ -17,8 +17,8 @@ from .errors import Refusal
 from .gap import kazhdan_gap
 from .groups import TableGroup
 from .reports import Checked, check
-from .representation import Representation, canonical_complement, letter_steps
-from .spaces import as_vector
+from .representation import Representation, _act, _compose, _dense, _identity, canonical_complement, letter_steps
+from .spaces import as_vector, norms
 
 __all__ = [
     "Cocycle",
@@ -59,11 +59,12 @@ class Cocycle:
         if set(values) != names:
             raise ValueError(f"cocycle values must be given exactly for generators {sorted(names)}")
         self.values = {name: as_vector(v, dim) for name, v in values.items()}
-        # the letter table, in the order of rep.letter_matrices: c(s), and c(s^-1) = -rho(s)^-1 c(s)
+        # the letter table, in the order of rep.letters: c(s), and c(s^-1) = -rho(s)^-1 c(s), where 0.0 - x is
+        # the product (-rho(s)^-1) c(s) bit for bit (no -0.0)
         self.letter_values = {}
         for name in rep.generator_names:
             val = self.values[name]
-            self.letter_values[name], self.letter_values[name.upper()] = val, -rep.letter_matrices[name.upper()] @ val
+            self.letter_values[name], self.letter_values[name.upper()] = val, 0.0 - _act(rep.letters[name.upper()], val)
         if validate and self.relator_residual > _COCYCLE_TOL:
             raise ValueError(
                 f"cocycle identity violated: residual {self.relator_residual:.3e} > {_COCYCLE_TOL:.0e}"
@@ -77,15 +78,16 @@ class Cocycle:
         """(rho(w), c(w)) for a word (uppercase letters = inverses), from one pass over its letters.
 
         c(w) sums rho(prefix) c(letter) over the letters; the prefix products
-        are the ones :meth:`Representation.operator` forms, in the same order.
+        are the ones :meth:`Representation.operator` forms, in the same order,
+        and rho(w) is densified once.
         """
-        mats = self.rep.letter_matrices
+        letters = self.rep.letters
         out = np.zeros(self.space.dim)
-        prefix = np.eye(self.space.dim)
+        prefix = _identity(self.space.dim, self.rep.monomial)
         for letter, val in zip(word, letter_steps(self.letter_values, word)):
-            out = out + prefix @ val
-            prefix = prefix @ mats[letter]
-        return prefix, out
+            out = out + _act(prefix, val)
+            prefix = _compose(prefix, letters[letter])
+        return (_dense(prefix) if self.rep.monomial else prefix), out
 
     def value(self, word: str) -> np.ndarray:
         """Extension of the cocycle along a word (uppercase letters = inverses)."""
@@ -113,10 +115,13 @@ class Cocycle:
         rep = self.rep
         if not isinstance(rep.group, TableGroup):
             raise ValueError("element enumeration needs a table-backed group")
-        mats = rep.element_matrices()
+        tree = rep.group.bfs_tree()
+        # rho(g) c(x) for every tree edge (g, x, gx) at once; the sums then run down the tree
+        steps = rep.element_apply([g for g, _, _ in tree],
+                                  np.array([self.letter_values[x] for _, x, _ in tree]).reshape(len(tree), -1))
         vals = {rep.group.identity: np.zeros(rep.space.dim)}
-        for g, letter, gx in rep.group.bfs_tree():
-            vals[gx] = vals[g] + mats[g] @ self.letter_values[letter]
+        for (g, _, gx), step in zip(tree, steps):
+            vals[gx] = vals[g] + step
         return vals
 
     def seminorm(self, k_words=None) -> float:
@@ -128,17 +133,14 @@ class Cocycle:
         """Worst deviation from the cocycle identity, computed when first read (at construction if validated)."""
         rep = self.rep
         if isinstance(rep.group, TableGroup):
-            # consistency of the extension over the whole Cayley graph
+            # consistency of the extension over the whole Cayley graph: every edge g -> gh, one row each, measured
+            # by one stacked norms call (equal to LpSpace.norm row by row)
+            group, every = rep.group, np.arange(rep.group.order)
             vals = self.element_values()
-            mats = rep.element_matrices()
-            worst = 0.0
-            for g in range(rep.group.order):
-                for name in rep.generator_names:
-                    h = rep.group.generators[name]
-                    gh = rep.group.mult(g, h)
-                    dev = mats[g] @ self.values[name] + vals[g] - vals[gh]
-                    worst = max(worst, self.space.norm(dev))
-            return worst
+            stacked = np.array([vals[g] for g in every])
+            devs = [rep.element_apply(every, self.values[s]) + stacked - stacked[group.table[:, group.generators[s]]]
+                    for s in rep.generator_names]
+            return float(np.max(norms(self.space.weights, self.space.p, np.concatenate(devs))))
         worst = 0.0
         for rel in rep.group.relators:
             worst = max(worst, self.space.norm(self.value(rel)))
@@ -148,7 +150,7 @@ class Cocycle:
 def coboundary_of(rep: Representation, v) -> Cocycle:
     """The coboundary cocycle c(g) = v - rho(g) v."""
     v = as_vector(v, rep.space.dim)
-    values = {name: v - rep.generator_matrix(name) @ v for name in rep.generator_names}
+    values = {name: v - _act(rep.letters[name], v) for name in rep.generator_names}
     return Cocycle(rep, values)
 
 
@@ -220,13 +222,13 @@ def _orbit_growth(cocycle: Cocycle, x0: np.ndarray, cap: int):
 
     A step with no new point closes the ball, which is then the whole orbit, and ends the growth.
     """
-    steps = [(mat, cocycle.letter_values[letter]) for letter, mat in cocycle.rep.letter_matrices.items()]
+    steps = [(op, cocycle.letter_values[letter]) for letter, op in cocycle.rep.letters.items()]
     points, frontier, diams = [x0], [x0], [0.0]
     while frontier:
         start = len(points)
         for x in frontier:
-            for mat, shift in steps:
-                y = mat @ x + shift
+            for op, shift in steps:
+                y = _act(op, x) + shift
                 if _is_new(y, points):
                     points.append(y)
         if len(points) > cap:
@@ -241,10 +243,10 @@ def _orbit_of(cocycle: Cocycle, x0: np.ndarray) -> tuple:
     by ``_ORBIT_RADIUS``, bounded when it closes or its diameter stalls for three radii (a heuristic)."""
     rep = cocycle.rep
     if isinstance(rep.group, TableGroup):
-        mats, vals = rep.element_matrices(), cocycle.element_values()
+        images, vals = rep.element_apply(np.arange(rep.group.order), x0), cocycle.element_values()
         points = []
         for g in range(rep.group.order):
-            y = mats[g] @ x0 + vals[g]
+            y = images[g] + vals[g]
             if _is_new(y, points):
                 points.append(y)
         return np.array(points), _diameter(points, cocycle.space), True
@@ -345,16 +347,16 @@ def displacement_bound_check(
 
     # the A-words depth first along their tree, (rho(wx), c(wx)) = (rho(w) rho(x), c(w) + rho(w) c(x)) for a
     # letter x: the products Cocycle.walk forms
-    steps = [(rep.letter_matrices[x], cocycle.letter_values[x]) for x in list(gens_a) + [g.upper() for g in gens_a]]
+    steps = [(rep.letters[x], cocycle.letter_values[x]) for x in list(gens_a) + [g.upper() for g in gens_a]]
     proj = complement.proj_complement
     worst = worst_comp = 0.0
-    stack = [(0, eye, np.zeros(space.dim))]
+    stack = [(0, _identity(space.dim, rep.monomial), np.zeros(space.dim))]
     while stack:
-        depth, mat, val = stack.pop()
+        depth, op, val = stack.pop()
         worst = max(worst, space.norm(val))
         worst_comp = max(worst_comp, space.norm(proj @ val))
         if depth < a_radius:
-            stack.extend((depth + 1, mat @ step, val + mat @ shift) for step, shift in steps)
+            stack.extend((depth + 1, _compose(op, step), val + _act(op, shift)) for step, shift in steps)
     return DisplacementReport(
         checks=(ident_check, check("a_norm_within_bound", worst, bound + tol)),
         applicable=True,

@@ -26,7 +26,15 @@ __all__ = [
     "symmetric_group_3",
     "product_group",
     "group_from_permutations",
+    "MAX_ORDER",
+    "GroupTooLarge",
 ]
+
+MAX_ORDER = 1024  # group elements, as many as MAX_DIM coordinates; a table holds MAX_ORDER² entries
+
+
+class GroupTooLarge(ValueError):
+    """A group with more than MAX_ORDER elements, refused before its table is built."""
 
 
 def invert_word(word: str) -> str:
@@ -228,7 +236,9 @@ def group_from_permutations(perms: dict, k_set=None) -> tuple:
     """Build a TableGroup from generator permutations acting on 0..n-1.
 
     Returns (group, action) where ``action`` maps each element index to its
-    permutation array (composition convention: (pq)(x) = p(q(x))).
+    permutation array (composition convention: (pq)(x) = p(q(x))).  The
+    closure stops with :class:`GroupTooLarge` as soon as it passes
+    MAX_ORDER elements.
     """
     gens = {name: np.asarray(p, dtype=int) for name, p in perms.items()}
     n = len(next(iter(gens.values())))
@@ -244,6 +254,8 @@ def group_from_permutations(perms: dict, k_set=None) -> tuple:
             for prod, on_right in ((arrays[i][garr], True), (garr[arrays[i]], False)):  # i g, then g i
                 key = tuple(prod.tolist())
                 if key not in elems:
+                    if len(arrays) == MAX_ORDER:
+                        raise GroupTooLarge(f"the permutations generate more than MAX_ORDER = {MAX_ORDER} elements")
                     elems[key] = len(arrays)
                     arrays.append(prod)
                     tree.append((i, name, on_right))
@@ -302,9 +314,12 @@ def product_group(g1: TableGroup, g2: TableGroup, rename2: dict | None = None) -
 
     Factor-2 generators are renamed to avoid clashes: ``rename2`` maps each
     of them to a distinct single lowercase letter that names no factor-1
-    generator; without it the next free letters are used.
+    generator; without it the next free letters are used.  A product of more
+    than MAX_ORDER elements is refused with :class:`GroupTooLarge`.
     """
     m1, m2 = g1.order, g2.order
+    if m1 * m2 > MAX_ORDER:
+        raise GroupTooLarge(f"the product has {m1 * m2} elements, more than MAX_ORDER = {MAX_ORDER}")
     i1, i2 = np.divmod(np.arange(m1 * m2), m2)
     table = g1.table[i1[:, None], i1[None, :]] * m2 + g2.table[i2[:, None], i2[None, :]]
     identity = g1.identity * m2 + g2.identity

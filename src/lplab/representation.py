@@ -47,6 +47,45 @@ def letter_steps(table: dict, word: str) -> list:
         raise ValueError(f"unknown generator symbol {exc.args[0].lower()!r}") from None
 
 
+def _identity(n: int, monomial: bool):
+    """The identity operator: the pair (0..n-1, ones) for ``monomial`` letters, else the matrix."""
+    return (np.arange(n), np.ones(n)) if monomial else np.eye(n)
+
+
+def _compose(a, b):
+    """The operator a @ b.
+
+    A signed weighted permutation is the pair (perm, vals): row i of its
+    matrix holds vals[i] in column perm[i].  Each entry of the dense product
+    of two such matrices has one nonzero term, vals_a[i] * vals_b[perm_a[i]],
+    so the pair (perm_b[perm_a], vals_a * vals_b[perm_a]) holds the values of
+    that product bit for bit.  ``a`` may be a stack of pairs, one per row.
+    """
+    if isinstance(a, tuple):
+        return b[0][a[0]], a[1] * b[1][a[0]]
+    return a @ b
+
+
+def _act(op, v) -> np.ndarray:
+    """op @ v; for a pair (perm, vals), vals * v[perm].
+
+    Adding 0.0 turns a -0.0 into the +0.0 that the dense product's sum gives,
+    so the result equals the matrix-vector product bit for bit.
+    """
+    if isinstance(op, tuple):
+        return op[1] * v[op[0]] + 0.0
+    return op @ v
+
+
+def _dense(op) -> np.ndarray:
+    """The matrix of a pair (perm, vals)."""
+    perm, vals = op
+    n = perm.shape[0]
+    mat = np.zeros((n, n))
+    mat[np.arange(n), perm] = vals
+    return mat
+
+
 class Representation:
     """Generator-indexed linear representation on an :class:`LpSpace`.
 
@@ -67,6 +106,13 @@ class Representation:
     validate : bool
         Verify the group relations hold; on failure raise ValueError.
         Unvalidated, ``relation_residual`` is computed only if it is read.
+
+    ``letters`` maps each generator and its uppercase inverse to how it acts:
+    when every image is a LampertiIsometry (``monomial``) as the pair
+    (perm, vals) of its matrix, and words and the elements of a table group
+    compose as such pairs; otherwise as its matrix.  Dense matrices of a
+    monomial representation (``letter_matrices``, :meth:`operator`,
+    :meth:`element_matrices`) are built only when read.
     """
 
     def __init__(self, group, space: LpSpace, images: dict, require_isometric: bool = True, validate: bool = True):
@@ -76,7 +122,7 @@ class Representation:
         if set(images) != names:
             raise ValueError(f"images must be given exactly for generators {sorted(names)}")
         # the letter table: each generator name, then its uppercase inverse letter
-        self.images, self.letter_matrices = {}, {}
+        self.images, self.letters = {}, {}
         for name in self.generator_names:
             op = images[name]
             mat = op.matrix() if isinstance(op, LampertiIsometry) else np.asarray(op, dtype=float)
@@ -87,10 +133,17 @@ class Representation:
                 if op is None:
                     raise ValueError(f"image of generator {name!r} is not isometric")
             if isinstance(op, LampertiIsometry):
-                mat, inv = op.matrix(), op.inverse().matrix()
+                inv = op.inverse()
+                pair = (op.perm, op.signs * op.density), (inv.perm, inv.signs * inv.density)
             else:
-                inv = np.linalg.inv(mat)
-            self.images[name], self.letter_matrices[name], self.letter_matrices[name.upper()] = op, mat, inv
+                pair = mat, np.linalg.inv(mat)
+            self.images[name] = op
+            self.letters[name], self.letters[name.upper()] = pair
+        # every image a signed weighted permutation: letters, words and elements act as (perm, vals) pairs;
+        # otherwise every letter acts as its matrix
+        self.monomial = all(isinstance(op, tuple) for op in self.letters.values())
+        if not self.monomial:
+            self.letters = {letter: _dense(op) if isinstance(op, tuple) else op for letter, op in self.letters.items()}
         self._element_mats = None
         if validate and self.relation_residual > _RELATION_TOL:
             raise ValueError(
@@ -103,32 +156,80 @@ class Representation:
     def generator_names(self):
         return self.group.generator_names
 
+    @cached_property
+    def letter_matrices(self) -> dict:
+        """The matrix of each letter (a generator, then its uppercase inverse), built when first read."""
+        return {letter: _dense(op) if self.monomial else op for letter, op in self.letters.items()}
+
     def generator_matrix(self, name: str) -> np.ndarray:
         return self.letter_matrices[name]
 
+    def _word_op(self, word: str):
+        """The image of a word (uppercase = inverse), as the letters act: a (perm, vals) pair or a matrix.
+
+        The pairs compose as the dense products would, entry for entry (:func:`_compose`).
+        """
+        op = _identity(self.space.dim, self.monomial)
+        for step in letter_steps(self.letters, word):
+            op = _compose(op, step)
+        return op
+
     def operator(self, word: str) -> np.ndarray:
-        """Matrix of the image of a word over generators (uppercase = inverse)."""
-        mat = np.eye(self.space.dim)
-        for step in letter_steps(self.letter_matrices, word):
-            mat = mat @ step
-        return mat
+        """Matrix of the image of a word over generators (uppercase = inverse), densified once."""
+        op = self._word_op(word)
+        return _dense(op) if self.monomial else op
 
     def apply(self, word: str, v) -> np.ndarray:
-        return self.operator(word) @ as_vector(v, self.space.dim)
+        return _act(self._word_op(word), as_vector(v, self.space.dim))
+
+    @cached_property
+    def _element_table(self) -> tuple:
+        """(perms, vals), row g the pair of element g: the operator of its BFS word, built along the BFS tree as
+        phi(g x) = phi(g) rho(x), the products :meth:`operator` forms, in the same order (``monomial`` only)."""
+        n, order = self.space.dim, self.group.order
+        perms, vals = np.empty((order, n), dtype=int), np.empty((order, n))
+        perms[self.group.identity], vals[self.group.identity] = _identity(n, True)
+        for g, letter, gx in self.group.bfs_tree():
+            perms[gx], vals[gx] = _compose((perms[g], vals[g]), self.letters[letter])
+        return perms, vals
+
+    def _table_group(self) -> TableGroup:
+        if not isinstance(self.group, TableGroup):
+            raise ValueError("element enumeration needs a table-backed group")
+        return self.group
+
+    def element_apply(self, elements, vectors) -> np.ndarray:
+        """Row i is phi(elements[i]) @ vectors[i], for elements of a table-backed group (one vector serves all).
+
+        The element operators are those of :meth:`element_matrices`; for ``monomial`` images each row is the
+        gather-multiply of the element's pair, equal to the matrix-vector product bit for bit (:func:`_act`).
+        """
+        self._table_group()
+        elements = np.asarray(elements, dtype=int)
+        vectors = np.broadcast_to(vectors, (elements.size, self.space.dim))
+        if self.monomial:
+            perms, vals = self._element_table
+            return vals[elements] * np.take_along_axis(vectors, perms[elements], axis=1) + 0.0
+        mats = self.element_matrices()
+        return np.array([mats[g] @ v for g, v in zip(elements.tolist(), vectors)]).reshape(vectors.shape)
 
     def element_matrices(self) -> dict:
         """Matrix for every element of a table-backed group, the operator of its BFS word.
 
         Built once along the BFS tree as phi(g x) = phi(g) @ rho(x), the same
-        products in the same order as :meth:`operator`; the matrices are
+        products in the same order as :meth:`operator` (for ``monomial``
+        images, from the pairs of the element table); the matrices are
         cached and read-only.
         """
-        if not isinstance(self.group, TableGroup):
-            raise ValueError("element enumeration needs a table-backed group")
+        group = self._table_group()
         if self._element_mats is None:
-            mats = {self.group.identity: np.eye(self.space.dim)}
-            for g, letter, gx in self.group.bfs_tree():
-                mats[gx] = mats[g] @ self.letter_matrices[letter]
+            if self.monomial:
+                perms, vals = self._element_table
+                mats = {g: _dense((perms[g], vals[g])) for g in range(group.order)}
+            else:
+                mats = {group.identity: np.eye(self.space.dim)}
+                for g, letter, gx in group.bfs_tree():
+                    mats[gx] = mats[g] @ self.letters[letter]
             for mat in mats.values():
                 mat.setflags(write=False)
             self._element_mats = mats
@@ -142,12 +243,25 @@ class Representation:
         if isinstance(self.group, TableGroup):
             # every Cayley-graph edge g -> gs: phi(g) rho(s) = phi(gs) for all g
             # and generators s makes phi a homomorphism (induction on word length)
-            mats = self.element_matrices()
             group, names = self.group, self.generator_names
             worst = 0.0
+            if self.monomial:
+                perms, vals = self._element_table
+                for name in names:
+                    prod_perms, prod_vals = _compose((perms, vals), self.letters[name])
+                    gs = group.table[:, group.generators[name]]
+                    # equal permutations: the deviation is monomial, its 2-norm the largest |entry|
+                    same = np.all(prod_perms == perms[gs], axis=1)
+                    if same.any():
+                        worst = max(worst, float(np.max(np.abs(prod_vals[same] - vals[gs[same]]))))
+                    for g in np.flatnonzero(~same):  # a permutation mismatch: the 2-norm from the SVD
+                        dev = _dense((prod_perms[g], prod_vals[g])) - _dense((perms[gs[g]], vals[gs[g]]))
+                        worst = max(worst, float(np.linalg.norm(dev, 2)))
+                return worst
+            mats = self.element_matrices()
             for g, mat in mats.items():
                 for name in names:
-                    dev = mat @ self.letter_matrices[name] - mats[group.mult(g, group.generators[name])]
+                    dev = mat @ self.letters[name] - mats[group.mult(g, group.generators[name])]
                     if dev.any():  # the SVD of an exactly-zero deviation would give 0
                         worst = max(worst, float(np.linalg.norm(dev, 2)))
             return worst
@@ -196,8 +310,9 @@ def _dual_image(op, inv_mat, space: LpSpace):
 def dual_rep(rep: Representation) -> Representation:
     """Dual representation on the lq space, <x, rho*(g) y> = <rho(g^-1) x, y>."""
     dual_space = rep.space.dual()
+    # a matrix image makes every letter a matrix, so the inverse letter is one where the formula needs it
     images = {
-        name: _dual_image(rep.images[name], rep.letter_matrices[name.upper()], rep.space)
+        name: _dual_image(rep.images[name], rep.letters[name.upper()], rep.space)
         for name in rep.generator_names
     }
     return Representation(rep.group, dual_space, images, require_isometric=False)  # isometric by construction

@@ -14,9 +14,11 @@ default.  ``tolerances``, ``representation.validate``, ``cocycle.validate``
 and the ``k`` of a product or of its factors (a product's K is its
 generators; give other words as ``task.k``) are refused where given.  The
 size fields are capped (``space.dim`` at MAX_DIM, ``space.p`` at MAX_P, the
-sample and search budgets at MAX_SAMPLES) and refused before anything is
-allocated.  ``task.tol`` is the task tolerance (the --tol flag beats it;
-without either the command's default applies).  Unless ``require_isometric``
+sample and search budgets at MAX_SAMPLES, a group table's rows, a permutation
+closure and a product at MAX_ORDER elements, every word list, ``eps_grid``
+and ``s`` at MAX_LIST entries) and refused before anything is allocated.
+``task.tol`` is the task tolerance (the --tol flag beats it; without either
+the command's default applies).  Unless ``require_isometric``
 is false, every image is read by the one isometry rule
 (:func:`lplab.lamperti.as_isometry`).
 
@@ -37,17 +39,20 @@ import numpy as np
 from .cocycle import Cocycle, _a_word_count
 from .gap import MAX_RESTARTS
 from .geometry import MAX_POINTS
-from .groups import PresentedGroup, ProductGroup, TableGroup, check_word, group_from_permutations, product_group
+from .groups import (MAX_ORDER, GroupTooLarge, PresentedGroup, ProductGroup, TableGroup, check_word,
+                     group_from_permutations, product_group)
 from .lamperti import LampertiIsometry
 from .representation import Representation
 from .spaces import LpSpace
 
-__all__ = ["MAX_DIM", "MAX_P", "MAX_SAMPLES", "ScenarioError", "Scenario", "load_scenario", "parse_scenario"]
+__all__ = ["MAX_DIM", "MAX_LIST", "MAX_ORDER", "MAX_P", "MAX_SAMPLES", "ScenarioError", "Scenario", "load_scenario",
+           "parse_scenario"]
 
 # size caps: each bundled scenario with a field at its cap runs in under 10 s (BENCH_scenario_schema.json)
 MAX_DIM = 1024
 MAX_P = 256.0  # the lp kernels sum w_i |x_i|^p unscaled, which over- or underflows at p of a few hundred
 MAX_SAMPLES = 100_000  # the sample and search budgets
+MAX_LIST = 256  # entries of a word list, eps_grid or s: each entry costs one scan (a modulus eps up to 8 ms)
 
 
 class ScenarioError(ValueError):
@@ -131,8 +136,16 @@ def _exponent(value, path: str) -> float:
     return float(value)
 
 
+def _length(value, path: str):
+    """Refuse a list ``value`` of more than MAX_LIST entries at ``path``."""
+    if isinstance(value, list) and len(value) > MAX_LIST:
+        raise ScenarioError(path, f"a list of {len(value)} entries; at most MAX_LIST = {MAX_LIST} are read")
+
+
 def _grid(value, path: str, hi: float = np.inf, increasing: bool = False) -> np.ndarray:
-    """``value``, a nonempty list of numbers in (0, hi] (strictly increasing, if asked), as an array."""
+    """``value``, a nonempty list of at most MAX_LIST numbers in (0, hi] (strictly increasing, if asked), as an
+    array."""
+    _length(value, path)
     arr = _finite(value, path)
     if arr.ndim != 1 or arr.size == 0 or np.any(arr <= 0.0) or np.any(arr > hi):
         raise ScenarioError(path, f"expected a nonempty list of numbers in (0, {hi:g}]")
@@ -183,10 +196,25 @@ def _permutations(value, path: str) -> dict:
 
 
 def _table(value, path: str) -> np.ndarray:
-    """``value``, a square list of integer lists with entries in 0..m-1, as an array; refused at ``path``."""
+    """``value``, a square list of at most MAX_ORDER integer lists with entries in 0..m-1, as an array; refused at
+    ``path``.
+
+    The entries are checked as one array: integers, or integral floats, in range.  Booleans are refused, although
+    ``np.array`` would read them as 0 and 1.  Only a refused table is read again entry by entry, by
+    :func:`_integer`, to word the refusal of its first bad entry.
+    """
     m = len(value) if isinstance(value, list) else 0
+    if m > MAX_ORDER:
+        raise ScenarioError(path, f"a table of {m} rows; groups of at most MAX_ORDER = {MAX_ORDER} elements are read")
     if not (m and all(isinstance(row, list) and len(row) == m for row in value)):
         raise ScenarioError(path, "expected a square list of integer lists")
+    if set().union(*(map(type, row) for row in value)) <= {int, float}:
+        try:
+            arr = np.array(value, dtype=float)
+            if np.all((arr >= 0.0) & (arr <= m - 1) & (arr == np.floor(arr))):
+                return arr.astype(int)
+        except OverflowError:  # an integer beyond the float range, refused below
+            pass
     return np.array([[_integer(entry, path, 0, m - 1) for entry in row] for row in value])
 
 
@@ -194,6 +222,7 @@ def _words(value, path: str, generators=None, nonempty: bool = False, names: boo
     """``value`` if it is a list of words (nonempty, or of generator names, if asked) over ``generators``, if
     given; anything else is refused at ``path``."""
     kind = "list of generator names" if names else f"{'nonempty ' if nonempty else ''}list of words"
+    _length(value, path)
     if not (isinstance(value, list) and (value or not nonempty) and all(
             isinstance(w, str) and (not names or len(w) == 1 and w.islower()) for w in value)):
         raise ScenarioError(path, f"expected a {kind}, got {value!r}")
@@ -284,6 +313,8 @@ def _group(value, path: str, factor: bool = False):
         if not isinstance(spec["factor1"], TableGroup) or not isinstance(spec["factor2"], TableGroup):
             raise ValueError("product factors must be table-backed groups")
         return product_group(spec["factor1"], spec["factor2"], rename2=spec["rename2"])
+    except GroupTooLarge as exc:  # permutations: their closure is too large; a product: its two factors
+        raise ScenarioError(f"{path}.generators" if kind == "permutations" else path, str(exc)) from exc
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from exc
 

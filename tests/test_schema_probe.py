@@ -4,12 +4,12 @@ Each example picks a bundled scenario and one of its objects that the schema
 has a table for (the top level, ``space``, the group or a factor by kind,
 ``representation``, each image by kind, ``cocycle``, the command's task), then
 either adds a key the table does not name or sets one of the table's fields,
-present or not, to one of ten hostile values, and runs ``lplab.cli.main`` in
-this process.  The run must return 0, 1 or 2 and print no traceback.  An
-unknown key exits 2 naming exactly its path; any other exit 2 for invalid
-input names the probed field, one that holds it or one inside it, and every
-other exit 2 is a refused report.  Derandomized, so the examples are the same
-on every run.
+present or not, to one of eleven hostile values (the last a list one entry
+longer than ``MAX_LIST``), and runs ``lplab.cli.main`` in this process.  The
+run must return 0, 1 or 2 and print no traceback.  An unknown key exits 2
+naming exactly its path; any other exit 2 for invalid input names the probed
+field, one that holds it or one inside it, and every other exit 2 is a
+refused report.  Derandomized, so the examples are the same on every run.
 """
 
 import contextlib
@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from lplab import scenario as schema
 from lplab.cli import bundled_scenario_path, bundled_scenarios, main
 
-HOSTILE = (None, "abc", -1, 0, 10**7, float("nan"), [], {}, True, 2.5)
+HOSTILE = (None, "abc", -1, 0, 10**7, float("nan"), [], {}, True, 2.5, ["a"] * (schema.MAX_LIST + 1))
 UNKNOWN = "no_such_field"
 RAWS = {name[: -len(".json")]: json.loads(bundled_scenario_path(name).read_text()) for name in bundled_scenarios()}
 

@@ -15,6 +15,7 @@ identical runs produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from importlib import resources
@@ -102,7 +103,9 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="lplab", description="lp isometric-action laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -125,8 +128,11 @@ def main(argv=None) -> int:
 
     list_p = sub.add_parser("list-scenarios", help="list bundled scenarios")
     list_p.set_defaults(fn=_cmd_list)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ScenarioError as exc:

@@ -9,6 +9,15 @@ multistart adaptive subgradient descent over complement coordinates, seeded
 with the weighted-l2 eigenvector heuristic and, in low complement
 dimensions, a dense low-discrepancy sphere sweep.  The value at the best
 witness found is always a true upper bound for the gap.
+
+The restarts descend in lockstep as arrays with one row per live restart.
+Each iteration moves every row with the same handful of array operations,
+and a row's subgradient is taken when it accepts a step, from the rows and
+norms the evaluation of that step has already computed.  A restart that
+stops writes its point, ratio and mark to the output and its row is
+dropped, so the work of an iteration follows the restarts still descending.
+Every row does the arithmetic of a one-restart loop, so the estimate equals
+that loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -18,13 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .representation import Representation, canonical_complement
-from .spaces import norms, norms_and_grads
+from .spaces import grads_from_roots, norms
 
 __all__ = ["MAX_RESTARTS", "GapEstimate", "kazhdan_gap"]
 
 # the restarts descend together, holding (restarts, |K|+1, dim) floats
 MAX_RESTARTS = 1024
 _ITERS = 400  # descent iterations per restart
+_MARK_AT = int(0.8 * _ITERS)  # the ratio after this iteration sets the heuristic lower bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +99,11 @@ def kazhdan_gap(
     bound (upper minus the observed descent slack), and the witness itself.
     An empty complement yields the +inf sentinel.  At most
     ``MAX_RESTARTS`` restarts are allowed; they descend in lockstep, each
-    with its own step size, and are reduced in index order, so the result
-    is deterministic for a fixed seed; ties between witnesses break toward
-    the lexicographically smaller vector.
+    with its own step size, for at most 400 iterations.  A restart stops
+    once a rejected step leaves its step size below 1e-14, and its row is
+    then removed from the live arrays.  The stopped and final points are
+    reduced in index order, so the result is deterministic for a fixed seed;
+    ties between witnesses break toward the lexicographically smaller vector.
     """
     from scipy import linalg  # lazy: importing the CLI loads no SciPy
     if restarts > MAX_RESTARTS:
@@ -116,18 +128,21 @@ def kazhdan_gap(
         """The rows ops @ c, their norms and the displacement ratio, for each row c of ``cs``."""
         rows = _matvecs(ops, cs[:, None, :])
         vals = norms(w, p, rows.reshape(-1, n)).reshape(rows.shape[:2])
-        return rows, vals, np.max(vals[:, :-1], axis=1) / vals[:, -1]
+        return rows, vals, np.maximum.reduce(vals[:, :-1], axis=1) / vals[:, -1]
 
-    def subgrad(rows, vals):
-        """Subgradient of the ratio at each point, through its first largest displacement."""
-        at = np.arange(len(rows))
-        i = np.argmax(vals[:, :-1], axis=1)
-        num, den = vals[at, i], vals[:, -1]
-        _, grads = norms_and_grads(w, p, np.stack([rows[at, i], rows[:, -1]], axis=1).reshape(-1, n))
-        grad_num, grad_den = grads[0::2], grads[1::2]
-        g_num, g_den = _matvecs(ops[i].transpose(0, 2, 1), grad_num), _matvecs(basis.T, grad_den)
-        den_sq = np.array([d**2 for d in den.tolist()])  # the scalar power, as for one point
-        return (g_num * den[:, None] - num[:, None] * g_den) / den_sq[:, None]
+    def subgrad(rows, vals, at):
+        """Subgradient of the ratio at the points ``at``, through the first largest displacement.
+
+        It is taken from the rows and norms that ``evaluate`` returned for them.
+        """
+        picked = pick[: len(at)]
+        picked[:, 0] = vals[at, :-1].argmax(axis=1)
+        at = at[:, None]
+        pair = vals[at, picked]  # (num, den) per point
+        grads = grads_from_roots(w, p, rows[at, picked].reshape(-1, n), pair.ravel().tolist())
+        g_num, g_den = _matvecs(ops[picked[:, 0]].transpose(0, 2, 1), grads[0::2]), _matvecs(basis.T, grads[1::2])
+        den_sq = np.array([d**2 for d in pair[:, 1].tolist()])  # the scalar power, as for one point
+        return (g_num * pair[:, 1:] - pair[:, :1] * g_den) / den_sq[:, None]
 
     rng = np.random.default_rng(seed)
     starts = []
@@ -146,46 +161,58 @@ def kazhdan_gap(
     while len(starts) < restarts:
         starts.append(rng.standard_normal(m))
 
-    # every restart descends at once: its point, rows, norms, ratio and step
-    # size; its subgradient is kept until it accepts a step
+    # one row per live restart: point, ratio, subgradient, step size, mark and index
     c = np.array(starts)
     c /= _l2_norms(c)[:, None]
+    pick = np.full((len(c), 2), len(words))  # per point: its largest displacement, then the vector itself
     rows, vals, val = evaluate(c)
-    grad = np.zeros_like(c)
-    stale = np.ones(len(c), dtype=bool)
-    active = np.ones(len(c), dtype=bool)
+    grad = subgrad(rows, vals, np.arange(len(c)))
     step = np.full(len(c), 0.2)
-    trace_mark = val.copy()
+    mark = val.copy()
+    live = np.arange(len(c))
+    out_c, out_val, out_mark = np.empty_like(c), np.empty_like(val), np.empty_like(val)
     for t in range(_ITERS):
-        live = np.flatnonzero(active)
-        if live.size == 0:
-            break
-        fresh = live[stale[live]]
-        if fresh.size:
-            grad[fresh] = subgrad(rows[fresh], vals[fresh])
-            stale[fresh] = False
-        cand = c[live] - step[live, None] * grad[live]
+        cand = c - step[:, None] * grad
         norm = _l2_norms(cand)
-        tiny = norm < 1e-14
-        step[live[tiny]] *= 0.5  # these skip the rest of the iteration
-        moved = live[~tiny]
-        cand = cand[~tiny] / norm[~tiny, None]
+        tiny = None
+        if norm.min() < 1e-14:
+            # these skip the iteration: they evaluate their own point, which is no better
+            tiny = norm < 1e-14
+            cand[tiny], norm[tiny] = c[tiny], 1.0
+        cand /= norm[:, None]
         cand_rows, cand_vals, cand_val = evaluate(cand)
-        better = cand_val < val[moved]
-        acc = moved[better]
-        c[acc], rows[acc], vals[acc], val[acc] = cand[better], cand_rows[better], cand_vals[better], cand_val[better]
-        stale[acc] = True
-        step[acc] = np.minimum(step[acc] * 1.25, 1.0)
-        rej = moved[~better]
-        step[rej] *= 0.6
-        active[rej[step[rej] < 1e-14]] = False
-        if t == int(0.8 * _ITERS):
-            marked = moved[active[moved]]
-            trace_mark[marked] = val[marked]
+        better = cand_val < val
+        acc = np.flatnonzero(better)
+        if acc.size:
+            grad[acc] = subgrad(cand_rows, cand_vals, acc)
+            c = np.where(better[:, None], cand, c)
+            val = np.where(better, cand_val, val)
+        # a step never exceeds 1, so only a grown one can reach the cap
+        factor = np.where(better, 1.25, 0.6)
+        if tiny is not None:
+            factor[tiny] = 0.5
+        step = np.minimum(step * factor, 1.0)
+        stop = None
+        if step.min() < 1e-14:
+            stop = (step < 1e-14) & ~better
+            if tiny is not None:
+                stop &= ~tiny
+        if t == _MARK_AT:
+            moved = np.ones(len(c), dtype=bool) if tiny is None else ~tiny
+            if stop is not None:
+                moved &= ~stop
+            mark = np.where(moved, val, mark)
+        if stop is not None and stop.any():
+            done, keep = live[stop], ~stop
+            out_c[done], out_val[done], out_mark[done] = c[stop], val[stop], mark[stop]
+            c, val, grad, step, mark, live = c[keep], val[keep], grad[keep], step[keep], mark[keep], live[keep]
+            if not live.size:
+                break
+    out_c[live], out_val[live], out_mark[live] = c, val, mark
 
     best_val, best_witness = np.inf, None
-    witnesses = _matvecs(basis, c)
-    for witness_vec, v, mark in zip(witnesses, val.tolist(), trace_mark.tolist()):
+    witnesses = _matvecs(basis, out_c)
+    for witness_vec, v, mark in zip(witnesses, out_val.tolist(), out_mark.tolist()):
         witness_vec = _canonical_sign(witness_vec / space.norm(witness_vec))
         if best_witness is None or v < best_val - 1e-12:
             best_val, best_witness = v, (witness_vec, mark - v)

@@ -14,14 +14,15 @@ The primal/dual pairing is the weighted bilinear form
 so that primal and dual vectors share coordinates.
 
 This module is the only place that evaluates the lp formula.  The bare
-kernel functions ``norm_pow``, ``norms``, ``pow_grad``, ``norm_grad`` and
-``norms_and_grads`` take the weights, the exponent and trusted arrays, and
-check nothing.  They work on a stack of vectors, one per row, so that a
-solver evaluates all of its terms in one call; all but ``norms`` and
-``norms_and_grads`` also take a single vector.  Roots are taken one value
-at a time with the scalar ``**``: numpy's vectorised power rounds a few
-percent of them differently in the last place, which would move reported
-values.
+kernel functions ``norm_pow``, ``norms``, ``pow_grad``, ``norm_grad``,
+``norms_and_grads`` and ``grads_from_roots`` take the weights, the exponent
+and trusted arrays, and check nothing.  They work on a stack of vectors, one
+per row, so that a solver evaluates all of its terms in one call; all but
+``norms``, ``norms_and_grads`` and ``grads_from_roots`` also take a single
+vector.  Roots, and the powers of roots that scale a gradient, are taken
+one value at a time with the scalar ``**``: numpy's vectorised power rounds
+a few percent of them differently in the last place, which would move
+reported values.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "LpSpace",
     "as_vector",
     "duality_map",
+    "grads_from_roots",
     "mazur_map",
     "norm_grad",
     "norm_pow",
@@ -68,15 +70,25 @@ def pow_grad(w, p, r) -> np.ndarray:
     return w * np.sign(r) * np.abs(r) ** (p - 1.0)
 
 
+def grads_from_roots(w, p, rows, roots) -> np.ndarray:
+    """The norm gradient of each row of the 2-d array ``rows``, given its norm in the list ``roots``.
+
+    ``roots`` holds the Python floats that ``norms`` returns for these rows,
+    so a solver that has already measured them takes no second ``norm_pow``.
+    A gradient row is zero where its norm is 0 (p > 1).
+    """
+    # dividing by inf zeroes the rows with norm 0, where pow_grad is 0 already
+    scale = np.array([n ** (p - 1.0) if n > 0.0 else np.inf for n in roots])
+    return pow_grad(w, p, rows) / scale[:, None]
+
+
 def norms_and_grads(w, p, rows) -> tuple:
     """The norm and the norm gradient of each row of the 2-d array ``rows``, from one ``norm_pow``.
 
     A gradient row is zero where its row is 0 (p > 1).
     """
     roots = _roots(w, p, rows)
-    # dividing by inf zeroes the rows with norm 0, where pow_grad is 0 already
-    scale = np.array([n ** (p - 1.0) if n > 0.0 else np.inf for n in roots])
-    return np.array(roots), pow_grad(w, p, rows) / scale[:, None]
+    return np.array(roots), grads_from_roots(w, p, rows, roots)
 
 
 def norm_grad(w, p, r) -> np.ndarray:

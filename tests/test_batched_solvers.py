@@ -10,6 +10,8 @@ replaced, kept here only as a test reference (like ``pair_residual`` in
 """
 
 import json
+import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -18,16 +20,17 @@ from scipy import linalg, optimize
 from lplab import (
     LpSpace, convexity_modulus, invariant_norm, schoenberg_gram, schoenberg_scan, schoenberg_violation_search,
 )
-from lplab import geometry
+from lplab import gap, geometry
 from lplab.cli import bundled_scenario_path, bundled_scenarios, main
 from lplab.convex import _minimize_minimax, _transpose_times
 from lplab.geometry import _BLOCK
 from lplab.gap import _canonical_sign, _matvecs, _sphere_directions, kazhdan_gap
 from lplab.representation import canonical_complement
 from lplab.scenario import parse_scenario
-from lplab.spaces import norm_grad, norm_pow, norms, norms_and_grads, pow_grad
+from lplab.spaces import grads_from_roots, norm_grad, norm_pow, norms, norms_and_grads, pow_grad
 
 from conftest import count_calls
+from test_structured_lamperti import _scale_raws
 
 GAP_EXPONENTS = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0)
 
@@ -35,8 +38,11 @@ GAP_EXPONENTS = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0)
 # -- oracles -------------------------------------------------------------------
 
 
-def sequential_gap(rep, k_words=None, restarts=64, iters=400, seed=0):
-    """Per-restart adaptive subgradient descent: (upper, heuristic_lower, witness)."""
+def sequential_gap(rep, k_words=None, restarts=64, iters=400, seed=0, cand_norm=np.linalg.norm):
+    """Per-restart adaptive subgradient descent: (upper, heuristic_lower, witness).
+
+    ``cand_norm`` measures each candidate before it is normalised.
+    """
     words = list(k_words) if k_words is not None else list(rep.group.k_set)
     basis = canonical_complement(rep).complement_basis
     m = basis.shape[1]
@@ -82,7 +88,7 @@ def sequential_gap(rep, k_words=None, restarts=64, iters=400, seed=0):
             if grad is None:
                 grad = subgrad(rows, vals)
             cand = c - step * grad
-            n = np.linalg.norm(cand)
+            n = cand_norm(cand)
             if n < 1e-14:
                 step *= 0.5
                 continue
@@ -311,6 +317,92 @@ def test_lockstep_gap_equals_per_restart_descent_at_library_defaults():
     assert np.array_equal(est.witness, witness)
 
 
+SCALE_GAPS = ("cyclic-uniform24-gap", "cyclic24-gap", "dihedral12-gap")
+
+
+@pytest.fixture(scope="module")
+def scale_gap_raws(tmp_path_factory):
+    """The benchmark's generated ``scale`` gap scenarios, by (seed, name), for seeds 1 and 2."""
+    raws = {}
+    for seed in (1, 2):
+        for raw in _scale_raws(seed, tmp_path_factory.mktemp(f"scale{seed}")):
+            if raw["task"]["command"] == "gap":
+                raws[seed, raw["name"]] = raw
+    assert len(raws) == 2 * len(SCALE_GAPS)
+    return raws
+
+
+def _assert_gap_equals_oracle(scenario, restarts, **oracle_kw):
+    rep, task = scenario.representation, scenario.task
+    est = kazhdan_gap(rep, k_words=task["k"], restarts=restarts, seed=scenario.seed)
+    upper, lower, witness = sequential_gap(rep, k_words=task["k"], restarts=restarts, seed=scenario.seed,
+                                           **oracle_kw)
+    assert est.upper == upper
+    assert est.heuristic_lower == lower
+    assert np.array_equal(est.witness, witness)
+
+
+def _live_rows_per_iteration(scenario, restarts):
+    """How many restarts are still descending at each iteration of ``kazhdan_gap``."""
+    counts = []
+
+    def counting(vecs):
+        counts.append(len(vecs))
+        return l2_norms(vecs)
+
+    l2_norms, gap._l2_norms = gap._l2_norms, counting
+    try:
+        kazhdan_gap(scenario.representation, k_words=scenario.task["k"], restarts=restarts, seed=scenario.seed)
+    finally:
+        gap._l2_norms = l2_norms
+    return counts[1:]  # the first call normalises the starts
+
+
+@pytest.mark.parametrize("name", SCALE_GAPS)
+@pytest.mark.parametrize("seed", (1, 2))
+def test_lockstep_gap_equals_per_restart_descent_on_scale_inputs(scale_gap_raws, seed, name):
+    # complement dimension 11 to 23 and random restarts only; the iteration cap binds but on the uniform shift
+    scenario = parse_scenario(scale_gap_raws[seed, name])
+    assert 11 <= canonical_complement(scenario.representation).complement_dim <= 23
+    capped = len(_live_rows_per_iteration(scenario, scenario.task["restarts"])) == 400
+    assert capped == (name != "cyclic-uniform24-gap")
+    _assert_gap_equals_oracle(scenario, scenario.task["restarts"])
+
+
+def test_lockstep_gap_equals_per_restart_descent_with_stops_around_the_mark(scale_gap_raws):
+    # at 64 restarts, restarts stop before, at and after iteration 320, whose ratios set the lower bound
+    scenario = parse_scenario(scale_gap_raws[1, "cyclic-uniform24-gap"])
+    live = _live_rows_per_iteration(scenario, 64)
+    stopped_in = {t - 1 for t in range(1, len(live)) if live[t] < live[t - 1]}
+    assert {318, 320} <= stopped_in and max(stopped_in) > 320
+    _assert_gap_equals_oracle(scenario, 64)
+
+
+@pytest.mark.parametrize("restarts", (1, 4, 16))
+def test_lockstep_gap_equals_per_restart_descent_with_tiny_candidates(restarts, monkeypatch):
+    # a candidate measured below 1e-14 halves its step and skips the iteration, in both loops alike;
+    # the choice of such candidates depends on their bits alone.  Here some restarts go on below a step
+    # of 1e-14 after halving, and some of those accept a step again.
+    def tiny(vec):
+        return zlib.crc32(vec.tobytes()) % 4 == 0
+
+    l2_norms, hits = gap._l2_norms, []
+
+    def shrinking(vecs):
+        norm = l2_norms(vecs)
+        hit = np.array([tiny(v) for v in vecs], dtype=bool) if hits else []  # not the starts
+        norm[hit] = 0.0
+        hits.append(int(np.sum(hit)))
+        return norm
+
+    monkeypatch.setattr(gap, "_l2_norms", shrinking)
+    scenario = parse_scenario(json.loads(bundled_scenario_path("grid-z2xz2-gap").read_text())).with_exponent(1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_gap_equals_oracle(scenario, restarts, cand_norm=lambda v: 0.0 if tiny(v) else np.linalg.norm(v))
+    assert sum(hits) > 10
+
+
 def test_gap_restarts_are_bounded():
     scenario = parse_scenario(json.loads(bundled_scenario_path("swap-gap").read_text()))
     with pytest.raises(ValueError, match="restarts must be at most 1024"):
@@ -442,6 +534,22 @@ def test_norms_and_grads_equals_norms_and_norm_grad(p):
             assert val == space.norm(row)
             if row.any():
                 assert np.array_equal(grad, space.norm_gradient(row))
+
+
+@pytest.mark.parametrize("p", (1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 1.7390625, 2.45, 5.0123))
+def test_grads_from_roots_equals_norms_and_grads(p):
+    # the gradients from the roots that ``norms`` took are the ones ``norms_and_grads`` takes itself
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 9, 17, 39):
+        w = rng.uniform(0.5, 2.0, n)
+        rows = rng.standard_normal((8, n)) * rng.uniform(1e-3, 1e3, (8, 1))
+        rows[[0, 5]] = 0.0
+        roots = norms(w, p, rows)
+        vals, grads = norms_and_grads(w, p, rows)
+        got = grads_from_roots(w, p, rows, roots.tolist())
+        assert roots.tobytes() == vals.tobytes()
+        assert got.tobytes() == grads.tobytes()
+        assert not got[[0, 5]].any()
 
 
 def test_stacked_matvecs_equal_single_products():

@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,10 @@ from lplab import (
     kazhdan_gap,
     zero_mean_rep,
 )
+from lplab.cli import bundled_scenario_path, bundled_scenarios, main
+from lplab.scenario import parse_scenario
+
+from test_structured_lamperti import _scale_raws
 
 
 def shift_rep(n, p):
@@ -85,3 +91,24 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, lplab.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_gap_descent_emits_no_warnings(tmp_path, capsys):
+    # rows that stop or skip an iteration are dropped or masked, never divided by zero
+    raws = [json.loads(bundled_scenario_path(name).read_text()) for name in bundled_scenarios()]
+    raws = [raw for raw in raws if raw["task"]["command"] == "gap"]
+    assert len(raws) == 5
+    for seed in (1, 2):
+        raws += [raw for raw in _scale_raws(seed, tmp_path) if raw["task"]["command"] == "gap"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for raw in raws:
+            scenario = parse_scenario(raw)
+            for restarts in (scenario.task["restarts"], 64):
+                kazhdan_gap(scenario.representation, k_words=scenario.task["k"], restarts=restarts,
+                            seed=scenario.seed)
+        for raw in raws:
+            path = tmp_path / f"{raw['name']}.json"
+            path.write_text(json.dumps(raw))
+            assert main(["run", str(path)]) == 0
+            assert capsys.readouterr().err == ""

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lplab.cli import bundled_scenario_path, bundled_scenarios, main
+from lplab.cli import _parser, bundled_scenario_path, bundled_scenarios, main
 from lplab.reports import format_float
 from lplab.scenario import ScenarioError, load_scenario, parse_scenario
 from lplab.tasks import execute, sweep
@@ -190,6 +190,30 @@ class TestCli:
         assert main(["list-scenarios"]) == 0
         out = capsys.readouterr().out
         assert "swap-decompose.json" in out
+
+    def test_one_parser_serves_independent_calls(self, capsys):
+        # the parser is built once per process; no flag of one call reaches the next
+        assert _parser() is _parser()
+        assert main(["run", "cyclic3-gap"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["run", "cyclic3-gap", "--seed", "7", "--tol", "1e-3", "--format", "csv"]) == 0
+        flagged = capsys.readouterr().out
+        assert flagged.splitlines()[0] == "scenario,task,status,key,value"
+        assert main(["sweep", "cyclic3-gap", "--p", "1.5,3", "--seed", "9"]) == 0
+        cells = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [doc["provenance"]["seed"] for doc in cells] == [9, 9]
+        assert main(["run", "cyclic3-gap"]) == 0
+        assert capsys.readouterr().out == plain
+        assert json.loads(plain)["provenance"]["seed"] == 0
+
+    def test_bad_flag_exits_through_argparse(self, capsys):
+        for argv in (["run", "cyclic3-gap", "--no-such-flag"], ["sweep", "cyclic3-gap"], ["nonsense"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: lplab")
+        assert main(["run", "cyclic3-gap"]) == 0
+        capsys.readouterr()
 
 
 class TestSchoenbergSweep:

@@ -85,6 +85,18 @@ def _l2_norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt(_matvecs(vecs[:, None, :], vecs)[:, 0])
 
 
+def _generalized_eigh(quad: np.ndarray, gram: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of quad v = lam gram v, for gram positive definite.
+
+    With gram = L L^T they are those of the symmetric L^-1 quad L^-T, the
+    vectors mapped back by L^-T, so that v^T gram v = 1.  Raises
+    ``LinAlgError`` when gram is not positive definite.
+    """
+    chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    vals, vecs = np.linalg.eigh(chol_inv @ quad @ chol_inv.T)
+    return vals, chol_inv.T @ vecs
+
+
 def kazhdan_gap(
     rep: Representation,
     k_words=None,
@@ -105,7 +117,6 @@ def kazhdan_gap(
     reduced in index order, so the result is deterministic for a fixed seed;
     ties between witnesses break toward the lexicographically smaller vector.
     """
-    from scipy import linalg  # lazy: importing the CLI loads no SciPy
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
     words = list(k_words) if k_words is not None else list(rep.group.k_set)
@@ -113,6 +124,7 @@ def kazhdan_gap(
         raise ValueError("K must be nonempty")
     if basis is None:
         basis = canonical_complement(rep).complement_basis
+    basis = np.ascontiguousarray(basis)  # the products below then depend on its values only, not its strides
     m = basis.shape[1]
     if m == 0:
         return GapEstimate(np.inf, np.inf, None, 0)
@@ -150,9 +162,8 @@ def kazhdan_gap(
     quad = sum(a.T @ (w[:, None] * a) for a in disp_ops)
     gram = basis.T @ (w[:, None] * basis)
     try:
-        _, vecs = linalg.eigh(quad, gram)
-        starts.append(vecs[:, 0])
-    except linalg.LinAlgError:  # pragma: no cover - gram is PD by construction
+        starts.append(_generalized_eigh(quad, gram)[1][:, 0])
+    except np.linalg.LinAlgError:  # a rank-deficient basis: gram is singular, the random starts remain
         pass
     if m <= 4:
         dense = _sphere_directions(m, 1 << 11, seed)

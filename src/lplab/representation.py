@@ -32,6 +32,7 @@ __all__ = [
     "ProductDecomposition",
     "product_decomposition",
     "zero_mean_rep",
+    "null_space",
     "indicator_vector",
     "indicator_displacement",
 ]
@@ -285,12 +286,22 @@ def _stack_fixed_system(pairs, dim: int) -> np.ndarray:
     return np.vstack(blocks) if blocks else np.zeros((0, dim))
 
 
+def null_space(a: np.ndarray, rcond: float) -> np.ndarray:
+    """Orthonormal basis, as columns, of the null space of ``a``, by SciPy's ``null_space`` rule.
+
+    The right singular vectors of the full SVD whose singular value is not
+    above ``rcond * max(s)`` (no singular value: all of them), transposed.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > rcond * np.max(s, initial=0.0)))
+    return vh[rank:].T
+
+
 def _fixed_basis(pairs, dim: int) -> np.ndarray:
-    from scipy import linalg  # lazy: importing the CLI loads no SciPy
     system = _stack_fixed_system(pairs, dim)
     if system.shape[0] == 0:
         return np.eye(dim)
-    return linalg.null_space(system, rcond=1e-9)
+    return null_space(system, rcond=1e-9)
 
 
 def fixed_subspace(rep: Representation, generator_names=None) -> np.ndarray:
@@ -341,7 +352,6 @@ def canonical_complement(rep: Representation, generator_names=None) -> Complemen
     pairing; the projections commute with every generator image.  Requires
     p > 1.
     """
-    from scipy import linalg  # lazy: importing the CLI loads no SciPy
     space = rep.space
     space.require_smooth()
     dim = space.dim
@@ -355,7 +365,7 @@ def canonical_complement(rep: Representation, generator_names=None) -> Complemen
     if dual_fixed.shape[1] == 0:
         comp = np.eye(dim)
     else:
-        comp = linalg.null_space(dual_fixed.T * space.weights[None, :], rcond=1e-9)
+        comp = null_space(dual_fixed.T * space.weights[None, :], rcond=1e-9)
     if fixed.shape[1] + comp.shape[1] != dim:
         raise RuntimeError("canonical complement dimension mismatch")
     basis = np.hstack([fixed, comp])
@@ -463,7 +473,6 @@ def zero_mean_rep(perms: dict, weights, p: float, k_set=None):
     Returns (rep, zero_mean_basis) where the basis columns span
     { f : sum_i w_i f_i = 0 }.
     """
-    from scipy import linalg  # lazy: importing the CLI loads no SciPy
     arrays = {name: np.asarray(perm, dtype=int) for name, perm in perms.items()}
     dims = {arr.shape[0] for arr in arrays.values()}
     if len(dims) != 1:
@@ -480,7 +489,7 @@ def zero_mean_rep(perms: dict, weights, p: float, k_set=None):
         sigma = np.argsort(arrays[name])  # coordinates pull back along g^-1
         images[name] = LampertiIsometry(sigma, np.ones(n), space, space)
     rep = Representation(group, space, images)
-    zero_mean_basis = linalg.null_space(weights[None, :], rcond=1e-12)
+    zero_mean_basis = null_space(weights[None, :], rcond=1e-12)
     return rep, zero_mean_basis
 
 

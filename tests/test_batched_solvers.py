@@ -15,7 +15,7 @@ import zlib
 
 import numpy as np
 import pytest
-from scipy import linalg, optimize
+from scipy import optimize
 
 from lplab import (
     LpSpace, convexity_modulus, invariant_norm, schoenberg_gram, schoenberg_scan, schoenberg_violation_search,
@@ -24,7 +24,7 @@ from lplab import gap, geometry
 from lplab.cli import bundled_scenario_path, bundled_scenarios, main
 from lplab.convex import _minimize_minimax, _transpose_times
 from lplab.geometry import _BLOCK
-from lplab.gap import _canonical_sign, _matvecs, _sphere_directions, kazhdan_gap
+from lplab.gap import _canonical_sign, _generalized_eigh, _matvecs, _sphere_directions, kazhdan_gap
 from lplab.representation import canonical_complement
 from lplab.scenario import parse_scenario
 from lplab.spaces import grads_from_roots, norm_grad, norm_pow, norms, norms_and_grads, pow_grad
@@ -44,7 +44,7 @@ def sequential_gap(rep, k_words=None, restarts=64, iters=400, seed=0, cand_norm=
     ``cand_norm`` measures each candidate before it is normalised.
     """
     words = list(k_words) if k_words is not None else list(rep.group.k_set)
-    basis = canonical_complement(rep).complement_basis
+    basis = np.ascontiguousarray(canonical_complement(rep).complement_basis)
     m = basis.shape[1]
     space = rep.space
     w, p = space.weights, space.p
@@ -68,7 +68,7 @@ def sequential_gap(rep, k_words=None, restarts=64, iters=400, seed=0, cand_norm=
     starts = []
     quad = sum(a.T @ (w[:, None] * a) for a in disp_ops)
     gram = basis.T @ (w[:, None] * basis)
-    starts.append(linalg.eigh(quad, gram)[1][:, 0])
+    starts.append(_generalized_eigh(quad, gram)[1][:, 0])  # checked against scipy.linalg.eigh in test_numpy_linalg.py
     if m <= 4:
         dense = _sphere_directions(m, 1 << 11, seed)
         vals = np.array([evaluate(c)[2] for c in dense])

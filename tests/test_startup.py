@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lplab
 
 # prints the exit code (or null) and the sorted scipy modules loaded by the end of the snippet
@@ -41,8 +43,35 @@ def test_cobound_run_loads_no_scipy():
     assert _fresh(["run", "swap-cocycle-cobound"]) == [0, []]
 
 
-def test_decompose_run_loads_linalg_but_not_optimize_or_stats():
-    code, loaded = _fresh(["run", "swap-decompose"])
-    assert code == 0
-    assert "scipy.linalg" in loaded
-    assert "scipy.optimize" not in loaded and "scipy.stats" not in loaded
+def test_decompose_run_loads_no_scipy():
+    assert _fresh(["run", "swap-decompose"]) == [0, []]
+
+
+def test_gap_run_on_a_one_dimensional_complement_loads_no_scipy():
+    assert _fresh(["run", "swap-gap"]) == [0, []]
+
+
+def test_superrigid_run_loads_no_scipy():
+    assert _fresh(["run", "superrigid-diagonal-s3"]) == [0, []]
+
+
+def _cyclic_table_scenario(n, task):
+    """Z/n by its table, acting on l_3^n by the unsigned shift: Fix is the constants, B' has dimension n - 1."""
+    return {
+        "name": f"cyclic{n}-{task['command']}",
+        "space": {"dim": n, "p": 3.0, "weights": [1.0 + i / n for i in range(n)]},
+        "group": {"kind": "table", "table": [[(i + j) % n for j in range(n)] for i in range(n)], "identity": 0,
+                  "generators": {"a": 1}},
+        "representation": {"images": {"a": {"kind": "lamperti", "perm": [(i - 1) % n for i in range(n)],
+                                             "signs": [1.0] * n}}},
+        "task": task,
+    }
+
+
+@pytest.mark.parametrize("task", [{"command": "decompose"}, {"command": "gap", "restarts": 4}],
+                         ids=["decompose", "gap"])
+def test_cyclic_table_run_on_a_large_complement_loads_no_scipy(tmp_path, task):
+    # complement dimension 7: the gap takes random restarts and no low-dimensional sphere sweep
+    path = tmp_path / "cyclic8.json"
+    path.write_text(json.dumps(_cyclic_table_scenario(8, task)))
+    assert _fresh(["run", str(path)]) == [0, []]

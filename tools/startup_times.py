@@ -1,4 +1,4 @@
-"""Time ``lplab run <scenario>`` from process start, and list the SciPy parts each run loads.
+"""Time ``lplab run <scenario>`` from process start, with its peak RSS and the SciPy parts it loads.
 
     python3 tools/startup_times.py [--src DIR]
 
@@ -6,15 +6,16 @@ Each measurement starts a fresh interpreter with BLAS pinned to one thread,
 imports ``lplab.cli`` and calls ``main(["run", <scenario>])``, as the
 ``lplab`` console script does, and is timed from before the process is
 started until it has exited.  The scenarios are ``swap-cocycle-cobound``,
-``swap-decompose`` and ``cyclic3-gap``; a bare ``import lplab.cli`` is timed
-as well.  Each is repeated ``REPEATS`` times and the best and median wall
-times are printed, with the ``scipy.*`` submodules the last run had loaded
-at exit (private ``scipy._*`` modules left out).  ``--src`` picks the source
-directory to import ``lplab`` from (default: the ``src/`` of the checkout
-that holds this script), so running it on two checkouts compares them.  The
-BLAS setting and the environment record are the benchmark harness's
-(``bench/run.py``).  The last line of standard output is the result as one
-JSON object.
+``swap-decompose``, ``swap-gap`` and ``cyclic3-gap``; a bare ``import
+lplab.cli`` is timed as well.  Each is repeated ``REPEATS`` times and the
+best and median wall times are printed, with the median peak resident set
+size each process reported for itself (``ru_maxrss``) and the ``scipy.*``
+submodules the last run had loaded at exit (private ``scipy._*`` modules
+left out).  ``--src`` picks the source directory to import ``lplab`` from
+(default: the ``src/`` of the checkout that holds this script), so running
+it on two checkouts compares them.  The BLAS setting and the environment
+record are the benchmark harness's (``bench/run.py``).  The last line of
+standard output is the result as one JSON object.
 """
 
 from __future__ import annotations
@@ -34,31 +35,33 @@ sys.path.insert(0, str(ROOT / "bench"))
 from run import BLAS_ENV, _environment  # noqa: E402
 
 REPEATS = 5
-SCENARIOS = ("swap-cocycle-cobound", "swap-decompose", "cyclic3-gap")
+SCENARIOS = ("swap-cocycle-cobound", "swap-decompose", "swap-gap", "cyclic3-gap")
 
 # argv[1] is the scenario, or "" for the import alone; the last line printed lists the scipy modules
 _PROBE = """
-import json, sys
+import json, resource, sys
 import lplab.cli
 code = 0
 if sys.argv[1]:
     code = lplab.cli.main(["run", sys.argv[1]])
 parts = sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.") and not m.startswith("scipy._")})
-print(json.dumps({"code": code, "scipy": parts}))
+peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # kilobytes on Linux
+print(json.dumps({"code": code, "scipy": parts, "peak_rss_mb": peak_kb / 1024}))
 """
 
 
 def time_fresh(scenario: str, src: Path) -> dict:
     env = dict(os.environ, **BLAS_ENV, PYTHONPATH=str(src))
-    walls = []
+    walls, rss = [], []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-c", _PROBE, scenario], env=env, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True, check=True)
         walls.append(time.perf_counter() - t0)
-    last = json.loads(proc.stdout.splitlines()[-1])
-    return {"best_s": min(walls), "median_s": statistics.median(walls), "exit_code": last["code"],
-            "scipy_loaded": last["scipy"]}
+        last = json.loads(proc.stdout.splitlines()[-1])
+        rss.append(last["peak_rss_mb"])
+    return {"best_s": min(walls), "median_s": statistics.median(walls), "peak_rss_mb": statistics.median(rss),
+            "exit_code": last["code"], "scipy_loaded": last["scipy"]}
 
 
 def main(argv=None) -> int:
@@ -74,7 +77,7 @@ def main(argv=None) -> int:
         res = results[label] = time_fresh(scenario, args.src)
         loaded = ", ".join(res["scipy_loaded"]) or "none"
         print(f"{label:28s} best {res['best_s']:.3f} s  median {res['median_s']:.3f} s  "
-              f"exit {res['exit_code']}  scipy: {loaded}")
+              f"peak RSS {res['peak_rss_mb']:.1f} MB  exit {res['exit_code']}  scipy: {loaded}")
     print(json.dumps({"repeats": REPEATS, "results": results, "environment": _environment()}))
     return 0
 

@@ -6,9 +6,10 @@ The gap of a representation over a generating set K is
 
 The estimator minimizes the (scale-invariant) displacement ratio by
 multistart adaptive subgradient descent over complement coordinates, seeded
-with the weighted-l2 eigenvector heuristic and, in low complement
-dimensions, a dense low-discrepancy sphere sweep.  The value at the best
-witness found is always a true upper bound for the gap.
+with the weighted-l2 eigenvector heuristic and, in complement dimension
+2 to 4, the best three of 2,048 seeded uniform sphere directions
+(normalised Gaussian vectors, Muller 1959).  The value at the best witness
+found is always a true upper bound for the gap.
 
 The restarts descend in lockstep as arrays with one row per live restart.
 Each iteration moves every row with the same handful of array operations,
@@ -35,6 +36,9 @@ __all__ = ["MAX_RESTARTS", "GapEstimate", "kazhdan_gap"]
 MAX_RESTARTS = 1024
 _ITERS = 400  # descent iterations per restart
 _MARK_AT = int(0.8 * _ITERS)  # the ratio after this iteration sets the heuristic lower bound
+_SWEEP_STREAM = 1959  # keeps the sphere sweep's draws apart from the restarts' default_rng(seed)
+# eigenvalues within this much of lambda_min, times max(1, |lambda_max|), are one eigenspace for the start
+_CLUSTER_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,15 +54,11 @@ class GapEstimate:
 
 
 def _sphere_directions(m: int, count: int, seed: int) -> np.ndarray:
+    """``count`` directions uniform on the unit sphere of R^m, from the sweep's own stream; +-1 when m = 1."""
     if m == 1:
         return np.array([[1.0], [-1.0]])
-    from scipy import stats  # about a third of the CLI import time; only this sweep uses it
-
-    sob = stats.qmc.Sobol(d=m, scramble=True, seed=seed)
-    raw = sob.random(count)
-    pts = stats.norm.ppf(np.clip(raw, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts / np.maximum(norms, 1e-12)
+    pts = np.random.default_rng([seed, _SWEEP_STREAM]).standard_normal((count, m))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -95,6 +95,27 @@ def _generalized_eigh(quad: np.ndarray, gram: np.ndarray):
     chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
     vals, vecs = np.linalg.eigh(chol_inv @ quad @ chol_inv.T)
     return vals, chol_inv.T @ vecs
+
+
+def _eigen_start(quad: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """A lambda_min eigenvector of quad v = lam gram v that does not depend on the eigensolver's choice.
+
+    The eigenvalues within ``_CLUSTER_TOL * max(1, |lambda_max|)`` of
+    lambda_min are taken as one eigenspace.  When it is a line the start is
+    the solver's vector for lambda_min; otherwise it is the gram-orthogonal
+    projection onto the eigenspace of the first coordinate vector e_j whose
+    projection has gram norm above 1e-8 times that of e_j, which is the same
+    for every gram-orthonormal basis of the eigenspace.  Raises
+    ``LinAlgError`` as ``_generalized_eigh``.
+    """
+    vals, vecs = _generalized_eigh(quad, gram)
+    cluster = vecs[:, vals - vals[0] <= _CLUSTER_TOL * max(1.0, abs(vals[-1]))]
+    if cluster.shape[1] == 1:
+        return cluster[:, 0]
+    # column j holds the eigenspace coordinates of e_j's projection, whose gram norm is theirs
+    coords = cluster.T @ gram
+    j = np.flatnonzero(np.linalg.norm(coords, axis=0) > 1e-8 * np.sqrt(np.diag(gram)))[0]
+    return cluster @ coords[:, j]
 
 
 def kazhdan_gap(
@@ -162,7 +183,7 @@ def kazhdan_gap(
     quad = sum(a.T @ (w[:, None] * a) for a in disp_ops)
     gram = basis.T @ (w[:, None] * basis)
     try:
-        starts.append(_generalized_eigh(quad, gram)[1][:, 0])
+        starts.append(_eigen_start(quad, gram))
     except np.linalg.LinAlgError:  # a rank-deficient basis: gram is singular, the random starts remain
         pass
     if m <= 4:

@@ -10,6 +10,7 @@ replaced, kept here only as a test reference (like ``pair_residual`` in
 """
 
 import json
+import sys
 import warnings
 import zlib
 
@@ -24,7 +25,7 @@ from lplab import gap, geometry
 from lplab.cli import bundled_scenario_path, bundled_scenarios, main
 from lplab.convex import _minimize_minimax, _transpose_times
 from lplab.geometry import _BLOCK
-from lplab.gap import _canonical_sign, _generalized_eigh, _matvecs, _sphere_directions, kazhdan_gap
+from lplab.gap import _canonical_sign, _eigen_start, _matvecs, _sphere_directions, kazhdan_gap
 from lplab.representation import canonical_complement
 from lplab.scenario import parse_scenario
 from lplab.spaces import grads_from_roots, norm_grad, norm_pow, norms, norms_and_grads, pow_grad
@@ -68,7 +69,7 @@ def sequential_gap(rep, k_words=None, restarts=64, iters=400, seed=0, cand_norm=
     starts = []
     quad = sum(a.T @ (w[:, None] * a) for a in disp_ops)
     gram = basis.T @ (w[:, None] * basis)
-    starts.append(_generalized_eigh(quad, gram)[1][:, 0])  # checked against scipy.linalg.eigh in test_numpy_linalg.py
+    starts.append(_eigen_start(quad, gram))  # checked in test_numpy_linalg.py
     if m <= 4:
         dense = _sphere_directions(m, 1 << 11, seed)
         vals = np.array([evaluate(c)[2] for c in dense])
@@ -114,6 +115,21 @@ def sequential_gap(rep, k_words=None, restarts=64, iters=400, seed=0, cand_norm=
     return best_val, max(0.0, best_val - max(1e-6, 10.0 * last_gain)), witness
 
 
+# ||x2|| + ||y2|| >= ||x2 - y2|| = 2 ||d||: past this no shrink factor fits, with room for rounding
+_HOPELESS = 1.0 + 1e-13
+
+
+def _shrink(norm_fn, mid, d):
+    """mid * 0.7**k +- d for the first k < 80 that puts both in the ball, or None."""
+    kappa = 1.0
+    for _ in range(80):
+        x2, y2 = mid * kappa + d, mid * kappa - d
+        if norm_fn(x2) <= 1.0 and norm_fn(y2) <= 1.0:
+            return x2, y2
+        kappa *= 0.7
+    return None
+
+
 def sequential_make_feasible(norm_fn, x, y, eps, max_rounds=60):
     x = x.copy()
     y = y.copy()
@@ -131,15 +147,8 @@ def sequential_make_feasible(norm_fn, x, y, eps, max_rounds=60):
         mid = (x + y) / 2.0
         d = (x - y) / 2.0
         d *= (eps / (2.0 * norm_fn(d))) * (1.0 + 1e-12)
-        kappa = 1.0
-        for _ in range(80):
-            x2, y2 = mid * kappa + d, mid * kappa - d
-            if norm_fn(x2) <= 1.0 and norm_fn(y2) <= 1.0:
-                x, y = x2, y2
-                break
-            kappa *= 0.7
-        else:
-            x, y = d, -d
+        fit = _shrink(norm_fn, mid, d) if norm_fn(d) <= _HOPELESS else None
+        x, y = (d, -d) if fit is None else fit
         if norm_fn(x - y) >= eps:
             return x, y
     return None
@@ -440,6 +449,28 @@ def test_stacked_modulus_table_equals_sequential(p, dim):
         delta, x, y = sequential_modulus(space, eps, budget=300, seed=i)
         assert est.delta == delta
         assert np.array_equal(est.witness_x, x) and np.array_equal(est.witness_y, y)
+
+
+@pytest.mark.parametrize("space", [LpSpace(3, 3.0), LpSpace(4, 1.5, np.linspace(0.5, 2.0, 4))],
+                         ids=["l3^3", "weighted-l1.5^4"])
+def test_no_shrink_factor_fits_a_hopeless_round(space, monkeypatch):
+    # the oracle skips the shrink loop once ||d|| > _HOPELESS; run all 80 factors on those rounds instead
+    hopeless, full_loop, margin = [], _shrink, _HOPELESS
+
+    def every_factor(norm_fn, mid, d):
+        fit = full_loop(norm_fn, mid, d)
+        if norm_fn(d) > margin:
+            hopeless.append(fit)
+        return fit
+
+    skipped = sequential_modulus(space, 2.0, budget=40, seed=1, polish_iters=40)
+    monkeypatch.setattr(sys.modules[__name__], "_HOPELESS", np.inf)
+    monkeypatch.setattr(sys.modules[__name__], "_shrink", every_factor)
+    tried = sequential_modulus(space, 2.0, budget=40, seed=1, polish_iters=40)
+    assert len(hopeless) >= 40
+    assert all(fit is None for fit in hopeless)
+    assert skipped[0] == tried[0]
+    assert np.array_equal(skipped[1], tried[1]) and np.array_equal(skipped[2], tried[2])
 
 
 @pytest.mark.parametrize("eps", (0.5, 1.5))

@@ -18,6 +18,7 @@ from lplab import (
     zero_mean_rep,
 )
 from lplab.cli import bundled_scenario_path, bundled_scenarios, main
+from lplab.gap import _sphere_directions
 from lplab.scenario import parse_scenario
 
 from test_structured_lamperti import _scale_raws
@@ -85,7 +86,6 @@ def test_gap_positive_across_p_for_zero_mean_families(p):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is imported only by the low-dimensional Sobol sweep
     src = str(Path(lplab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, lplab.cli; print('scipy.stats' in sys.modules)"
@@ -112,3 +112,16 @@ def test_gap_descent_emits_no_warnings(tmp_path, capsys):
             path.write_text(json.dumps(raw))
             assert main(["run", str(path)]) == 0
             assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_sphere_directions_are_seeded_unit_rows(m):
+    dirs = _sphere_directions(m, 2048, 7)
+    assert dirs.shape == (2048, m)
+    assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) <= 1e-15
+    assert np.array_equal(dirs, _sphere_directions(m, 2048, 7))
+    assert not np.array_equal(dirs, _sphere_directions(m, 2048, 8))
+
+
+def test_sphere_directions_on_a_line_are_both_signs():
+    assert np.array_equal(_sphere_directions(1, 2048, 7), np.array([[1.0], [-1.0]]))

@@ -144,6 +144,63 @@ def test_seed_matches_scipy_generalized_eigh(eigh_inputs):
     assert {3.0, 4.0, 6.0} <= {round(float(v), 9) for v in repeated}
 
 
+def _eigenproblem(vals, seed):
+    """quad, gram with gram-orthonormal eigenvectors V for ``vals``: quad = gram V diag(vals) V^T gram."""
+    rng = np.random.default_rng(seed)
+    m = len(vals)
+    a = rng.standard_normal((m, m))
+    gram = a @ a.T + m * np.eye(m)
+    vecs = np.linalg.inv(np.linalg.cholesky(gram)).T @ np.linalg.qr(rng.standard_normal((m, m)))[0]
+    return gram @ vecs @ np.diag(vals) @ vecs.T @ gram, gram
+
+
+def _start_problems(eigh_inputs):
+    """Every recorded seed problem, and made-up ones with lambda_min of multiplicity 1 to 3."""
+    made = [_eigenproblem(vals, seed) for seed, vals in
+            enumerate(([1.0, 2.0, 3.0], [2.0, 2.0, 5.0, 7.0], [0.5, 0.5, 0.5, 4.0, 9.0], [3.0, 3.0 + 1e-11, 8.0]))]
+    return list(eigh_inputs) + made
+
+
+def _rotated_eigh(monkeypatch, seed):
+    """Make ``gap._generalized_eigh`` hand back its lambda_min eigenspace in a random other orthonormal basis."""
+    real, rng = gap._generalized_eigh, np.random.default_rng(seed)
+
+    def rotated(quad, gram):
+        vals, vecs = real(quad, gram)
+        k = int(np.sum(vals - vals[0] <= gap._CLUSTER_TOL * max(1.0, abs(vals[-1]))))
+        vecs = vecs.copy()
+        vecs[:, :k] = vecs[:, :k] @ np.linalg.qr(rng.standard_normal((k, k)))[0]
+        return vals, vecs
+
+    monkeypatch.setattr(gap, "_generalized_eigh", rotated)
+
+
+def test_eigen_start_lies_in_the_lambda_min_eigenspace(eigh_inputs):
+    for quad, gram in _start_problems(eigh_inputs):
+        start = gap._eigen_start(quad, gram)
+        lam = linalg.eigh(quad, gram, eigvals_only=True)[0]
+        scale = np.linalg.norm(quad) + abs(lam) * np.linalg.norm(gram)
+        assert np.linalg.norm(quad @ start - lam * gram @ start) <= 1e-9 * scale * np.linalg.norm(start)
+        assert np.linalg.norm(start) > 0
+
+
+def test_eigen_start_is_the_same_for_every_basis_of_the_eigenspace(eigh_inputs, monkeypatch):
+    problems = _start_problems(eigh_inputs)
+    starts = [gap._eigen_start(quad, gram) for quad, gram in problems]
+    repeated = 0
+    for seed in (1, 2, 3):
+        _rotated_eigh(monkeypatch, seed)
+        for (quad, gram), start in zip(problems, starts):
+            vals = gap._generalized_eigh(quad, gram)[0]
+            if len(vals) == 1 or vals[1] - vals[0] > gap._CLUSTER_TOL * max(1.0, abs(vals[-1])):
+                continue  # a simple lambda_min: the start is the solver's own vector, sign included
+            repeated += 1
+            rotated = gap._eigen_start(quad, gram)
+            assert np.max(np.abs(rotated - start)) <= 1e-12 * max(1.0, np.max(np.abs(start)))
+    # cyclic3-gap, cyclic5-gap, grid-z2xz2-gap, the superrigid mixing piece and three made-up problems
+    assert repeated >= 3 * 10
+
+
 def test_rank_deficient_basis_runs_from_its_random_starts():
     scenario = parse_scenario(json.loads(bundled_scenario_path("cyclic5-gap").read_text()))
     rep = scenario.representation

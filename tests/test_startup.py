@@ -55,6 +55,24 @@ def test_superrigid_run_loads_no_scipy():
     assert _fresh(["run", "superrigid-diagonal-s3"]) == [0, []]
 
 
+def test_low_dimensional_gap_run_loads_no_scipy():
+    # complement dimension 2: the descent is seeded from the sphere sweep
+    assert _fresh(["run", "cyclic3-gap"]) == [0, []]
+
+
+def test_displacement_run_loads_no_scipy():
+    assert _fresh(["run", "commuting-pair-displacement"]) == [0, []]
+
+
+def test_library_names_no_scipy_stats():
+    root = Path(lplab.__file__).resolve().parent
+    sources = sorted(p for p in root.rglob("*") if p.is_file() and "__pycache__" not in p.parts)
+    assert any(p.suffix == ".py" for p in sources)
+    for path in sources:
+        text = path.read_text()
+        assert "scipy.stats" not in text and "qmc" not in text, path.name
+
+
 def _cyclic_table_scenario(n, task):
     """Z/n by its table, acting on l_3^n by the unsigned shift: Fix is the constants, B' has dimension n - 1."""
     return {

@@ -6,12 +6,13 @@ Each measurement starts a fresh interpreter with BLAS pinned to one thread,
 imports ``lplab.cli`` and calls ``main(["run", <scenario>])``, as the
 ``lplab`` console script does, and is timed from before the process is
 started until it has exited.  The scenarios are ``swap-cocycle-cobound``,
-``swap-decompose``, ``swap-gap`` and ``cyclic3-gap``; a bare ``import
-lplab.cli`` is timed as well.  Each is repeated ``REPEATS`` times and the
-best and median wall times are printed, with the median peak resident set
-size each process reported for itself (``ru_maxrss``) and the ``scipy.*``
-submodules the last run had loaded at exit (private ``scipy._*`` modules
-left out).  ``--src`` picks the source directory to import ``lplab`` from
+``swap-decompose``, ``swap-gap``, ``cyclic3-gap``,
+``commuting-pair-displacement`` and ``swap-cocycle-fm`` (a ``scipy.optimize``
+user); a bare ``import lplab.cli`` is timed as well.  Each is repeated
+``REPEATS`` times and the best and median wall times are printed, with
+the median peak resident set size each process reported for itself
+(``ru_maxrss``) and the ``scipy.*`` submodules the last run had loaded at
+exit (private ``scipy._*`` modules left out).  ``--src`` picks the source directory to import ``lplab`` from
 (default: the ``src/`` of the checkout that holds this script), so running
 it on two checkouts compares them.  The BLAS setting and the environment
 record are the benchmark harness's (``bench/run.py``).  The last line of
@@ -35,7 +36,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 from run import BLAS_ENV, _environment  # noqa: E402
 
 REPEATS = 5
-SCENARIOS = ("swap-cocycle-cobound", "swap-decompose", "swap-gap", "cyclic3-gap")
+SCENARIOS = ("swap-cocycle-cobound", "swap-decompose", "swap-gap", "cyclic3-gap", "commuting-pair-displacement",
+             "swap-cocycle-fm")
 
 # argv[1] is the scenario, or "" for the import alone; the last line printed lists the scipy modules
 _PROBE = """

@@ -24,6 +24,7 @@ from .cocycle import Cocycle, _diameter, coboundary_solve
 from .errors import Refusal
 from .gap import kazhdan_gap
 from .groups import ProductGroup, TableGroup
+from .lamperti import LampertiIsometry
 from .reports import Checked, check
 from .representation import ProductDecomposition, Representation, product_decomposition
 from .spaces import LpSpace
@@ -131,43 +132,49 @@ class InducedSpace:
         return float(sum(self.base.norm_pow(b) for b in np.split(np.asarray(section, dtype=float), self.index)))
 
 
+def _over_subgroup(cs: CosetStructure, group) -> bool:
+    """Whether ``group`` is the subgroup of ``cs``: that object, or a table group with its table and generators."""
+    sub = cs.subgroup
+    equal = isinstance(group, TableGroup) and group.generators == sub.generators
+    return group is sub or equal and np.array_equal(group.table, sub.table)
+
+
 def induce_rep(cs: CosetStructure, rep_sub: Representation) -> tuple:
     """Induce a subgroup representation to the whole group.
 
-    Returns (induced_space, induced_representation); generator images are
-    block signed-permutations of blocks, isometric, and satisfy the full
-    multiplication table of G (validated on construction).
+    Returns (induced_space, induced_representation).  The image of h puts the element table's operator of
+    s = chi(h^-1 d) in block (d, d'): for ``monomial`` images as the LampertiIsometry of the tiled weights with
+    permutation d' * dim + perm[s] and the signs of vals[s], otherwise as a dense block matrix.  Validated on
+    construction.
     """
-    same = rep_sub.group is cs.subgroup or (
-        isinstance(rep_sub.group, TableGroup)
-        and np.array_equal(rep_sub.group.table, cs.subgroup.table)
-        and rep_sub.group.generators == cs.subgroup.generators
-    )
-    if not same:
+    if not _over_subgroup(cs, rep_sub.group):
         raise ValueError("representation is not over the coset structure's subgroup")
     ind = InducedSpace(rep_sub.space, cs.index)
-    d = rep_sub.space.dim
-    sub_mats = rep_sub.element_matrices()
+    d, k, table = rep_sub.space.dim, cs.index, rep_sub.element_table
     images = {}
     for name in cs.group.generator_names:
-        big = np.zeros((ind.ambient.dim, ind.ambient.dim))
-        for tgt, (s_idx, src) in enumerate(cs.routing[name]):
-            big[tgt * d : (tgt + 1) * d, src * d : (src + 1) * d] = sub_mats[s_idx]
-        images[name] = big
+        s_idx, src = np.array(cs.routing[name]).T
+        if rep_sub.monomial:
+            perms, vals = table
+            perm = (src[:, None] * d + perms[s_idx]).ravel()
+            images[name] = LampertiIsometry(perm, np.sign(vals[s_idx]).ravel(), ind.ambient, ind.ambient)
+        else:
+            big = np.zeros((k, d, k, d))
+            big[np.arange(k), :, src, :] = table[s_idx]
+            images[name] = big.reshape(k * d, k * d)
     rep = Representation(cs.group, ind.ambient, images, require_isometric=False)  # block copies of rep_sub's images
     return ind, rep
 
 
 def induce_cocycle(cs: CosetStructure, cocycle_sub: Cocycle, induced_rep: Representation, validate: bool = True) -> Cocycle:
-    """Induce a subgroup cocycle: block at d of b_ind(h) is b(chi(h^-1 d))."""
-    d = cocycle_sub.space.dim
+    """Induce a subgroup cocycle to ``induced_rep`` (:func:`induce_rep`): block at d of b_ind(h) is b(chi(h^-1 d))."""
+    if not _over_subgroup(cs, cocycle_sub.rep.group):
+        raise ValueError("cocycle is not over the coset structure's subgroup")
+    if induced_rep.group is not cs.group or induced_rep.space.dim != cs.index * cocycle_sub.space.dim:
+        raise ValueError("induced representation is not over the coset structure's group")
     sub_values = cocycle_sub.element_values()
-    values = {}
-    for name in cs.group.generator_names:
-        vec = np.zeros(induced_rep.space.dim)
-        for tgt, (s_idx, _src) in enumerate(cs.routing[name]):
-            vec[tgt * d : (tgt + 1) * d] = sub_values[s_idx]
-        values[name] = vec
+    values = {name: np.concatenate([sub_values[s_idx] for s_idx, _src in cs.routing[name]])
+              for name in cs.group.generator_names}
     return Cocycle(induced_rep, values, validate=validate)
 
 
@@ -436,16 +443,16 @@ def superrigidity_pipeline(
         # the element tables form the sums and products of the BFS words, as a walk along each would
         values1 = Cocycle(rep_g, split.component1, validate=False).element_values()
         values2 = Cocycle(rep_g, split.component2, validate=False).element_values()
-        mats = rep_g.element_matrices()
         sub_names = sorted(cs.subgroup.generators)
         pulled = [{}, {}]
         boundary = {}
         v0 = split.coboundary_vector
-        for name in sub_names:
+        images = rep_g.element_apply([cs.subgroup_generators[name] for name in sub_names], v0)
+        for name, image in zip(sub_names, images):
             g = cs.subgroup_generators[name]
             pulled[0][name] = base_block(values1[g])
             pulled[1][name] = base_block(values2[g])
-            boundary[name] = base_block(v0 - mats[g] @ v0)
+            boundary[name] = base_block(v0 - image)
 
         recon = 0.0
         for name in sub_names:

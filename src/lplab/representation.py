@@ -110,10 +110,11 @@ class Representation:
 
     ``letters`` maps each generator and its uppercase inverse to how it acts:
     when every image is a LampertiIsometry (``monomial``) as the pair
-    (perm, vals) of its matrix, and words and the elements of a table group
-    compose as such pairs; otherwise as its matrix.  Dense matrices of a
-    monomial representation (``letter_matrices``, :meth:`operator`,
-    :meth:`element_matrices`) are built only when read.
+    (perm, vals) of its matrix, and words compose as such pairs; otherwise as
+    its matrix.  ``element_table`` holds every element of a table group in the
+    same form: the arrays (perms, vals), or one stack of matrices.  Dense
+    matrices of a monomial representation (``letter_matrices``,
+    :meth:`operator`) are built only when read.
     """
 
     def __init__(self, group, space: LpSpace, images: dict, require_isometric: bool = True, validate: bool = True):
@@ -145,7 +146,6 @@ class Representation:
         self.monomial = all(isinstance(op, tuple) for op in self.letters.values())
         if not self.monomial:
             self.letters = {letter: _dense(op) if isinstance(op, tuple) else op for letter, op in self.letters.items()}
-        self._element_mats = None
         if validate and self.relation_residual > _RELATION_TOL:
             raise ValueError(
                 f"group relations violated: residual {self.relation_residual:.3e} > {_RELATION_TOL:.0e}"
@@ -184,57 +184,45 @@ class Representation:
         return _act(self._word_op(word), as_vector(v, self.space.dim))
 
     @cached_property
-    def _element_table(self) -> tuple:
-        """(perms, vals), row g the pair of element g: the operator of its BFS word, built along the BFS tree as
-        phi(g x) = phi(g) rho(x), the products :meth:`operator` forms, in the same order (``monomial`` only)."""
-        n, order = self.space.dim, self.group.order
-        perms, vals = np.empty((order, n), dtype=int), np.empty((order, n))
-        perms[self.group.identity], vals[self.group.identity] = _identity(n, True)
-        for g, letter, gx in self.group.bfs_tree():
-            perms[gx], vals[gx] = _compose((perms[g], vals[g]), self.letters[letter])
-        return perms, vals
+    def element_table(self):
+        """The operator of each element of a table-backed group, that of its BFS word, read-only: for ``monomial``
+        images the arrays (perms, vals), row g the pair of element g, else the (order, n, n) stack of matrices.
 
-    def _table_group(self) -> TableGroup:
-        if not isinstance(self.group, TableGroup):
+        Built along the BFS tree as phi(g x) = phi(g) rho(x), the products :meth:`operator` forms, in the same order.
+        """
+        group = self.group
+        if not isinstance(group, TableGroup):
             raise ValueError("element enumeration needs a table-backed group")
-        return self.group
+        n, order, e = self.space.dim, group.order, group.identity
+        if self.monomial:
+            perms, vals = np.empty((order, n), dtype=int), np.empty((order, n))
+            perms[e], vals[e] = _identity(n, True)
+            for g, letter, gx in group.bfs_tree():
+                perms[gx], vals[gx] = _compose((perms[g], vals[g]), self.letters[letter])
+            table = perms, vals
+        else:
+            table = np.empty((order, n, n))
+            table[e] = np.eye(n)
+            for g, letter, gx in group.bfs_tree():
+                table[gx] = table[g] @ self.letters[letter]
+        for arr in table if self.monomial else (table,):
+            arr.setflags(write=False)
+        return table
 
     def element_apply(self, elements, vectors) -> np.ndarray:
         """Row i is phi(elements[i]) @ vectors[i], for elements of a table-backed group (one vector serves all).
 
-        The element operators are those of :meth:`element_matrices`; for ``monomial`` images each row is the
-        gather-multiply of the element's pair, equal to the matrix-vector product bit for bit (:func:`_act`).
+        The element operators are those of :attr:`element_table`: for ``monomial`` images each row is the
+        gather-multiply of the element's pair, equal to the matrix-vector product bit for bit (:func:`_act`);
+        otherwise one stacked product, which numpy takes with the kernel of the single product.
         """
-        self._table_group()
+        table = self.element_table
         elements = np.asarray(elements, dtype=int)
         vectors = np.broadcast_to(vectors, (elements.size, self.space.dim))
         if self.monomial:
-            perms, vals = self._element_table
+            perms, vals = table
             return vals[elements] * np.take_along_axis(vectors, perms[elements], axis=1) + 0.0
-        mats = self.element_matrices()
-        return np.array([mats[g] @ v for g, v in zip(elements.tolist(), vectors)]).reshape(vectors.shape)
-
-    def element_matrices(self) -> dict:
-        """Matrix for every element of a table-backed group, the operator of its BFS word.
-
-        Built once along the BFS tree as phi(g x) = phi(g) @ rho(x), the same
-        products in the same order as :meth:`operator` (for ``monomial``
-        images, from the pairs of the element table); the matrices are
-        cached and read-only.
-        """
-        group = self._table_group()
-        if self._element_mats is None:
-            if self.monomial:
-                perms, vals = self._element_table
-                mats = {g: _dense((perms[g], vals[g])) for g in range(group.order)}
-            else:
-                mats = {group.identity: np.eye(self.space.dim)}
-                for g, letter, gx in group.bfs_tree():
-                    mats[gx] = mats[g] @ self.letters[letter]
-            for mat in mats.values():
-                mat.setflags(write=False)
-            self._element_mats = mats
-        return self._element_mats
+        return (table[elements] @ vectors[:, :, None])[:, :, 0]
 
     # -- validation ---------------------------------------------------------
 
@@ -247,7 +235,7 @@ class Representation:
             group, names = self.group, self.generator_names
             worst = 0.0
             if self.monomial:
-                perms, vals = self._element_table
+                perms, vals = self.element_table
                 for name in names:
                     prod_perms, prod_vals = _compose((perms, vals), self.letters[name])
                     gs = group.table[:, group.generators[name]]
@@ -259,12 +247,11 @@ class Representation:
                         dev = _dense((prod_perms[g], prod_vals[g])) - _dense((perms[gs[g]], vals[gs[g]]))
                         worst = max(worst, float(np.linalg.norm(dev, 2)))
                 return worst
-            mats = self.element_matrices()
-            for g, mat in mats.items():
-                for name in names:
-                    dev = mat @ self.letters[name] - mats[group.mult(g, group.generators[name])]
-                    if dev.any():  # the SVD of an exactly-zero deviation would give 0
-                        worst = max(worst, float(np.linalg.norm(dev, 2)))
+            stack = self.element_table
+            for name in names:
+                devs = stack @ self.letters[name] - stack[group.table[:, group.generators[name]]]
+                devs = devs[devs.any(axis=(1, 2))]  # the SVD of an exactly-zero deviation would give 0
+                worst = max(worst, float(np.max(np.linalg.norm(devs, 2, axis=(1, 2)), initial=0.0)))
             return worst
         worst = 0.0
         eye = np.eye(self.space.dim)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lplab import LpSpace
+from lplab.representation import Representation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -30,6 +31,35 @@ def count_calls(functions, run):
     finally:
         sys.setprofile(None)
     return counts
+
+
+def element_tables_built(run) -> list:
+    """The ``monomial`` flag of each representation whose element table is built while ``run()`` runs.
+
+    A False is a dense (order, n, n) stack.  Profiled as :func:`count_calls` does, by code object.
+    """
+    code, flags = Representation.element_table.func.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            flags.append(frame.f_locals["self"].monomial)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return flags
+
+
+def table_matrices(rep) -> np.ndarray:
+    """The (order, n, n) element matrices of ``rep``'s element table: the stack, or each pair (perms, vals) densified."""
+    if not rep.monomial:
+        return rep.element_table
+    perms, vals = rep.element_table
+    mats = np.zeros((*perms.shape, perms.shape[1]))
+    np.put_along_axis(mats, perms[:, :, None], vals[:, :, None], axis=2)
+    return mats
 
 
 def hilbert_projection(space: LpSpace, basis: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from lplab import (
     LpSpace,
     Refusal,
     Representation,
+    TableGroup,
     coboundary_of,
     coboundary_solve,
     cyclic_group,
@@ -322,3 +323,96 @@ class TestSuperrigidity:
         report = superrigidity_pipeline(cs, coc)
         assert report.status == "pass"
         assert report.index == 1
+
+
+class TestInduceCocycleInputs:
+    def test_cocycle_over_a_foreign_group_refused(self):
+        cs, rep = sign_z2_in_z4()
+        _, rep_g = induce_rep(cs, rep)
+        # same order as cs.subgroup, other generator name; then another table of order 4 in Z/8
+        foreign = Representation(cyclic_group(2, "t"), rep.space, {"t": -np.eye(1)})
+        with pytest.raises(ValueError, match="not over the coset structure's subgroup"):
+            induce_cocycle(cs, Cocycle(foreign, {"t": [3.0]}), rep_g)
+        cs8 = CosetStructure(cyclic_group(8), [0, 2, 4, 6], {"s": 2})
+        _, rep8 = induce_rep(cs8, Representation(cs8.subgroup, rep.space, {"s": -np.eye(1)}))
+        klein = product_group(cyclic_group(2, "s"), cyclic_group(2, "u"))
+        rep_k = Representation(klein, rep.space, {"s": -np.eye(1), "u": np.eye(1)})
+        with pytest.raises(ValueError, match="not over the coset structure's subgroup"):
+            induce_cocycle(cs8, Cocycle(rep_k, {"s": [3.0], "u": [0.0]}, validate=False), rep8, validate=False)
+
+    def test_induced_rep_of_the_wrong_dimension_refused(self):
+        cs, rep = sign_z2_in_z4()
+        coc = Cocycle(rep, {"s": [3.0]})
+        space = LpSpace(3, 3.0)
+        wrong = Representation(cs.group, space, {"a": LampertiIsometry([2, 0, 1], np.ones(3), space, space)},
+                               validate=False)
+        with pytest.raises(ValueError, match="induced representation is not over"):
+            induce_cocycle(cs, coc, wrong, validate=False)
+        _, rep_g = induce_rep(cs, rep)
+        other_z4 = Representation(cyclic_group(4), rep_g.space, dict(rep_g.images))
+        with pytest.raises(ValueError, match="induced representation is not over"):
+            induce_cocycle(cs, coc, other_z4)
+
+
+def rotation_a3_in_s3():
+    group = symmetric_group_3()
+    c = group.generators["c"]
+    cs = CosetStructure(group, group.subgroup_closure([c]), {"c": c})
+    t = 2 * np.pi / 3
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    return cs, Representation(cs.subgroup, LpSpace(2, 2.0), {"c": rot})
+
+
+def hand_blocks(cs, block_of):
+    """Each generator h of G as the block matrix with block_of(s) at (d, d'), s = chi(h^-1 d) in S, from the group
+    table itself."""
+    group, words = cs.group, cs.subgroup.element_words()
+    blocks = {}
+    for name, h in group.generators.items():
+        rows = []
+        for d in cs.domain:
+            x = group.mult(group.inv(h), d)
+            row = [np.zeros_like(block_of(words[0]))] * cs.index
+            row[int(cs.coset_of[x])] = block_of(words[cs.sub_index_of[int(cs.chi[x])]])
+            rows.append(row)
+        blocks[name] = np.block(rows)
+    return blocks
+
+
+class TestInducedOperators:
+    def test_dense_base_keeps_dense_blocks(self):
+        cs, rep = rotation_a3_in_s3()
+        assert not rep.monomial
+        ind, rep_g = induce_rep(cs, rep)  # validated on construction
+        assert not rep_g.monomial
+        assert rep_g.relation_residual <= 1e-10
+        for name, big in hand_blocks(cs, rep.operator).items():
+            assert np.array_equal(rep_g.generator_matrix(name), big), name
+        coc_g = induce_cocycle(cs, coboundary_of(rep, [0.3, -1.2]), rep_g)
+        assert coc_g.relator_residual <= 1e-10
+
+    @pytest.mark.parametrize("case", ["z4-in-z8", "c-in-s3", "t-in-s3"])
+    def test_weighted_monomial_base_induces_lamperti_blocks(self, case):
+        # a weighted signed n-cycle for a subgroup generator of order n: index 2 (normal) and index 3 (not normal)
+        if case == "z4-in-z8":
+            # generated by 1 and 5: the blocks of 5 are the elements s^-1 and s^2, whose vals are products
+            group, gens = TableGroup(cyclic_group(8).table, 0, {"a": 1, "b": 5}), {"s": 2}
+        else:
+            group = symmetric_group_3()
+            gens = {case[0]: group.generators[case[0]]}
+        cs = CosetStructure(group, group.subgroup_closure(list(gens.values())), gens)
+        n = cs.subgroup.order
+        rng = np.random.default_rng(n)
+        space = LpSpace(n, 3.0, rng.uniform(0.5, 2.0, n))
+        signs = rng.choice([-1.0, 1.0], n)
+        signs[0] = np.prod(signs[1:])  # rho^n = prod(signs) * I
+        (name,) = gens
+        rep = Representation(cs.subgroup, space, {name: LampertiIsometry(np.roll(np.arange(n), 1), signs, space, space)})
+        _, rep_g = induce_rep(cs, rep)
+        assert rep_g.monomial and all(isinstance(op, LampertiIsometry) for op in rep_g.images.values())
+        assert rep_g.relation_residual <= 1e-12
+        # the densities come from the tiled weights, not from the element table's products: equal to rounding
+        for name, big in hand_blocks(cs, rep.operator).items():
+            mat = rep_g.generator_matrix(name)
+            assert np.array_equal(mat != 0, big != 0), (case, name)
+            assert np.all(np.abs(mat - big) <= 4 * np.finfo(float).eps * np.abs(big)), (case, name)

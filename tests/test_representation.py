@@ -8,6 +8,7 @@ from lplab import (
     Representation,
     canonical_complement,
     cyclic_group,
+    dihedral_group,
     dual_rep,
     duality_map,
     fixed_subspace,
@@ -16,9 +17,10 @@ from lplab import (
     indicator_vector,
     product_decomposition,
     product_group,
+    symmetric_group_3,
     zero_mean_rep,
 )
-from conftest import hilbert_projection
+from conftest import hilbert_projection, table_matrices
 
 
 def swap_rep(p=3.0, weights=None):
@@ -50,6 +52,23 @@ def rotation_z6():
     return Representation(cyclic_group(6), LpSpace(2, 2.0), {"a": rot})
 
 
+def rotation_a3():
+    # A3 in S3 acting on l_2^2 by 120 degrees
+    group = symmetric_group_3()
+    c = group.generators["c"]
+    sub, _ = group.subgroup(group.subgroup_closure([c]), {"c": c})
+    t = 2 * np.pi / 3
+    return Representation(sub, LpSpace(2, 2.0), {"c": np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])})
+
+
+def rotation_d4():
+    # the symmetries of the square on l_2^2, rotated by 30 degrees off the axes: no image is monomial
+    t, u = np.pi / 6, np.pi / 2
+    rot = np.array([[np.cos(u), -np.sin(u)], [np.sin(u), np.cos(u)]])
+    refl = np.array([[np.cos(2 * t), np.sin(2 * t)], [np.sin(2 * t), -np.cos(2 * t)]])
+    return Representation(dihedral_group(4), LpSpace(2, 2.0), {"r": rot, "s": refl})
+
+
 def weighted_perm_rep(perms, p, seed=0):
     n = len(next(iter(perms.values())))
     rep, _ = zero_mean_rep(perms, np.random.default_rng(seed).uniform(0.5, 2.0, n), p)
@@ -66,7 +85,7 @@ TREE_REPS = {
 
 def pair_residual(rep):
     """Brute-force oracle: max over all m^2 pairs of ||phi(i) phi(j) - phi(ij)||_2."""
-    mats = rep.element_matrices()
+    mats = table_matrices(rep)
     m = rep.group.order
     return max(
         float(np.linalg.norm(mats[i] @ mats[j] - mats[rep.group.mult(i, j)], 2))
@@ -88,18 +107,40 @@ class TestElementOperators:
     @pytest.mark.parametrize("name", sorted(TREE_REPS))
     def test_tree_matrices_equal_word_operators(self, name):
         rep = TREE_REPS[name]()
-        mats = rep.element_matrices()
+        mats = table_matrices(rep)
         words = rep.group.element_words()
-        assert sorted(mats) == list(range(rep.group.order))
+        assert len(mats) == rep.group.order and sorted(words) == list(range(rep.group.order))
         for g, word in words.items():
             assert np.array_equal(mats[g], rep.operator(word))
 
-    def test_element_matrices_are_cached_and_read_only(self):
+    def test_element_table_is_cached_and_read_only(self):
         rep = rotation_z6()
-        mats = rep.element_matrices()
-        assert rep.element_matrices() is mats
+        table = rep.element_table
+        assert rep.element_table is table
+        assert table.shape == (6, 2, 2)
         with pytest.raises(ValueError):
-            mats[1][0, 0] = 0.0
+            table[1][0, 0] = 0.0
+        perms, vals = TREE_REPS["d4"]().element_table
+        for arr in (perms, vals):
+            with pytest.raises(ValueError):
+                arr[1, 0] = 0
+
+    @pytest.mark.parametrize("rep", [rotation_z6, rotation_a3, rotation_d4])
+    def test_stacked_products_equal_the_per_element_loops(self, rep):
+        # element_apply and the edge check take one stacked product each; the loops they replace, bit for bit
+        rep = rep()
+        table, group = rep.element_table, rep.group
+        vectors = np.random.default_rng(3).standard_normal((group.order, rep.space.dim))
+        images = rep.element_apply(np.arange(group.order), vectors)
+        loop = np.array([table[g] @ v for g, v in enumerate(vectors)])
+        assert images.tobytes() == loop.tobytes()
+        worst = 0.0
+        for g in range(group.order):
+            for name in rep.generator_names:
+                dev = table[g] @ rep.letters[name] - table[group.mult(g, group.generators[name])]
+                if dev.any():
+                    worst = max(worst, float(np.linalg.norm(dev, 2)))
+        assert rep.relation_residual == worst
 
     @pytest.mark.parametrize("name", sorted(TREE_REPS))
     def test_edge_and_pair_residuals_of_valid_representations(self, name):
@@ -110,7 +151,7 @@ class TestElementOperators:
     def test_relation_broken_off_the_tree_is_refused(self):
         rep = signed_shift_z6(-1.0)  # rho(a)^6 = -I
         tree = rep.group.bfs_tree()
-        mats = rep.element_matrices()
+        mats = table_matrices(rep)
         # every tree edge holds by construction; the defect sits on a non-tree edge
         for g, letter, gx in tree:
             assert np.array_equal(mats[g] @ rep.operator(letter), mats[gx])

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import table_matrices
 from lplab import Refusal, TableGroup, fisher_margulis_iterate, symmetric_group_3
 from lplab.cli import bundled_scenario_path, bundled_scenarios, main
 from lplab.reports import check, status_of
@@ -172,7 +173,7 @@ def test_tree_orbit_points_equal_word_points():
     rng = np.random.default_rng(5)
     for scenario in scenarios:
         action = scenario.cocycle
-        mats, vals = action.rep.element_matrices(), scenario.cocycle.element_values()
+        mats, vals = table_matrices(action.rep), scenario.cocycle.element_values()
         for _ in range(5):
             x0 = rng.standard_normal(scenario.space.dim)
             for g, word in sorted(scenario.group.element_words().items()):

@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import element_tables_built, table_matrices
 from lplab import LpSpace
 from lplab.cli import bundled_scenario_path, bundled_scenarios
 from lplab.cocycle import Cocycle
 from lplab.groups import (MAX_ORDER, GroupTooLarge, TableGroup, cyclic_group, group_from_permutations,
                           product_group)
+from lplab.induction import CosetStructure, induce_rep
 from lplab.lamperti import LampertiIsometry
 from lplab.representation import Representation
 from lplab.scenario import MAX_LIST, ScenarioError, parse_scenario
@@ -147,12 +148,12 @@ def _cocycles(scenario):
 # -- equivalence on every bundled table-group scenario and on scale seeds 1 and 2 ---------------------------------
 
 
-def test_element_matrices_equal_the_dense_products(structured):
+def test_element_table_equals_the_dense_products(structured):
     for scenario in structured:
         rep = scenario.representation
         oracle = dense_elements(rep)
-        mats = rep.element_matrices()
-        assert sorted(mats) == sorted(oracle)
+        mats = table_matrices(rep)
+        assert list(range(len(mats))) == sorted(oracle)
         for g, mat in oracle.items():
             assert _same_bits(mats[g], mat), (scenario.name, g)
         for name, mat in dense_letters(rep).items():
@@ -234,11 +235,35 @@ def test_cobound_decompose_and_gap_build_no_dense_element_matrix(structured):
         if scenario.task["command"] not in ("cobound", "decompose", "gap"):
             continue
         reports = []
-        counts = count_calls([Representation.element_matrices], lambda: reports.append(execute(scenario)))
-        assert counts == {"Representation.element_matrices": 0}, scenario.name
-        assert scenario.representation._element_mats is None
+        built = element_tables_built(lambda: reports.append(execute(scenario)))
+        assert all(built), scenario.name
+        assert isinstance(vars(scenario.representation).get("element_table", ()), tuple)
         ran += 1
     assert ran >= 20
+
+
+INDUCTION_SCENARIOS = ("induce-sign-z4", "superrigid-diagonal-s3", "superrigid-overlap-d3")
+
+
+@pytest.mark.parametrize("name", INDUCTION_SCENARIOS)
+def test_bundled_inductions_stay_monomial(name):
+    scenario = parse_scenario(json.loads(bundled_scenario_path(name).read_text()))
+    task = scenario.task
+    cs = CosetStructure(scenario.group, task["subgroup"], task["subgroup_generators"])
+    rep_sub, _ = scenario.action(cs.subgroup)
+    _, rep_g = induce_rep(cs, rep_sub)
+    assert rep_sub.monomial and rep_g.monomial
+    assert all(isinstance(op, LampertiIsometry) for op in rep_g.images.values())
+    reports = []
+    built = element_tables_built(lambda: reports.append(execute(scenario)))
+    assert built and all(built), built
+    assert reports[0].status == "pass"
+
+
+def test_no_corpus_scenario_builds_a_dense_element_stack():
+    # parse and run: every element table of a bundled scenario, of its induced and derived representations, is pairs
+    built = element_tables_built(lambda: [execute(parse_scenario(raw)) for raw in _bundled_raws()])
+    assert len(built) >= 20 and all(built)
 
 
 # -- the group-order budget --------------------------------------------------------------------------------------

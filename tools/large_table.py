@@ -6,7 +6,10 @@ Writes a signed shift of Z/n on weighted l_3^n (the table group Z/n, one
 ``lamperti`` image, weights uniform in [0.5, 2], an even number of -1 signs;
 the ``cyclic`` kind of the benchmark's ``scale`` workload at n = m) to a
 temporary directory, with a ``decompose`` task and a ``cobound`` task whose
-cocycle is the coboundary of a standard normal vector.  Each (task, repeat)
+cocycle is the coboundary of a standard normal vector; and an ``induce`` task
+from the index-2 subgroup 2Z/n, whose generator s = 2 acts by the same kind
+of signed shift on weighted l_3^(n/2), with such a coboundary cocycle (the
+induced space is l_3^n).  Each (task, repeat)
 runs in a fresh interpreter, with BLAS pinned to one thread, which reports
 the seconds of ``load_scenario`` (parse, group, representation and cocycle
 validation), of ``execute``, the report's status and its own peak RSS
@@ -34,24 +37,28 @@ BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREAD
 
 def scenario(n: int, task: str, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
-    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    if np.prod(signs) < 0:  # rho(a)^n = prod(signs) * I must be the identity
+    dim = n // 2 if task == "induce" else n
+    signs = np.where(rng.random(dim) < 0.5, -1.0, 1.0)
+    if np.prod(signs) < 0:  # rho^dim = prod(signs) * I must be the identity
         signs[0] = -signs[0]
-    weights = rng.uniform(0.5, 2.0, n)
-    shift = [(i - 1) % n for i in range(n)]  # output i pulls from input i-1
+    weights = rng.uniform(0.5, 2.0, dim)
+    shift = [(i - 1) % dim for i in range(dim)]  # output i pulls from input i-1
+    name = "s" if task == "induce" else "a"
     raw = {
         "name": f"cyclic{n}-{task}",
-        "space": {"dim": n, "p": 3.0, "weights": weights.tolist()},
+        "space": {"dim": dim, "p": 3.0, "weights": weights.tolist()},
         "group": {"kind": "table", "table": ((np.arange(n)[:, None] + np.arange(n)) % n).tolist(), "identity": 0,
                   "generators": {"a": 1}},
-        "representation": {"images": {"a": {"kind": "lamperti", "perm": shift, "signs": signs.tolist()}}},
+        "representation": {"images": {name: {"kind": "lamperti", "perm": shift, "signs": signs.tolist()}}},
         "task": {"command": task},
     }
-    if task == "cobound":
-        v = rng.standard_normal(n)
-        # rho(a) v: coordinate i is signs_i (w_{i-1} / w_i)^(1/p) v_{i-1}
+    if task == "induce":
+        raw["task"].update({"subgroup": list(range(0, n, 2)), "subgroup_generators": {"s": 2}})
+    if task in ("cobound", "induce"):
+        v = rng.standard_normal(dim)
+        # rho v: coordinate i is signs_i (w_{i-1} / w_i)^(1/p) v_{i-1}
         image = signs * (weights[shift] / weights) ** (1.0 / 3.0) * v[shift]
-        raw["cocycle"] = {"values": {"a": (v - image).tolist()}}
+        raw["cocycle"] = {"values": {name: (v - image).tolist()}}
     return raw
 
 
@@ -81,7 +88,7 @@ def main(argv=None) -> int:
     env = {**os.environ, **BLAS_ENV}
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for task in ("decompose", "cobound"):
+        for task in ("decompose", "cobound", "induce"):
             path = Path(tmp) / f"{task}.json"
             path.write_text(json.dumps(scenario(args.n, task)))
             runs = []

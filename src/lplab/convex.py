@@ -1,10 +1,17 @@
-"""Convex geometry engines for lp spaces.
+"""Convex geometry engines for lp spaces, in numpy.
 
 All minimax objectives here are maxima of norms of affine expressions
 max_i ||A_i y + b_i||; they are minimized by softmax temperature
-continuation (smooth surrogate, warm-started over a decreasing temperature
-schedule) and polished on the exact epigraph formulation with an SQP step.
-Nearest-point problems are smooth convex minimizations for p > 1.
+continuation (a smooth surrogate, warm-started over a decreasing
+temperature schedule, each temperature by a small dense BFGS; Nesterov,
+*Smooth minimization of non-smooth functions*, 2005) and polished by SQP
+steps for the max of the smooth squared terms: each step solves the dual
+QP over the simplex of the near-active terms and the ball, and the best
+point evaluated, by its true max, is returned.  The nearest point of a
+convex hull minimizes the squared distance over the simplex of weights by
+projected Newton steps, each an exact QP over the simplex.  Only the
+nearest point of an affine subspace, which no command asks for, still
+imports an outside solver (``_project_affine``).
 """
 
 from __future__ import annotations
@@ -16,7 +23,9 @@ import numpy as np
 from .cocycle import _ORBIT_CAP, Cocycle, OrbitCapExceeded, _orbit_of
 from .errors import Refusal
 from .reports import Checked, check
-from .spaces import LpSpace, as_vector, duality_map, norm_pow, norms, norms_and_grads, pow_grad, weighted_lstsq
+from .spaces import (
+    LpSpace, as_vector, duality_map, norm_hessians, norm_pow, norms, norms_and_grads, pow_grad, weighted_lstsq,
+)
 
 __all__ = [
     "AffineSubspace",
@@ -87,6 +96,139 @@ def _minimax_value(space: LpSpace, mats: np.ndarray, shifts: np.ndarray, y: np.n
     return float(np.max(norms(space.weights, space.p, mats @ y + shifts)))
 
 
+_TEMPERATURES = (1.0, 0.1, 0.01, 0.001)  # softmax temperatures, as fractions of the starting value
+_POLISH_STEPS = 50
+_TIE = 1e-14  # maxima this close, relative, are equal: rounding decides between them
+
+
+def _bfgs(f_grad, y: np.ndarray, gtol: float, reach: float, norm) -> np.ndarray:
+    """Minimize a smooth function from ``y`` by dense BFGS with Armijo backtracking.
+
+    No trial step is longer than ``2 * reach`` in ``norm``, about the
+    farthest the minimizer can be from a point tried.  Stops when the
+    largest gradient entry is at most ``gtol``, when a step lowers the value
+    by no more than rounding, when 20 halvings of a step find no lower
+    value, or after 500 steps.
+    """
+    f, g = f_grad(y)
+    hinv = None  # the inverse Hessian estimate, from the first curvature pair on
+    for _ in range(500):
+        if np.max(np.abs(g)) <= gtol:
+            break
+        d = None if hinv is None else -(hinv @ g)
+        if d is None or g @ d >= 0.0:
+            hinv, d = None, -g
+        length = norm(d)
+        if length > 2.0 * reach:
+            d = d * (2.0 * reach / length)
+        slope, step = g @ d, 1.0
+        for _ in range(20):
+            y_new = y + step * d
+            f_new, g_new = f_grad(y_new)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        s, dg = y_new - y, g_new - g
+        sy = s @ dg
+        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(g):  # a curvature above the gradient's rounding
+            if hinv is None:
+                hinv = (sy / (dg @ dg)) * np.eye(len(y))
+            hy = hinv @ dg
+            hinv = hinv + ((sy + dg @ hy) / sy**2) * np.outer(s, s) - (np.outer(hy, s) + np.outer(s, hy)) / sy
+        done = f - f_new <= 1e-15 * max(abs(f), abs(f_new), 1.0)
+        y, f, g = y_new, f_new, g_new
+        if done:
+            break
+    return y
+
+
+def _simplex_qp(q: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
+    """argmin 1/2 z^T q z - c^T z over z >= 0 with z[:k] summing to 1, for q positive semidefinite.
+
+    A primal active-set method: from the best vertex of the simplex, solve
+    the KKT system of the free entries; a solution with a negative entry is
+    approached until the first entry reaches 0, which is then held there,
+    and at a feasible solution the held entry with the most negative
+    multiplier is freed, until none is.  A ridge of 1e-15 times q's largest
+    diagonal entry keeps every KKT system regular.
+    """
+    n = len(c)
+    q = q + (1e-15 * np.max(np.diag(q)) + 1e-300) * np.eye(n)
+    simplex = (np.arange(n) < k).astype(float)
+    j = int(np.argmax(c[:k] - 0.5 * np.diag(q)[:k]))
+    z, free = np.zeros(n), np.zeros(n, dtype=bool)
+    z[j], free[j] = 1.0, True
+    for _ in range(4 * n + 4):
+        idx = np.flatnonzero(free)
+        kkt = np.zeros((len(idx) + 1, len(idx) + 1))
+        kkt[:-1, :-1] = q[np.ix_(idx, idx)]
+        kkt[:-1, -1] = kkt[-1, :-1] = simplex[idx]
+        sol = np.linalg.solve(kkt, np.append(c[idx], 1.0))
+        target = sol[:-1]
+        if np.all(target >= 0.0):
+            z = np.zeros(n)
+            z[idx] = target
+            price = q @ z - c + sol[-1] * simplex  # the multiplier of z_j >= 0, for each j held at 0
+            price[free] = np.inf
+            j = int(np.argmin(price))
+            if price[j] >= -1e-13 * max(1.0, np.max(np.abs(c))):
+                break
+            free[j] = True
+        else:
+            move = target - z[idx]
+            down = move < 0.0
+            ratios = z[idx][down] / -move[down]
+            i = int(np.argmin(ratios))
+            z[idx] += ratios[i] * move
+            z[idx[down][i]], free[idx[down][i]] = 0.0, False
+    return z
+
+
+def _into_ball(space: LpSpace, y: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """``y``, or its radial projection onto the ball when outside."""
+    off = space.norm(y - center)
+    return center + (y - center) * (radius / off) if off > radius else y
+
+
+def _softmax_surrogate(space: LpSpace, mats: np.ndarray, shifts: np.ndarray, t_eff: float, ball, scale: float):
+    """y -> (value, gradient) of t log sum_i exp(||A_i y + b_i|| / t) at t = ``t_eff``, plus the ball's penalty.
+
+    The penalty is beta * (||y - center|| - radius)**2 outside the ball, with
+    beta = 100 * ``scale`` / radius.  All terms and the ball offset are
+    measured in one stacked kernel call.
+    """
+    w, p = space.weights, space.p
+    n_terms = len(mats)
+    if ball is not None:
+        center, radius = ball
+        beta = 100.0 * scale / radius
+
+    def f_grad(yv):
+        rows = mats @ yv + shifts
+        if ball is not None:  # the ball offset y - center rides along as one more row
+            rows = np.concatenate([rows, (yv - center)[None]])
+        vals, grads = norms_and_grads(w, p, rows)
+        ds = vals[:n_terms]
+        mx = ds.max()
+        soft = np.exp((ds - mx) / t_eff)
+        total = soft.sum()
+        val = mx + t_eff * np.log(total)
+        terms = (soft / total)[:, None] * _transpose_times(mats, grads[:n_terms])
+        terms = np.where((soft > 1e-300)[:, None], terms, 0.0)
+        # the kept terms summed one by one in order from 0.0; + 0.0 turns an all -0.0 sum into 0.0
+        grad = np.add.accumulate(terms)[-1] + 0.0
+        if ball is not None:
+            excess = float(vals[n_terms]) - radius
+            if excess > 0:
+                val += beta * excess**2
+                grad += 2.0 * beta * excess * grads[n_terms]
+        return val, grad
+
+    return f_grad
+
+
 def _minimize_minimax(space: LpSpace, mats: np.ndarray, shifts: np.ndarray, y0: np.ndarray, ball=None,
                       gtol: float = 1e-12):
     """Minimize max_i ||A_i y + b_i|| over stacked terms.
@@ -94,98 +236,172 @@ def _minimize_minimax(space: LpSpace, mats: np.ndarray, shifts: np.ndarray, y0: 
     ``mats`` holds the A_i as a (T, dim, dim) array and ``shifts`` the b_i
     as (T, dim); a term's identity matrix is passed like any other.
     ``ball`` is an optional (center, radius) trust constraint.  Softmax
-    continuation with warm starts, then an epigraph SQP polish; returns the
-    best point found by true objective value.
+    continuation with warm starts, each temperature minimized by BFGS (one
+    term has one surrogate, so one temperature), then SQP steps on the max
+    itself; returns the best point found by true objective value, and that
+    value.
     """
-    from scipy import optimize  # lazy: importing the CLI loads no SciPy
-    w, p = space.weights, space.p
-
-    def value(y):
-        return _minimax_value(space, mats, shifts, y)
-
     y = np.asarray(y0, dtype=float).copy()
-    scale = max(value(y), 1e-9)
+    scale = max(_minimax_value(space, mats, shifts, y), 1e-9)
     if ball is not None:
         center, radius = ball
         radius = max(radius, 1e-300)
+        ball = (center, radius)
 
-    n_terms = len(mats)
-    for temp in (1.0, 0.1, 0.01, 0.001):
+    for temp in _TEMPERATURES if len(mats) > 1 else _TEMPERATURES[-1:]:
         t_eff = temp * scale
-
-        def f_grad(yv):
-            rows = mats @ yv + shifts
-            if ball is not None:  # the ball offset y - center rides along as one more row
-                rows = np.concatenate([rows, (yv - center)[None]])
-            vals, grads = norms_and_grads(w, p, rows)
-            ds = vals[:n_terms]
-            mx = ds.max()
-            soft = np.exp((ds - mx) / t_eff)
-            total = soft.sum()
-            val = mx + t_eff * np.log(total)
-            terms = (soft / total)[:, None] * _transpose_times(mats, grads[:n_terms])
-            terms = np.where((soft > 1e-300)[:, None], terms, 0.0)
-            # the kept terms summed one by one in order from 0.0; + 0.0 turns an all -0.0 sum into 0.0
-            grad = np.add.accumulate(terms)[-1] + 0.0
-            if ball is not None:
-                excess = float(vals[n_terms]) - radius
-                if excess > 0:
-                    beta = 100.0 * scale / radius
-                    val += beta * excess**2
-                    grad += 2.0 * beta * excess * grads[n_terms]
-            return val, grad
-
-        res = optimize.minimize(f_grad, y, jac=True, method="L-BFGS-B",
-                                options={"ftol": 1e-16, "gtol": gtol, "maxiter": 500})
-        y = res.x
+        f_grad = _softmax_surrogate(space, mats, shifts, t_eff, ball, scale)
+        # the minimizer is within the ball, or within twice the starting value of the barycenter start
+        y = _bfgs(f_grad, y, gtol, scale if ball is None else radius, space.norm)
 
     if ball is not None:
-        off = space.norm(y - center)
-        if off > radius:
-            y = center + (y - center) * (radius / off)
-    best_y, best_val = y, value(y)
+        y = _into_ball(space, y, center, radius)
+    return _sqp_polish(space, mats, shifts, y, ball, t_eff)
 
-    # epigraph polish: min t  s.t.  t**p >= ||A_i y + b_i||**p  (+ ball)
-    def cfun(z):
-        yv, t = z[:-1], z[-1]
-        return max(t, 1e-300) ** p - norm_pow(w, p, mats @ yv + shifts)
 
-    def cjac(z):
-        yv, t = z[:-1], z[-1]
-        gy = -p * _transpose_times(mats, pow_grad(w, p, mats @ yv + shifts))
-        return np.hstack([gy, np.full((len(gy), 1), p * max(t, 1e-300) ** (p - 1.0))])
+def _curvature(p: float, rows: np.ndarray, prev):
+    """The factor of each entry's diagonal Hessian part for the SQP model, or None for p - 1 everywhere.
 
-    cons = [{"type": "ineq", "fun": cfun, "jac": cjac}]
-    if ball is not None:
-        def bfun(z):
-            return radius**p - norm_pow(w, p, z[:-1] - center)
+    For p < 2 the norm's curvature w |r_i|**(p-2) blows up as r_i -> 0, and
+    Newton's model of |r_i|**p overshoots 0 by (2-p)/(p-1) times r_i.  An
+    entry that is not settled (same sign as at the last step and within half
+    of it; at the first step, not above 1e-3 of its row's largest) takes the
+    factor 1 instead of p - 1: the curvature of the quadratic majorizer of
+    |r_i|**p (Weiszfeld's), which never overshoots.
+    """
+    if p >= 2.0:
+        return None
+    if prev is None:
+        settled = np.abs(rows) >= 1e-3 * np.max(np.abs(rows), axis=-1, keepdims=True)
+    else:
+        settled = (np.sign(rows) == np.sign(prev)) & (np.abs(rows - prev) <= 0.5 * np.abs(prev))
+    return np.where(settled, p - 1.0, 1.0)
 
-        def bjac(z):
-            return np.concatenate([-p * pow_grad(w, p, z[:-1] - center), [0.0]])
 
-        cons.append({"type": "ineq", "fun": bfun, "jac": bjac})
+def _squares(space: LpSpace, mats: np.ndarray, rows: np.ndarray, vals, grads, factor):
+    """The gradients and the Hessians, in y, of the squared norms ||A_i y + b_i||**2 of the ``rows``."""
+    hess = norm_hessians(space.weights, space.p, rows, vals, grads, factor)
+    hess = 2.0 * (grads[:, :, None] * grads[:, None, :] + vals[:, None, None] * hess)
+    jac = 2.0 * vals[:, None] * _transpose_times(mats, grads)
+    return jac, np.einsum("tki,tkl,tlj->tij", mats, hess, mats)
 
-    z0 = np.concatenate([best_y, [best_val * (1.0 + 1e-10) + 1e-14]])
-    try:
-        res = optimize.minimize(
-            lambda z: z[-1],
-            z0,
-            jac=lambda z: np.concatenate([np.zeros(space.dim), [1.0]]),
-            constraints=cons,
-            method="SLSQP",
-            options={"ftol": 1e-14, "maxiter": 400},
-        )
-        if res.x is not None:
-            cand = res.x[:-1]
+
+def _moved(grads: np.ndarray, prev: np.ndarray) -> float:
+    """The largest change of a gradient entry since the last step, relative to the largest entry then."""
+    top = np.max(np.abs(prev))
+    return float(np.max(np.abs(grads - prev)) / top) if top > 0.0 else 0.0
+
+
+def _sqp_polish(space: LpSpace, mats: np.ndarray, shifts: np.ndarray, y: np.ndarray, ball, t_eff: float):
+    """SQP steps for min max_i ||A_i y + b_i||**2 (in the ball) from ``y``: the best (point, max norm) evaluated.
+
+    The squared norms are smooth where a term vanishes, as at a fixed point.
+    Each step solves the QP of the terms within half the largest norm and of
+    the ball: their linearizations plus the Hessian of the Lagrangian at the
+    last multipliers (first the softmax weights at temperature ``t_eff``).
+    Its dual is a QP over the simplex of the term multipliers and the ball's
+    multiplier >= 0.  While the model's predicted decrease is above rounding
+    the step is halved until the max falls by a share of it; below that the
+    full step is taken, lower or not.  A point replaces the best one when its
+    max is lower, or within 1e-14 of the lowest seen while its gradients
+    still move: near an entry that vanishes for p < 2 the max stops
+    registering the steps before the multipliers settle.  The steps stop
+    after three that replace nothing, when the model predicts nothing and
+    the gradients stand still, or after ``_POLISH_STEPS``.
+    """
+    w, p, dim = space.weights, space.p, space.dim
+    rows = mats @ y + shifts
+    vals, grads = norms_and_grads(w, p, rows)
+    top = float(np.max(vals))
+    best_y, best_val, low = y, top, top
+    lam, mu = np.exp((vals - top) / t_eff), None
+    lam /= lam.sum()
+    prev_rows = prev_grads = prev_off = prev_a = None
+    stall = 0
+    for _ in range(_POLISH_STEPS):
+        if top == 0.0:  # every term vanishes: a fixed point
+            best_y, best_val = y, top
+            break
+        if not top < np.inf:  # the norms overflow: nothing to polish
+            break
+        near = np.flatnonzero(vals >= 0.5 * top)
+        weights = lam[near] if lam[near].sum() > 0.0 else np.full(len(near), 1.0 / len(near))
+        moved = np.inf if prev_grads is None else _moved(grads[near], prev_grads[near])
+        factor = _curvature(p, rows[near], None if prev_rows is None else prev_rows[near])
+        jac, hessians = _squares(space, mats[near], rows[near], vals[near], grads[near], factor)
+        hess = np.einsum("t,tij->ij", weights, hessians)
+        prev_rows, prev_grads = rows, grads
+        # curvature along the differences of the term gradients and along the ball's gradient: constant on the
+        # steps that keep the active linearizations equal, so it changes no SQP step, but it makes the matrix
+        # definite where the terms' Hessians are not
+        dev = jac - (weights @ jac) / weights.sum()
+        bend = (weights[:, None] * dev).T @ dev
+        cons = vals[near] ** 2 - top**2
+        if ball is not None:
+            center, radius = ball
+            off = (y - center)[None]
+            bval, bgrad = norms_and_grads(w, p, off)
+            a, ball_hess = np.zeros(dim), np.zeros((dim, dim))
+            if bval[0] > 0.0:
+                a, ball_hess = (arr[0] for arr in _squares(space, np.eye(dim)[None], off, bval, bgrad,
+                                                           _curvature(p, off, prev_off)))
+            if mu is None:  # first step: the ball multiplier that best cancels the softmax gradient
+                mu = max(0.0, -float(a @ (weights @ jac)) / float(a @ a)) if a.any() else 0.0
+            if mu > 0.0:
+                hess = hess + mu * ball_hess
+                bend = bend + np.outer(a, a)
+            if prev_a is not None:
+                moved = max(moved, _moved(bgrad, prev_a))
+            prev_off, prev_a = off, bgrad
+            jac = np.vstack([jac, a])
+            cons = np.append(cons, bval[0] ** 2 - radius**2)
+        unit = np.trace(hess) / dim
+        if unit <= 0.0:
+            unit = 1.0
+        if np.trace(bend) > 0.0:
+            hess = hess + (unit * dim / np.trace(bend)) * bend
+        # B^-1 = V diag(1/e) V^T from the eigenpairs, with rounding's negative eigenvalues raised to a floor
+        evals, evecs = np.linalg.eigh(hess)
+        root = np.sqrt(np.maximum(evals, 1e-12 * max(evals[-1], unit)))
+        half = (evecs.T @ jac.T) / root[:, None]
+        z = _simplex_qp(half.T @ half, cons, len(near))
+        hz = half @ z
+        gain = 0.5 * (hz @ hz) - z @ cons  # the decrease of the squared max that the QP model predicts
+        low = min(low, top)
+        if top < best_val * (1.0 - _TIE) or (top <= low * (1.0 + _TIE) and moved > 1e-9):
+            best_y, best_val, stall = y, top, 0
+        else:
+            stall += 1
+            if stall == 3:
+                break
+        if gain <= 1e-15 * top**2 and moved <= 1e-9:
+            break
+        step = -(evecs @ (hz / root))
+        lam = np.zeros(len(vals))
+        lam[near] = z[:len(near)]
+        if ball is not None:
+            mu = float(z[-1])
+        t, significant = 1.0, gain > 1e-12 * top**2
+        for _ in range(30 if significant else 1):
+            y_new = y + t * step
             if ball is not None:
-                off = space.norm(cand - center)
-                if off > radius:
-                    cand = center + (cand - center) * (radius / off)
-            cand_val = value(cand)
-            if cand_val < best_val:
-                best_y, best_val = cand, cand_val
-    except (ValueError, OverflowError):  # pragma: no cover - SLSQP edge failures
-        pass
+                y_new = _into_ball(space, y_new, center, radius)
+            rows_new = mats @ y_new + shifts
+            vals_new, grads_new = norms_and_grads(w, p, rows_new)
+            top_new = float(np.max(vals_new))
+            if not significant or top_new**2 <= top**2 - 1e-4 * t * gain:
+                break
+            t *= 0.5
+        else:
+            break
+        if np.array_equal(y_new, y):
+            break
+        y, rows, vals, grads, top = y_new, rows_new, vals_new, grads_new, top_new
+        if not top <= 2.0 * best_val:  # diverging, or not finite
+            break
+    else:
+        if top < best_val:
+            best_y, best_val = y, top
     return best_y, best_val
 
 
@@ -224,7 +440,7 @@ def nearest_point(cset, x, space: LpSpace, tol: float = 1e-10) -> np.ndarray:
     if isinstance(cset, AffineSubspace):
         return _project_affine(cset, x, space, tol)
     if isinstance(cset, ConvexHull):
-        return _project_hull(cset, x, space, tol)
+        return _project_hull(cset, x, space)
     raise TypeError(f"unsupported convex set {type(cset).__name__}")
 
 
@@ -253,31 +469,47 @@ def _project_affine(cset: AffineSubspace, x, space, tol) -> np.ndarray:
     return cset.base + basis @ res.x
 
 
-def _hull_contains(pts: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
-    from scipy import optimize  # lazy: importing the CLI loads no SciPy
-    m, dim = pts.shape
-    a_eq = np.vstack([pts.T, np.ones((1, m))])
-    b_eq = np.concatenate([x, [1.0]])
-    res = optimize.linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * m)
-    return bool(res.success) and float(np.max(np.abs(a_eq @ res.x - b_eq))) <= tol
+def _project_hull(cset: ConvexHull, x, space: LpSpace) -> np.ndarray:
+    """The nearest point P^T lam of the hull: ||x - P^T lam||**2 minimized over the simplex by projected Newton.
 
-
-def _project_hull(cset: ConvexHull, x, space, tol) -> np.ndarray:
-    from scipy import optimize  # lazy: importing the CLI loads no SciPy
+    Each step minimizes the quadratic model over the simplex exactly (the
+    active-set QP) and backtracks along the way to its minimizer until the
+    squared distance falls by a share of the model's decrease.  A point of
+    the hull comes back at distance 0 up to rounding.
+    """
     pts = cset.points
     m = pts.shape[0]
     if m == 1:
         return pts[0].copy()
-    if _hull_contains(pts, x):
-        return x.copy()
-    cons = [{"type": "eq", "fun": lambda lam: np.sum(lam) - 1.0, "jac": lambda lam: np.ones(m)}]
-    res = optimize.minimize(
-        _residual_pow(space, x, pts.T), np.full(m, 1.0 / m), jac=True, method="SLSQP",
-        bounds=[(0.0, 1.0)] * m, constraints=cons,
-        options={"ftol": 1e-16, "maxiter": 500},
-    )
-    lam = np.clip(res.x, 0.0, None)
-    lam /= lam.sum()
+    w, p = space.weights, space.p
+    mat = -pts.T[None]  # the residual x - P^T lam as one term A lam + b
+    # start from the weighted l2 projection, an exact QP: zero residual when x lies in the hull
+    lam = _simplex_qp(pts @ (w[:, None] * pts.T), pts @ (w * x), m)
+    rows = (x - pts.T @ lam)[None]
+    vals, grads = norms_and_grads(w, p, rows)
+    prev = None
+    for _ in range(50):
+        sq = vals[0] ** 2
+        if not 0.0 < sq < np.inf:  # x in the hull, or the norm overflows
+            break
+        jac, hess = _squares(space, mat, rows, vals, grads, _curvature(p, rows, prev))
+        jac, hess = jac[0], hess[0]
+        hess = hess + 1e-10 * np.trace(hess) / m * np.eye(m)  # definite: P^T lam has only dim coordinates
+        move = _simplex_qp(hess, hess @ lam - jac, m) - lam
+        slope = jac @ move
+        if not slope < 0.0:
+            break
+        prev, t = rows, 1.0
+        for _ in range(30):
+            cand = lam + t * move
+            cand_rows = (x - pts.T @ cand)[None]
+            cand_vals, cand_grads = norms_and_grads(w, p, cand_rows)
+            if cand_vals[0] ** 2 <= sq + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        lam, rows, vals, grads = cand, cand_rows, cand_vals, cand_grads
     return pts.T @ lam
 
 

@@ -147,8 +147,9 @@ class Representation:
         if not self.monomial:
             self.letters = {letter: _dense(op) if isinstance(op, tuple) else op for letter, op in self.letters.items()}
         if validate and self.relation_residual > _RELATION_TOL:
+            bound = "at least " if self._relation_defect[1] else ""
             raise ValueError(
-                f"group relations violated: residual {self.relation_residual:.3e} > {_RELATION_TOL:.0e}"
+                f"group relations violated: residual {bound}{self.relation_residual:.3e} > {_RELATION_TOL:.0e}"
             )
 
     # -- structure ----------------------------------------------------------
@@ -228,12 +229,23 @@ class Representation:
 
     @cached_property
     def relation_residual(self) -> float:
-        """Worst deviation from the group relations, computed when first read (at construction if validated)."""
+        """Worst deviation from the group relations, computed when first read (at construction if validated).
+
+        The largest 2-norm of phi(g) rho(s) - phi(gs) over the Cayley-graph
+        edges, or, where the two sides of a monomial edge are different
+        permutations, the largest column norm of its deviation: a lower bound
+        on that edge's 2-norm, enough to refuse it.
+        """
+        return self._relation_defect[0]
+
+    @cached_property
+    def _relation_defect(self):
+        """(``relation_residual``, whether it is only a lower bound because some edge's permutations differ)."""
         if isinstance(self.group, TableGroup):
             # every Cayley-graph edge g -> gs: phi(g) rho(s) = phi(gs) for all g
             # and generators s makes phi a homomorphism (induction on word length)
             group, names = self.group, self.generator_names
-            worst = 0.0
+            worst, mismatch = 0.0, False
             if self.monomial:
                 perms, vals = self.element_table
                 for name in names:
@@ -243,21 +255,28 @@ class Representation:
                     same = np.all(prod_perms == perms[gs], axis=1)
                     if same.any():
                         worst = max(worst, float(np.max(np.abs(prod_vals[same] - vals[gs[same]]))))
-                    for g in np.flatnonzero(~same):  # a permutation mismatch: the 2-norm from the SVD
-                        dev = _dense((prod_perms[g], prod_vals[g])) - _dense((perms[gs[g]], vals[gs[g]]))
-                        worst = max(worst, float(np.linalg.norm(dev, 2)))
-                return worst
+                    if not same.all():
+                        # column j of a mismatched edge's deviation holds a, the entry of phi(g) rho(s) in the
+                        # row whose permutation entry is j, and -b, the entry of phi(gs) in its own such row:
+                        # from two rows its norm is (a**2 + b**2)**(1/2), from one row |a - b|
+                        mismatch = True
+                        rows_a, rows_b = np.argsort(prod_perms[~same], axis=1), np.argsort(perms[gs[~same]], axis=1)
+                        a = np.take_along_axis(prod_vals[~same], rows_a, axis=1)
+                        b = np.take_along_axis(vals[gs[~same]], rows_b, axis=1)
+                        cols = np.where(rows_a == rows_b, np.abs(a - b), np.hypot(a, b))
+                        worst = max(worst, float(np.max(cols)))
+                return worst, mismatch
             stack = self.element_table
             for name in names:
                 devs = stack @ self.letters[name] - stack[group.table[:, group.generators[name]]]
                 devs = devs[devs.any(axis=(1, 2))]  # the SVD of an exactly-zero deviation would give 0
                 worst = max(worst, float(np.max(np.linalg.norm(devs, 2, axis=(1, 2)), initial=0.0)))
-            return worst
+            return worst, False
         worst = 0.0
         eye = np.eye(self.space.dim)
         for rel in self.group.relators:
             worst = max(worst, float(np.linalg.norm(self.operator(rel) - eye, 2)))
-        return worst
+        return worst, False
 
     # -- derived representations ---------------------------------------------
 

@@ -15,10 +15,10 @@ so that primal and dual vectors share coordinates.
 
 This module is the only place that evaluates the lp formula.  The bare
 kernel functions ``norm_pow``, ``norms``, ``pow_grad``, ``norm_grad``,
-``norms_and_grads`` and ``grads_from_roots`` take the weights, the exponent
-and trusted arrays, and check nothing.  They work on a stack of vectors, one
-per row, so that a solver evaluates all of its terms in one call; all but
-``norms``, ``norms_and_grads`` and ``grads_from_roots`` also take a single
+``norms_and_grads``, ``grads_from_roots`` and ``norm_hessians`` take the
+weights, the exponent and trusted arrays, and check nothing.  They work on
+a stack of vectors, one per row, so that a solver evaluates all of its terms
+in one call; ``norm_pow``, ``pow_grad`` and ``norm_grad`` also take a single
 vector.  Roots, and the powers of roots that scale a gradient, are taken
 one value at a time with the scalar ``**``: numpy's vectorised power rounds
 a few percent of them differently in the last place, which would move
@@ -40,6 +40,7 @@ __all__ = [
     "grads_from_roots",
     "mazur_map",
     "norm_grad",
+    "norm_hessians",
     "norm_pow",
     "norms",
     "norms_and_grads",
@@ -94,6 +95,23 @@ def norms_and_grads(w, p, rows) -> tuple:
 def norm_grad(w, p, r) -> np.ndarray:
     """Gradient of the norm at ``r``, or at each row of a stack; zero where the row is 0 (p > 1)."""
     return norms_and_grads(w, p, r.reshape(-1, r.shape[-1]))[1].reshape(r.shape)
+
+
+def norm_hessians(w, p, rows, vals, grads, factor=None) -> np.ndarray:
+    """The Hessian of the norm at each nonzero row of ``rows``, given its norm and gradient.
+
+    factor * diag(w |r|**(p-2)) / N**(p-1) - (p-1) g g^T / N for the norm N
+    and the gradient g of the row r, where ``factor`` (an array like
+    ``rows``) is p - 1 by default.  For p < 2 the entry w |r_i|**(p-2) is
+    infinite where r_i = 0; there it takes its value at |r_i| = 1e-12 N.
+    """
+    n = vals[:, None]
+    mag = np.abs(rows) / n
+    if p < 2.0:
+        mag = np.maximum(mag, 1e-12)
+    diag = (p - 1.0 if factor is None else factor) * w * mag ** (p - 2.0) / n
+    outer = grads[:, :, None] * (grads / n)[:, None, :]
+    return diag[:, :, None] * np.eye(rows.shape[1]) - (p - 1.0) * outer
 
 
 def weighted_lstsq(w, mat, rhs) -> np.ndarray:

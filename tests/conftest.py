@@ -76,24 +76,32 @@ def grid_circumcenter(points: np.ndarray, space: LpSpace, rounds: int = 14, n: i
     Each round keeps the bounding box of every grid point within half a
     cell diameter of the incumbent value (the objective is 1-Lipschitz, so
     a grid neighbor of the true minimizer always survives), padded by half
-    a cell per axis.
+    a cell per axis.  The objective is built one axis at a time: the n x m
+    table of w_i |axis_i[k] - p_ji|**p of each axis, added in axis order by
+    broadcasting, which sums every grid value as the whole (grid, point,
+    axis) stack summed it.
     """
     pts = np.asarray(points, dtype=float)
+    dim, m = pts.shape[1], pts.shape[0]
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     w, p = space.weights, space.p
+    shape = (n,) * dim
     best = None
     for _ in range(rounds):
-        axes = [np.linspace(lo[i], hi[i], n) for i in range(pts.shape[1])]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, pts.shape[1])
-        d = ((np.abs(grid[:, None, :] - pts[None, :, :]) ** p) * w[None, None, :]).sum(axis=2) ** (1.0 / p)
-        vals = d.max(axis=1)
+        axes = [np.linspace(lo[i], hi[i], n) for i in range(dim)]
+        total = None
+        for i, axis in enumerate(axes):
+            table = (np.abs(axis[:, None] - pts[None, :, i]) ** p) * w[i]  # (n, m), broadcast along axis i
+            table = table.reshape((1,) * i + (n,) + (1,) * (dim - 1 - i) + (m,))
+            total = table if total is None else total + table
+        vals = (total ** (1.0 / p)).reshape(-1, m).max(axis=1)
         k = int(np.argmin(vals))
-        best = grid[k]
+        best = np.array([axis[idx] for axis, idx in zip(axes, np.unravel_index(k, shape))])
         cell = (hi - lo) / (n - 1)
-        keep = grid[vals <= vals[k] + 0.5 * space.norm(cell)]
-        lo = keep.min(axis=0) - 0.5 * cell
-        hi = keep.max(axis=0) + 0.5 * cell
+        keep = np.unravel_index(np.flatnonzero(vals <= vals[k] + 0.5 * space.norm(cell)), shape)
+        lo = np.array([axis[idx].min() for axis, idx in zip(axes, keep)]) - 0.5 * cell
+        hi = np.array([axis[idx].max() for axis, idx in zip(axes, keep)]) + 0.5 * cell
     return best, float(vals[k])
 
 

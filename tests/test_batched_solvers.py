@@ -6,7 +6,9 @@ evaluates its candidates and their midpoint shrink factors as stacks of rows
 per configuration size, and the minimax gradient reduces its terms in one
 masked pass.  Each oracle below is the sequential loop the batched code
 replaced, kept here only as a test reference (like ``pair_residual`` in
-``test_representation.py``); every comparison is ``==``.
+``test_representation.py``); every comparison is ``==``.  The minimax
+solver's SciPy predecessor, ``sequential_minimax``, is kept too: it is the
+value reference of ``test_numpy_minimax.py``.
 """
 
 import json
@@ -21,9 +23,9 @@ from scipy import optimize
 from lplab import (
     LpSpace, convexity_modulus, invariant_norm, schoenberg_gram, schoenberg_scan, schoenberg_violation_search,
 )
-from lplab import gap, geometry
+from lplab import convex, gap, geometry
 from lplab.cli import bundled_scenario_path, bundled_scenarios, main
-from lplab.convex import _minimize_minimax, _transpose_times
+from lplab.convex import _minimax_value, _minimize_minimax, _transpose_times
 from lplab.geometry import _BLOCK
 from lplab.gap import _canonical_sign, _eigen_start, _matvecs, _sphere_directions, kazhdan_gap
 from lplab.representation import canonical_complement
@@ -226,8 +228,38 @@ def looped_violation_search(p, trials, seed, threshold=-1e-6):
     return None
 
 
+def looped_surrogate(space, mats, shifts, t_eff, ball, scale):
+    """The minimax solver's softmax surrogate with its gradient summed term by term: y -> (value, gradient)."""
+    w, p = space.weights, space.p
+
+    def f_grad(yv):
+        resid = mats @ yv + shifts
+        ds = norms(w, p, resid)
+        mx = ds.max()
+        soft = np.exp((ds - mx) / t_eff)
+        total = soft.sum()
+        val = mx + t_eff * np.log(total)
+        grad = np.zeros_like(yv)
+        for g, s in zip(_transpose_times(mats, norm_grad(w, p, resid)), soft):
+            if s > 1e-300:
+                grad += (s / total) * g
+        if ball is not None:
+            center, radius = ball
+            excess = space.norm(yv - center) - radius
+            if excess > 0:
+                beta = 100.0 * scale / radius
+                val += beta * excess**2
+                grad += 2.0 * beta * excess * norm_grad(w, p, yv - center)
+        return val, grad
+
+    return f_grad
+
+
 def sequential_minimax(space, mats, shifts, y0, ball=None, gtol=1e-12):
-    """The minimax solver with its softmax gradient summed term by term: (y, value)."""
+    """The SciPy minimax solver the numpy one replaced: L-BFGS-B continuation, then an SLSQP epigraph polish.
+
+    Returns (y, value); the value reference of ``test_numpy_minimax.py``.
+    """
     w, p = space.weights, space.p
 
     def value(y):
@@ -239,27 +271,7 @@ def sequential_minimax(space, mats, shifts, y0, ball=None, gtol=1e-12):
         center, radius = ball
         radius = max(radius, 1e-300)
     for temp in (1.0, 0.1, 0.01, 0.001):
-        t_eff = temp * scale
-
-        def f_grad(yv):
-            resid = mats @ yv + shifts
-            ds = norms(w, p, resid)
-            mx = ds.max()
-            soft = np.exp((ds - mx) / t_eff)
-            total = soft.sum()
-            val = mx + t_eff * np.log(total)
-            grad = np.zeros_like(yv)
-            for g, s in zip(_transpose_times(mats, norm_grad(w, p, resid)), soft):
-                if s > 1e-300:
-                    grad += (s / total) * g
-            if ball is not None:
-                excess = space.norm(yv - center) - radius
-                if excess > 0:
-                    beta = 100.0 * scale / radius
-                    val += beta * excess**2
-                    grad += 2.0 * beta * excess * norm_grad(w, p, yv - center)
-            return val, grad
-
+        f_grad = looped_surrogate(space, mats, shifts, temp * scale, None if ball is None else (center, radius), scale)
         y = optimize.minimize(f_grad, y, jac=True, method="L-BFGS-B",
                               options={"ftol": 1e-16, "gtol": gtol, "maxiter": 500}).x
     if ball is not None:
@@ -532,21 +544,51 @@ def test_stacked_violation_search_equals_config_loop(p):
             assert (found["s"], found["dim"], found["points"], found["lambda_min"]) == expected
 
 
+def _surrogate_checks(monkeypatch):
+    """Compare the solver's stacked surrogate with ``looped_surrogate`` at every point it evaluates.
+
+    Returns the list of (value equal, gradient equal) pairs, one per evaluation.
+    """
+    checks, stacked = [], convex._softmax_surrogate
+
+    def checked(space, mats, shifts, t_eff, ball, scale):
+        fast, loop = stacked(space, mats, shifts, t_eff, ball, scale), looped_surrogate(
+            space, mats, shifts, t_eff, ball, scale)
+
+        def f_grad(yv):
+            val, grad = fast(yv)
+            val_ref, grad_ref = loop(yv)
+            checks.append((val == val_ref, np.array_equal(grad, grad_ref)))
+            return val, grad
+
+        return f_grad
+
+    monkeypatch.setattr(convex, "_softmax_surrogate", checked)
+    return checks
+
+
 @pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
-def test_one_pass_minimax_gradient_equals_term_loop(p):
+def test_one_pass_minimax_gradient_equals_term_loop(p, monkeypatch):
+    # six problems per p: a circumcenter of five points, and a trust ball that binds, as in a Fisher-Margulis
+    # step, in dimensions 1, 2 and 3; the numpy solver's value is at most the SciPy solver's
     rng = np.random.default_rng(int(p * 10))
+    checks = _surrogate_checks(monkeypatch)
+
+    def solve(space, mats, shifts, y0, ball=None):
+        del checks[:]
+        y, val = _minimize_minimax(space, mats, shifts, y0, ball=ball)
+        assert checks and all(a and b for a, b in checks)
+        assert val == _minimax_value(space, mats, shifts, y)
+        _, val_ref = sequential_minimax(space, mats, shifts, y0, ball=ball)
+        assert val <= val_ref + 1e-9 * max(1.0, val)
+        return val
+
     for dim in (1, 2, 3):
         space = LpSpace(dim, p, rng.uniform(0.5, 2.0, dim))
         pts = rng.standard_normal((5, dim))
         mats = np.tile(np.eye(dim), (5, 1, 1))
-        y, val = _minimize_minimax(space, mats, -pts, pts.mean(axis=0))
-        y_ref, val_ref = sequential_minimax(space, mats, -pts, pts.mean(axis=0))
-        assert val == val_ref and np.array_equal(y, y_ref)
-        # a trust ball that binds, as in a Fisher-Margulis step
-        ball = (pts[0], 0.25 * val)
-        y, val = _minimize_minimax(space, mats, -pts, pts[0], ball=ball)
-        y_ref, val_ref = sequential_minimax(space, mats, -pts, pts[0], ball=ball)
-        assert val == val_ref and np.array_equal(y, y_ref)
+        val = solve(space, mats, -pts, pts.mean(axis=0))
+        solve(space, mats, -pts, pts[0], ball=(pts[0], 0.25 * val))
 
 
 @pytest.mark.parametrize("p", (1.25, 1.5, 2.0, 3.0, 4.0, 6.0))

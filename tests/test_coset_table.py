@@ -213,8 +213,10 @@ def test_unvalidated_representation_checks_relations_only_when_read():
     swap = {"a": LampertiIsometry([1, 0, 2], [1.0, 1.0, 1.0], space, space)}  # order 2, not 3
     rep = Representation(group, space, swap, validate=False)
     assert "relation_residual" not in vars(rep)
-    assert rep.relation_residual == pytest.approx(2.0)
-    with pytest.raises(ValueError, match="group relations violated: residual 2.000e"):
+    # a^3 = swap against the identity: permutations differ, so the largest column norm, sqrt 2, of the
+    # deviation, whose 2-norm is 2
+    assert rep.relation_residual == pytest.approx(np.sqrt(2.0))
+    with pytest.raises(ValueError, match="group relations violated: residual at least 1.414e"):
         Representation(group, space, swap)
 
 
@@ -234,7 +236,7 @@ def test_representation_validate_field_is_refused(tmp_path, capsys):
     raw = _bundled("cyclic3-gap")
     raw["representation"]["images"]["a"]["map"] = [1, 0, 2]
     code, captured = _run(tmp_path, capsys, raw)
-    assert code == 2 and "group relations violated: residual 2.000e+00" in captured.err
+    assert code == 2 and "group relations violated: residual at least 1.414e+00" in captured.err
     raw["representation"]["validate"] = False
     code, captured = _run(tmp_path, capsys, raw)
     assert code == 2 and captured.out == ""

@@ -1,4 +1,4 @@
-"""Start-up: the CLI imports no SciPy, and a command loads only the SciPy parts it calls.
+"""Start-up: the CLI imports no SciPy, and no bundled run loads any.
 
 Each test runs in a fresh interpreter, so that no other test's imports are in
 ``sys.modules``.
@@ -62,6 +62,25 @@ def test_low_dimensional_gap_run_loads_no_scipy():
 
 def test_displacement_run_loads_no_scipy():
     assert _fresh(["run", "commuting-pair-displacement"]) == [0, []]
+
+
+def test_every_bundled_run_in_one_interpreter_loads_no_scipy():
+    # the fixed-point, Fisher-Margulis and Klee runs included: the minimax and hull solvers are numpy
+    probe = """
+import contextlib, io, json, sys
+import lplab.cli
+codes = []
+for name in lplab.cli.bundled_scenarios():
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(lplab.cli.main(["run", name]))
+print(json.dumps([codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+    src = str(Path(lplab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert len(codes) == 23 and set(codes) <= {0, 1, 2}
+    assert loaded == []
 
 
 def test_library_names_no_scipy_stats():

@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import element_tables_built, table_matrices
+from conftest import count_calls, element_tables_built, table_matrices
 from lplab import LpSpace
 from lplab.cli import bundled_scenario_path, bundled_scenarios
 from lplab.cocycle import Cocycle
-from lplab.groups import (MAX_ORDER, GroupTooLarge, TableGroup, cyclic_group, group_from_permutations,
-                          product_group)
+from lplab import representation
+from lplab.groups import (MAX_ORDER, GroupTooLarge, TableGroup, cyclic_group, dihedral_group,
+                          group_from_permutations, product_group)
 from lplab.induction import CosetStructure, induce_rep
 from lplab.lamperti import LampertiIsometry
 from lplab.representation import Representation
@@ -106,16 +107,21 @@ def dense_values(coc):
     return vals
 
 
-def dense_relation_residual(rep):
-    """The largest SVD 2-norm of phi(g) rho(s) - phi(gs) over the Cayley-graph edges."""
+def dense_relation_residual(rep, norm=lambda dev: np.linalg.norm(dev, 2)):
+    """The largest SVD 2-norm (or ``norm``) of phi(g) rho(s) - phi(gs) over the Cayley-graph edges."""
     mats, letters, group = dense_elements(rep), dense_letters(rep), rep.group
     worst = 0.0
     for g, mat in mats.items():
         for name in rep.generator_names:
             dev = mat @ letters[name] - mats[group.mult(g, group.generators[name])]
             if dev.any():
-                worst = max(worst, float(np.linalg.norm(dev, 2)))
+                worst = max(worst, float(norm(dev)))
     return worst
+
+
+def dense_column_bound(rep):
+    """The largest column 2-norm of a dense edge deviation: a lower bound on its SVD 2-norm."""
+    return dense_relation_residual(rep, lambda dev: np.max(np.linalg.norm(dev, axis=0)))
 
 
 def dense_relator_residual(coc):
@@ -197,7 +203,7 @@ def _shift(n, signs, weights=None, p=3.0):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_relation_residual_of_broken_images_matches_the_svd_norm(seed):
+def test_relation_residual_of_broken_images_matches_or_bounds_the_svd_norm(seed):
     # a weighted signed shift with rho(a)^n = -I (equal permutations), or a random permutation (a mismatch)
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 12))
@@ -209,8 +215,14 @@ def test_relation_residual_of_broken_images_matches_the_svd_norm(seed):
     rep = Representation(cyclic_group(n), space, {"a": image}, validate=False)
     oracle = dense_relation_residual(rep)
     assert oracle > 1e-9
-    # the largest |entry| of a monomial deviation is its exact 2-norm; the SVD may round it by an ulp
-    assert rep.relation_residual == pytest.approx(oracle, rel=4 * np.finfo(float).eps)
+    # the largest |entry| of a monomial deviation is its exact 2-norm, and a mismatch is measured by its
+    # largest column norm, a lower bound; the SVD and the column norms may round by an ulp
+    eps = 4 * np.finfo(float).eps
+    assert rep.relation_residual == pytest.approx(dense_column_bound(rep), rel=eps)
+    if seed % 2:
+        assert 1e-9 < rep.relation_residual <= oracle * (1.0 + eps)
+    else:
+        assert rep.relation_residual == pytest.approx(oracle, rel=eps)
 
 
 @pytest.mark.parametrize("mismatch", [False, True])
@@ -221,12 +233,39 @@ def test_broken_cyclic_image_is_refused_with_the_dense_message(mismatch):
     if mismatch:
         image = LampertiIsometry([1, 2, 3, 0, 4, 5], np.ones(6), space, space)  # order 4, not dividing 6
     rep = Representation(cyclic_group(6), space, {"a": image}, validate=False)
-    expected = f"group relations violated: residual {dense_relation_residual(rep):.3e} > 1e-09"
+    if mismatch:  # the largest column norm of a dense deviation, a lower bound on its 2-norm
+        expected = f"group relations violated: residual at least {dense_column_bound(rep):.3e} > 1e-09"
+    else:
+        expected = f"group relations violated: residual {dense_relation_residual(rep):.3e} > 1e-09"
     with pytest.raises(ValueError) as info:
         Representation(cyclic_group(6), space, {"a": image})
     assert str(info.value) == expected
     if not mismatch:
         assert expected == "group relations violated: residual 2.000e+00 > 1e-09"
+
+
+def test_mismatched_reflection_of_d256_is_refused_without_a_dense_matrix():
+    # D_256 on l_3^256: the true reflection is accepted; a transposition in its place is refused from the
+    # column norms of its mismatched edges, with no dense n x n deviation
+    n = 256
+    group = dihedral_group(n)
+    space = LpSpace(n, 3.0)
+    rot = LampertiIsometry(np.roll(np.arange(n), 1), np.ones(n), space, space)
+    true, wrong = (-np.arange(n)) % n, np.r_[1, 0, np.arange(2, n)]
+    images = {"r": rot, "s": LampertiIsometry(true, np.ones(n), space, space)}
+    counts = count_calls([representation._dense], lambda: Representation(group, space, images))
+    assert counts == {"_dense": 0}
+    images["s"] = LampertiIsometry(wrong, np.ones(n), space, space)
+    rep = Representation(group, space, images, validate=False)
+    refusals = []
+
+    def refuse():
+        with pytest.raises(ValueError, match=r"residual at least 1\.414e\+00 > 1e-09") as info:
+            Representation(group, space, images)
+        refusals.append(info)
+
+    assert count_calls([representation._dense], refuse) == {"_dense": 0} and refusals
+    assert rep.relation_residual == pytest.approx(np.sqrt(2.0), rel=4 * np.finfo(float).eps)
 
 
 def test_cobound_decompose_and_gap_build_no_dense_element_matrix(structured):

@@ -7,8 +7,10 @@ imports ``lplab.cli`` and calls ``main(["run", <scenario>])``, as the
 ``lplab`` console script does, and is timed from before the process is
 started until it has exited.  The scenarios are ``swap-cocycle-cobound``,
 ``swap-decompose``, ``swap-gap``, ``cyclic3-gap``,
-``commuting-pair-displacement`` and ``swap-cocycle-fm`` (a ``scipy.optimize``
-user); a bare ``import lplab.cli`` is timed as well.  Each is repeated
+``commuting-pair-displacement`` and the three minimax runs
+``swap-cocycle-fm``, ``klee-p4`` and ``translation-fm`` (the last
+``scipy.optimize`` users before the numpy minimax and hull solvers); a bare
+``import lplab.cli`` is timed as well.  Each is repeated
 ``REPEATS`` times and the best and median wall times are printed, with
 the median peak resident set size each process reported for itself
 (``ru_maxrss``) and the ``scipy.*`` submodules the last run had loaded at
@@ -37,7 +39,7 @@ from run import BLAS_ENV, _environment  # noqa: E402
 
 REPEATS = 5
 SCENARIOS = ("swap-cocycle-cobound", "swap-decompose", "swap-gap", "cyclic3-gap", "commuting-pair-displacement",
-             "swap-cocycle-fm")
+             "swap-cocycle-fm", "klee-p4", "translation-fm")
 
 # argv[1] is the scenario, or "" for the import alone; the last line printed lists the scipy modules
 _PROBE = """

@@ -8,10 +8,10 @@ temperature schedule, each temperature by a small dense BFGS; Nesterov,
 steps for the max of the smooth squared terms: each step solves the dual
 QP over the simplex of the near-active terms and the ball, and the best
 point evaluated, by its true max, is returned.  The nearest point of a
-convex hull minimizes the squared distance over the simplex of weights by
-projected Newton steps, each an exact QP over the simplex.  Only the
-nearest point of an affine subspace, which no command asks for, still
-imports an outside solver (``_project_affine``).
+convex hull or of an affine subspace, and with it ``geometry.quotient_norm``,
+comes from one loop of Newton steps on the squared distance: over the
+simplex of hull weights each step is an exact QP, over the coefficients of
+the subspace basis an unconstrained least-squares solve.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .cocycle import _ORBIT_CAP, Cocycle, OrbitCapExceeded, _orbit_of
 from .errors import Refusal
 from .reports import Checked, check
 from .spaces import (
-    LpSpace, as_vector, duality_map, norm_hessians, norm_pow, norms, norms_and_grads, pow_grad, weighted_lstsq,
+    LpSpace, as_vector, duality_map, norm_hessians, norms, norms_and_grads, weighted_lstsq,
 )
 
 __all__ = [
@@ -56,8 +56,10 @@ class AffineSubspace:
     def __post_init__(self):
         base = np.asarray(self.base, dtype=float)
         basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim == 1:
-            basis = basis[:, None]
+        if basis.ndim == 1:  # one column, or none
+            basis = basis[:, None] if basis.size else basis.reshape(base.size, 0)
+        if base.shape != basis.shape[:1]:
+            raise ValueError("affine subspace base and basis rows differ in length")
         if basis.size and np.linalg.matrix_rank(basis, tol=1e-10) < basis.shape[1]:
             raise ValueError("affine subspace basis is linearly dependent")
         object.__setattr__(self, "base", base)
@@ -405,7 +407,7 @@ def _sqp_polish(space: LpSpace, mats: np.ndarray, shifts: np.ndarray, y: np.ndar
     return best_y, best_val
 
 
-def circumcenter(points, space: LpSpace, tol: float = 1e-9):
+def circumcenter(points, space: LpSpace):
     """Chebyshev center: the unique minimizer of max_i ||x - p_i|| (p > 1).
 
     One point returns itself; two points return the metric midpoint, which
@@ -424,97 +426,114 @@ def circumcenter(points, space: LpSpace, tol: float = 1e-9):
         mid = (pts[0] + pts[1]) / 2.0
         return mid, space.norm(pts[0] - pts[1]) / 2.0
     mats = np.tile(np.eye(space.dim), (pts.shape[0], 1, 1))
-    return _minimize_minimax(space, mats, -pts, pts.mean(axis=0), gtol=tol * 1e-2)
+    return _minimize_minimax(space, mats, -pts, pts.mean(axis=0), gtol=1e-11)
 
 
-def nearest_point(cset, x, space: LpSpace, tol: float = 1e-10) -> np.ndarray:
+def _require_in(cset, space: LpSpace) -> None:
+    """Refuse a set whose base, center or points have another length than the space's dimension."""
+    if isinstance(cset, AffineSubspace):
+        shape = cset.base.shape
+    elif isinstance(cset, ConvexHull):
+        shape = cset.points.shape[1:]
+    elif isinstance(cset, Ball):
+        shape = cset.center.shape
+    else:
+        raise TypeError(f"unsupported convex set {type(cset).__name__}")
+    if shape != (space.dim,):
+        raise ValueError("points do not live in the space")
+
+
+def nearest_point(cset, x, space: LpSpace) -> np.ndarray:
     """The unique nearest point of a closed convex set (p > 1)."""
     space.require_smooth()
     x = as_vector(x, space.dim)
+    _require_in(cset, space)
     if isinstance(cset, Ball):
-        off = x - cset.center
-        n = space.norm(off)
-        if n <= cset.radius:
-            return x.copy()
-        return cset.center + off * (cset.radius / n)
+        return _into_ball(space, x, cset.center, cset.radius).copy()
     if isinstance(cset, AffineSubspace):
-        return _project_affine(cset, x, space, tol)
-    if isinstance(cset, ConvexHull):
-        return _project_hull(cset, x, space)
-    raise TypeError(f"unsupported convex set {type(cset).__name__}")
+        return cset.base + cset.basis @ _affine_coefficients(cset, x, space)
+    return _project_hull(cset, x, space)
 
 
-def _residual_pow(space: LpSpace, x: np.ndarray, mat: np.ndarray):
-    """c -> (||x - mat @ c||**p, its gradient in c): the nearest-point objective."""
-    w, p = space.weights, space.p
+def _newton_nearest(space: LpSpace, x: np.ndarray, mat: np.ndarray, lam: np.ndarray, step) -> np.ndarray:
+    """Newton steps on ||x + mat @ lam||**2 from ``lam``: the last ``lam``.
 
-    def f_grad(c):
-        r = x - mat @ c
-        return norm_pow(w, p, r), -p * (mat.T @ pow_grad(w, p, r))
-
-    return f_grad
-
-
-def _project_affine(cset: AffineSubspace, x, space, tol) -> np.ndarray:
-    from scipy import optimize  # lazy: importing the CLI loads no SciPy
-    basis = cset.basis
-    if basis.size == 0:
-        return cset.base.copy()
-    resid0 = x - cset.base
-    c2 = weighted_lstsq(space.weights, basis, resid0)
-    if space.p == 2.0:
-        return cset.base + basis @ c2
-    res = optimize.minimize(_residual_pow(space, resid0, basis), c2, jac=True, method="L-BFGS-B",
-                            options={"ftol": 1e-18, "gtol": tol * 1e-2, "maxiter": 2000})
-    return cset.base + basis @ res.x
-
-
-def _project_hull(cset: ConvexHull, x, space: LpSpace) -> np.ndarray:
-    """The nearest point P^T lam of the hull: ||x - P^T lam||**2 minimized over the simplex by projected Newton.
-
-    Each step minimizes the quadratic model over the simplex exactly (the
-    active-set QP) and backtracks along the way to its minimizer until the
-    squared distance falls by a share of the model's decrease.  A point of
-    the hull comes back at distance 0 up to rounding.
+    ``step(jac, hess, lam)`` is the move to the minimizer of the quadratic
+    model, with the gradient ``jac`` and the Hessian ``hess`` in lam, over
+    the admissible lam.  Each move is halved until the squared norm falls by
+    a share of the model's slope along it.  The steps stop at a norm that is
+    0 or overflows, at a move that is not downhill, when 30 halvings find no
+    decrease, when a step leaves lam unchanged, or after 50 steps.
     """
-    pts = cset.points
-    m = pts.shape[0]
-    if m == 1:
-        return pts[0].copy()
     w, p = space.weights, space.p
-    mat = -pts.T[None]  # the residual x - P^T lam as one term A lam + b
-    # start from the weighted l2 projection, an exact QP: zero residual when x lies in the hull
-    lam = _simplex_qp(pts @ (w[:, None] * pts.T), pts @ (w * x), m)
-    rows = (x - pts.T @ lam)[None]
+    rows = (x + mat @ lam)[None]
     vals, grads = norms_and_grads(w, p, rows)
     prev = None
     for _ in range(50):
         sq = vals[0] ** 2
-        if not 0.0 < sq < np.inf:  # x in the hull, or the norm overflows
+        if not 0.0 < sq < np.inf:  # x in the set, or the norm overflows
             break
-        jac, hess = _squares(space, mat, rows, vals, grads, _curvature(p, rows, prev))
-        jac, hess = jac[0], hess[0]
-        hess = hess + 1e-10 * np.trace(hess) / m * np.eye(m)  # definite: P^T lam has only dim coordinates
-        move = _simplex_qp(hess, hess @ lam - jac, m) - lam
+        jac, hess = (arr[0] for arr in _squares(space, mat[None], rows, vals, grads, _curvature(p, rows, prev)))
+        move = step(jac, hess, lam)
         slope = jac @ move
         if not slope < 0.0:
             break
         prev, t = rows, 1.0
         for _ in range(30):
             cand = lam + t * move
-            cand_rows = (x - pts.T @ cand)[None]
+            cand_rows = (x + mat @ cand)[None]
             cand_vals, cand_grads = norms_and_grads(w, p, cand_rows)
             if cand_vals[0] ** 2 <= sq + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
+        if np.array_equal(cand, lam):
+            break
         lam, rows, vals, grads = cand, cand_rows, cand_vals, cand_grads
-    return pts.T @ lam
+    return lam
 
 
-def set_distance(cset, x, space: LpSpace, tol: float = 1e-10) -> float:
-    return space.norm(as_vector(x, space.dim) - nearest_point(cset, x, space, tol))
+def _affine_coefficients(cset: AffineSubspace, x: np.ndarray, space: LpSpace) -> np.ndarray:
+    """The coefficients c of the nearest point base + basis @ c of the affine subspace to ``x``.
+
+    The start is the weighted l2 projection, exact at p = 2.  Each Newton
+    step solves the model by least squares: at p > 2 its Hessian is singular
+    where residual entries vanish.
+    """
+    basis = cset.basis
+    resid = x - cset.base
+    coeffs = weighted_lstsq(space.weights, basis, resid)
+    if space.p == 2.0:
+        return coeffs
+    return _newton_nearest(space, resid, -basis, coeffs,
+                           lambda jac, hess, c: -np.linalg.lstsq(hess, jac, rcond=None)[0])
+
+
+def _project_hull(cset: ConvexHull, x, space: LpSpace) -> np.ndarray:
+    """The nearest point P^T lam of the hull: ||x - P^T lam||**2 minimized over the simplex by projected Newton.
+
+    Each step minimizes the quadratic model over the simplex exactly (the
+    active-set QP), from the weighted l2 projection on.  A point of the hull
+    comes back at distance 0 up to rounding.
+    """
+    pts = cset.points
+    m = pts.shape[0]
+    if m == 1:
+        return pts[0].copy()
+    w = space.weights
+
+    def step(jac, hess, lam):
+        hess = hess + 1e-10 * np.trace(hess) / m * np.eye(m)  # definite: P^T lam has only dim coordinates
+        return _simplex_qp(hess, hess @ lam - jac, m) - lam
+
+    # start from the weighted l2 projection, an exact QP: zero residual when x lies in the hull
+    lam = _simplex_qp(pts @ (w[:, None] * pts.T), pts @ (w * x), m)
+    return pts.T @ _newton_nearest(space, x, -pts.T, lam, step)
+
+
+def set_distance(cset, x, space: LpSpace) -> float:
+    return space.norm(as_vector(x, space.dim) - nearest_point(cset, x, space))
 
 
 def optimality_residual(cset, x, y, space: LpSpace) -> float:
@@ -527,6 +546,7 @@ def optimality_residual(cset, x, y, space: LpSpace) -> float:
     """
     x = as_vector(x, space.dim)
     y = as_vector(y, space.dim)
+    _require_in(cset, space)
     r = x - y
     if space.norm(r) < 1e-12:
         return 0.0
@@ -541,13 +561,11 @@ def optimality_residual(cset, x, y, space: LpSpace) -> float:
             n = space.norm(d)
             if n > 1e-12:
                 worst = max(worst, space.pairing(d / n, j))
-    elif isinstance(cset, Ball):
+    else:
         d = cset.center - y
         n = space.norm(d)
         if n > 1e-12:
             worst = max(worst, space.pairing(d / n, j))
-    else:
-        raise TypeError(f"unsupported convex set {type(cset).__name__}")
     return worst
 
 
@@ -694,9 +712,7 @@ def fisher_margulis_iterate(
         best_y, best_val = _minimize_minimax(space, pair_mats, pair_shifts, x, ball=ball)
         if best_val >= r_n / 2.0:  # a miss: solve the random starts too and keep the best
             for start in starts:
-                off = space.norm(start - x)
-                if off > radius:
-                    start = x + (start - x) * (radius / off)
+                start = _into_ball(space, start, x, radius)
                 cand_y, cand_val = _minimize_minimax(space, pair_mats, pair_shifts, start, ball=ball)
                 if cand_val < best_val:
                     best_y, best_val = cand_y, cand_val

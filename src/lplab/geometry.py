@@ -14,8 +14,9 @@ from operator import mul
 
 import numpy as np
 
+from .convex import AffineSubspace, _affine_coefficients
 from .reports import check
-from .spaces import LpSpace, as_vector, norm_pow, norms, pow_grad, weighted_lstsq
+from .spaces import LpSpace, as_vector, norm_pow, norms
 
 __all__ = [
     "ModulusEstimate",
@@ -272,48 +273,22 @@ class QuotientNormResult:
     point: np.ndarray      # v + W @ coeffs
 
 
-def quotient_norm(space: LpSpace, basis, v, tol: float = 1e-10) -> QuotientNormResult:
+def quotient_norm(space: LpSpace, basis, v) -> QuotientNormResult:
     """Quotient norm ||v + W|| = inf_{w in span(basis)} ||v + w||.
 
-    ``basis`` is a list of spanning vectors (columns of W); independence is
-    checked by rank.  The infimum is computed by smooth convex minimization
-    of ||v + W c||^p for p > 1 and by linear programming at p = 1.
+    ``basis`` holds the spanning vectors as the columns of W, or one vector
+    1-d, and must be independent; it is read as an ``AffineSubspace``.  For
+    p > 1 the infimum is the distance from 0 to the affine subspace v + W,
+    by the Newton steps of ``convex``'s nearest points; at p = 1 it is a
+    linear program.
     """
-    from scipy import optimize  # lazy: importing the CLI loads no SciPy
     v = as_vector(v, space.dim)
-    basis = np.asarray(basis, dtype=float)
-    if basis.size == 0:
-        return QuotientNormResult(space.norm(v), np.zeros(0), v)
-    if basis.ndim == 1:
-        basis = basis[:, None]
-    if basis.shape[1] > basis.shape[0]:
-        basis = basis.T
-    k = basis.shape[1]
-    if np.linalg.matrix_rank(basis, tol=1e-10) < k:
-        raise ValueError("subspace basis is linearly dependent")
-
-    w = space.weights
-    p = space.p
-    if p == 1.0:
-        return _quotient_norm_l1(space, basis, v)
-
-    def f_and_grad(c):
-        # norm squared: better conditioned than norm**p when the optimum
-        # residual vanishes (v in the subspace)
-        r = v + basis @ c
-        pow_sum = norm_pow(w, p, r)
-        if pow_sum < 1e-300:
-            return 0.0, np.zeros(k)
-        nrm = pow_sum ** (1.0 / p)
-        grad = 2.0 * (basis.T @ pow_grad(w, p, r)) / nrm ** (p - 2.0)
-        return nrm * nrm, grad
-
-    res = optimize.minimize(
-        f_and_grad, weighted_lstsq(w, basis, -v), jac=True, method="L-BFGS-B",
-        options={"ftol": 1e-18, "gtol": tol * 1e-2, "maxiter": 2000},
-    )
-    point = v + basis @ res.x
-    return QuotientNormResult(space.norm(point), res.x, point)
+    flat = AffineSubspace(v, basis)
+    if space.p == 1.0:
+        return _quotient_norm_l1(space, flat.basis, v)
+    coeffs = _affine_coefficients(flat, np.zeros(space.dim), space)
+    point = v + flat.basis @ coeffs
+    return QuotientNormResult(space.norm(point), coeffs, point)
 
 
 def _quotient_norm_l1(space: LpSpace, basis: np.ndarray, v: np.ndarray) -> QuotientNormResult:

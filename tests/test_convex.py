@@ -109,6 +109,21 @@ class TestNearestPoint:
         with pytest.raises(ValueError, match="p > 1"):
             nearest_point(Ball([0.0], 1.0), [2.0], LpSpace(1, 1))
 
+    @pytest.mark.parametrize("cset", [AffineSubspace([5.0], np.eye(1)), Ball([5.0], 1.0), Ball(5.0, 1.0),
+                                      ConvexHull([[5.0], [6.0]])], ids=["affine", "ball", "ball-scalar", "hull"])
+    def test_set_of_another_dimension_is_refused(self, cset):
+        # a 1-entry base, center or hull would broadcast against a vector of l_3^3
+        space = LpSpace(3, 3)
+        for call in (nearest_point, set_distance):
+            with pytest.raises(ValueError, match="do not live in the space"):
+                call(cset, [1.0, 2.0, 3.0], space)
+        with pytest.raises(ValueError, match="do not live in the space"):
+            optimality_residual(cset, [1.0, 2.0, 3.0], [1.0, 5.0, 5.0], space)
+
+    def test_affine_base_of_another_length_than_the_basis_rows_is_refused(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            AffineSubspace([5.0], np.eye(3)[:, :1])
+
 
 class TestLipschitz:
     def test_points_inside_give_zero(self):

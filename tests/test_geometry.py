@@ -108,6 +108,11 @@ class TestQuotientNorm:
         with pytest.raises(ValueError, match="dependent"):
             quotient_norm(space, basis, [1.0, 0.0, 0.0])
 
+    def test_basis_given_as_rows_is_refused(self):
+        # the columns of W are the spanning vectors; one row of length 3 is not a basis of l^3
+        with pytest.raises(ValueError, match="differ in length"):
+            quotient_norm(LpSpace(3, 1.5), [[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0])
+
 
 class TestSchoenberg:
     def test_single_point(self):

@@ -4,6 +4,7 @@ Each test runs in a fresh interpreter, so that no other test's imports are in
 ``sys.modules``.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -26,13 +27,17 @@ print(json.dumps([code, sorted(m for m in sys.modules if m == "scipy" or m.start
 """
 
 
-def _fresh(argv):
-    """(exit code, scipy modules) after importing the CLI and running ``argv`` in a new interpreter."""
+def _python(code):
+    """The JSON of the last line that ``code`` prints in a new interpreter that imports this lplab."""
     src = str(Path(lplab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _PROBE.format(argv=argv)], env=env, capture_output=True,
-                         text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def _fresh(argv):
+    """(exit code, scipy modules) after importing the CLI and running ``argv`` in a new interpreter."""
+    return _python(_PROBE.format(argv=argv))
 
 
 def test_cli_import_loads_no_scipy():
@@ -75,12 +80,35 @@ for name in lplab.cli.bundled_scenarios():
         codes.append(lplab.cli.main(["run", name]))
 print(json.dumps([codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
 """
-    src = str(Path(lplab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    codes, loaded = _python(probe)
     assert len(codes) == 23 and set(codes) <= {0, 1, 2}
     assert loaded == []
+
+
+def test_affine_nearest_point_and_quotient_norm_load_no_scipy():
+    # p = 1.5: the Newton steps run, from the weighted l2 start
+    probe = """
+import json, sys
+from lplab import AffineSubspace, LpSpace, nearest_point, quotient_norm, set_distance
+space = LpSpace(3, 1.5)
+flat = AffineSubspace([1.0, 0.0, -1.0], [[1.0], [2.0], [0.5]])
+nearest_point(flat, [0.3, -2.0, 1.0], space)
+dist = set_distance(flat, [0.3, -2.0, 1.0], space)
+res = quotient_norm(space, [[1.0], [2.0], [0.5]], [0.3, -2.0, 1.0])
+print(json.dumps([dist, res.value, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+    dist, value, loaded = _python(probe)
+    assert 0.0 < dist and 0.0 < value and loaded == []
+
+
+def test_library_names_scipy_only_in_the_l1_quotient_norm():
+    root = Path(lplab.__file__).resolve().parent
+    tree = ast.parse((root / "geometry.py").read_text())
+    (l1,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_quotient_norm_l1"]
+    sources = sorted(p for p in root.rglob("*") if p.is_file() and "__pycache__" not in p.parts)
+    hits = [(path.name, i) for path in sources for i, line in enumerate(path.read_text().splitlines(), 1)
+            if "scipy" in line]
+    assert hits and all(name == "geometry.py" and l1.lineno <= i <= l1.end_lineno for name, i in hits), hits
 
 
 def test_library_names_no_scipy_stats():

@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import Refusal
 from .gap import kazhdan_gap
-from .groups import TableGroup
+from .groups import TableGroup, k_words_of
 from .reports import Checked, check
-from .representation import Representation, _act, _compose, _dense, _identity, canonical_complement, letter_steps
+from .representation import (_COMMUTE_TOL, Representation, _act, _compose, _dense, _identity, canonical_complement,
+                             letter_steps)
 from .spaces import as_vector, norms
 
 __all__ = [
@@ -100,9 +101,7 @@ class Cocycle:
 
     def max_displacement(self, x, k_words=None) -> float:
         """max_{w in K} ||w.x - x||, with K the group's ``k_set`` unless ``k_words`` is given."""
-        words = list(k_words) if k_words is not None else list(self.rep.group.k_set)
-        if not words:
-            raise ValueError("K must be nonempty")
+        words = k_words_of(self.rep.group, k_words)
         x = as_vector(x, self.space.dim)
         return max(self.space.norm(self.apply(w, x) - x) for w in words)
 
@@ -179,13 +178,13 @@ def coboundary_solve(cocycle: Cocycle, tol: float = 1e-8) -> CoboundaryResult:
     blocks = []
     rhs = []
     for name in rep.generator_names:
-        blocks.append(eye - rep.generator_matrix(name))
+        blocks.append(eye - rep.operator(name))
         rhs.append(cocycle.values[name])
     system = np.vstack(blocks)
     target = np.concatenate(rhs)
     v, *_ = np.linalg.lstsq(system, target, rcond=None)
     residual = max(
-        rep.space.norm(cocycle.values[name] - (v - rep.generator_matrix(name) @ v))
+        rep.space.norm(cocycle.values[name] - (v - rep.apply(name, v)))
         for name in rep.generator_names
     )
     return CoboundaryResult(v, residual, (check("residual_classifies_coboundary", residual, tol),))
@@ -322,10 +321,10 @@ def displacement_bound_check(
     comm = ident = 0.0
     for a in gens_a:
         for h in gens_h:
-            ma, mh = rep.generator_matrix(a), rep.generator_matrix(h)
+            ma, mh = rep.operator(a), rep.operator(h)
             comm = max(comm, float(np.max(np.abs(ma @ mh - mh @ ma))))
             ident = max(ident, space.norm((eye - mh) @ cocycle.values[a] - (eye - ma) @ cocycle.values[h]))
-    if comm > 1e-10:
+    if comm > _COMMUTE_TOL:
         raise Refusal(f"A and H generator images do not commute (residual {comm:.3e})")
     ident_check = check("exchange_identity_residual", ident, tol)
     if not ident_check["ok"]:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .cocycle import _ORBIT_CAP, Cocycle, OrbitCapExceeded, _orbit_of
 from .errors import Refusal
+from .groups import k_words_of
 from .reports import Checked, check
 from .spaces import (
     LpSpace, as_vector, duality_map, norm_hessians, norms, norms_and_grads, weighted_lstsq,
@@ -542,7 +543,9 @@ def optimality_residual(cset, x, y, space: LpSpace) -> float:
     Directional derivative of ||x - .|| at y along any admissible direction
     d into the set is -<d, J(x-y)>; the residual is the worst positive such
     pairing over unit directions.  Zero residual is the normal-cone
-    condition.
+    condition.  At p near 1 it cannot certify a converged projection: the
+    duality map reads a residual entry left at rounding level (~1e-16) as
+    |r_i|^(p-1), about 1e-4 at p = 1.25.
     """
     x = as_vector(x, space.dim)
     y = as_vector(y, space.dim)
@@ -683,9 +686,7 @@ def fisher_margulis_iterate(
     """
     space = cocycle.space
     space.require_smooth()
-    words = list(k_words) if k_words is not None else list(cocycle.rep.group.k_set)
-    if not words:
-        raise ValueError("K must be nonempty")
+    words = k_words_of(cocycle.rep.group, k_words)
     if c_mult <= 0:
         raise ValueError("C must be positive")
     x = space.random_vector(np.random.default_rng(seed)) if x0 is None else as_vector(x0, space.dim)

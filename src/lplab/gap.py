@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import k_words_of
 from .representation import Representation, canonical_complement
 from .spaces import grads_from_roots, norms
 
@@ -140,9 +141,7 @@ def kazhdan_gap(
     """
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
-    words = list(k_words) if k_words is not None else list(rep.group.k_set)
-    if not words:
-        raise ValueError("K must be nonempty")
+    words = k_words_of(rep.group, k_words)
     if basis is None:
         basis = canonical_complement(rep).complement_basis
     basis = np.ascontiguousarray(basis)  # the products below then depend on its values only, not its strides

@@ -49,6 +49,7 @@ _NO_FIT = 1.0 + 5e-13
 _BLOCK = 256
 # the first speculative polish window; it doubles, up to _BLOCK, after each window without an acceptance
 _WINDOW = 16
+_MAX_ROUNDS = 60  # rounds of inflation and clipping after which _make_feasible gives a candidate up
 
 
 def _shrink_fits(norm_fn, mid, d):
@@ -76,7 +77,7 @@ def _shrink_fits(norm_fn, mid, d):
     return x, y, found
 
 
-def _make_feasible(norm_fn, x, y, eps, max_rounds: int = 60):
+def _make_feasible(norm_fn, x, y, eps):
     """Project each candidate pair (x[i], y[i]) into {||x||,||y|| <= 1, ||x-y|| >= eps}.
 
     The rows advance in lockstep, each with the arithmetic of one pair on
@@ -85,7 +86,7 @@ def _make_feasible(norm_fn, x, y, eps, max_rounds: int = 60):
     puts both points back in the ball (which never hurts either
     constraint).  The shrink stack is built only for rows with ||d|| <=
     ``_NO_FIT``; at eps = 2 no row gets one.  A row leaves the lockstep
-    feasible, degenerate (gap < 1e-14) or after ``max_rounds`` rounds.
+    feasible, degenerate (gap < 1e-14) or after ``_MAX_ROUNDS`` rounds.
     ``norm_fn`` maps a stack of rows to their norms.  Returns ``(x, y, ok)``:
     the projected rows, and ``ok[i]`` False where row i is degenerate or ran
     out of rounds (its x[i], y[i] are then meaningless).
@@ -104,7 +105,7 @@ def _make_feasible(norm_fn, x, y, eps, max_rounds: int = 60):
         keep = ~(done | degenerate)
         live, x, y = live[keep], x[keep], y[keep]
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         if not live.size:
             break
         nx, ny = norm_fn(x), norm_fn(y)

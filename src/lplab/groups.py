@@ -18,6 +18,7 @@ __all__ = [
     "invert_word",
     "word_letters",
     "check_word",
+    "k_words_of",
     "TableGroup",
     "ProductGroup",
     "PresentedGroup",
@@ -53,6 +54,14 @@ def check_word(generators, word: str):
     for name, _ in word_letters(word):
         if name not in generators:
             raise ValueError(f"unknown generator symbol {name!r} in word {word!r}")
+
+
+def k_words_of(group, k_words=None) -> list:
+    """The words of K: ``k_words`` when given, else the group's ``k_set``; an empty K is refused."""
+    words = list(group.k_set if k_words is None else k_words)
+    if not words:
+        raise ValueError("K must be nonempty")
+    return words
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,18 +205,16 @@ class TableGroup:
         return words
 
     def subgroup_closure(self, elements) -> list:
-        """Closure of the given element set under multiplication and inverse."""
-        closure = set(elements)
-        closure.add(self.identity)
-        frontier = list(closure)
-        while frontier:
-            g = frontier.pop()
-            for h in list(closure):
-                for prod in (self.mult(g, h), self.mult(h, g), self.inv(g)):
-                    if prod not in closure:
-                        closure.add(prod)
-                        frontier.append(prod)
-        return sorted(closure)
+        """The subgroup ``elements`` generate, sorted: in a finite group, the BFS from e by right multiplication."""
+        steps = sorted({int(g) for g in elements})
+        seen = {self.identity}
+        queue = deque([self.identity])
+        while queue:
+            for gh in self.table[queue.popleft(), steps].tolist():
+                if gh not in seen:
+                    seen.add(gh)
+                    queue.append(gh)
+        return sorted(seen)
 
     def is_subgroup(self, elements) -> bool:
         """Whether ``elements`` is nonempty and closed under the table (for a finite group, a subgroup)."""

@@ -48,11 +48,11 @@ class CosetStructure:
     """Left-coset bookkeeping for a subgroup of a table-backed group, from one lookup of the products gS.
 
     The fundamental domain takes the smallest-index representative of each
-    coset (which is the identity for the identity coset, since the identity
-    has index 0 in all constructors here and membership of e in D keeps the
-    base-block pullback untwisted).  ``routing[name]`` lists, for each target
-    block d of the generator h, the subgroup index of chi(h^-1 d) and the
-    source block (the coset of h^-1 d).
+    coset, but the identity for its own coset, whatever its index:
+    membership of e in D keeps the base-block pullback untwisted.
+    ``routing[name]`` lists, for each target block d of the generator h,
+    the subgroup index of chi(h^-1 d) and the source block (the coset of
+    h^-1 d).
     """
 
     group: TableGroup
@@ -78,13 +78,11 @@ class CosetStructure:
 
         sub = np.array(elems)
         coset = group.table[:, sub]  # row g is the left coset gS
-        least = coset.min(axis=1)
-        domain = np.unique(least)  # each coset's smallest element, in increasing order
+        least = np.where((coset == group.identity).any(axis=1), group.identity, coset.min(axis=1))
+        domain = np.unique(least)  # each coset's representative, in increasing order
         coset_of = np.searchsorted(domain, least)
         if domain.size * k != m or np.any(least[coset] != least[:, None]):
             raise ValueError("cosets do not partition the group")
-        if group.identity not in domain:
-            raise AssertionError("identity coset representative is not the identity")
 
         # chi(g): the unique s in S with g s in D
         hits = np.isin(coset, domain)
@@ -329,7 +327,7 @@ def split_action(
         blocks = []
         rhs = []
         for name in rep.generator_names:
-            blocks.append((np.eye(dim) - rep.generator_matrix(name)) @ pd.b0)
+            blocks.append((np.eye(dim) - rep.operator(name)) @ pd.b0)
             rhs.append(comp0[name])
         z, *_ = np.linalg.lstsq(np.vstack(blocks), np.concatenate(rhs), rcond=None)
         v0 = pd.b0 @ z
@@ -339,7 +337,7 @@ def split_action(
     recon = 0.0
     support = 0.0
     for name in rep.generator_names:
-        boundary = v0 - rep.generator_matrix(name) @ v0
+        boundary = v0 - rep.apply(name, v0)
         recon = max(
             recon,
             space.norm(values[name] - comp1[name] - comp2[name] - boundary),

@@ -30,6 +30,8 @@ __all__ = [
     "invariant_norm",
 ]
 
+_CLOSURE_TOL = 1e-9  # the largest entry by which a product may miss every map and still count as in the list
+
 
 @dataclass(frozen=True, eq=False)
 class LampertiIsometry:
@@ -172,7 +174,7 @@ class InvariantNorm:
     ||x|| <= ||x||' <= C ||x|| with C the largest operator norm in the group.
     """
 
-    def __init__(self, maps, space: LpSpace, tol: float = 1e-9):
+    def __init__(self, maps, space: LpSpace):
         self.space = space
         mats = [np.asarray(m, dtype=float) for m in maps]
         n = space.dim
@@ -184,9 +186,9 @@ class InvariantNorm:
         for a in mats:
             for b in mats:
                 prod = a @ b
-                if not any(np.max(np.abs(prod - c)) <= tol for c in mats):
+                if not any(np.max(np.abs(prod - c)) <= _CLOSURE_TOL for c in mats):
                     raise ValueError("map list is not closed under composition")
-        if not any(np.max(np.abs(m - np.eye(n))) <= tol for m in mats):
+        if not any(np.max(np.abs(m - np.eye(n))) <= _CLOSURE_TOL for m in mats):
             raise ValueError("map list does not contain the identity")
         self.maps = mats
         self._stack = np.array(mats)
@@ -219,6 +221,6 @@ class InvariantNorm:
         return worst
 
 
-def invariant_norm(maps, space: LpSpace, tol: float = 1e-9) -> InvariantNorm:
+def invariant_norm(maps, space: LpSpace) -> InvariantNorm:
     """Build the invariant norm for a finite group of invertible matrices."""
-    return InvariantNorm(maps, space, tol=tol)
+    return InvariantNorm(maps, space)

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Refusal
-from .groups import TableGroup, group_from_permutations
+from .groups import TableGroup, group_from_permutations, k_words_of
 from .lamperti import LampertiIsometry, as_isometry
 from .spaces import LpSpace, as_vector
 
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _RELATION_TOL = 1e-9
+_INTERTWINE_TOL = 1e-9  # the 2-norm of phi rho1(s) - rho2(s) phi that functoriality_check accepts
+_COMMUTE_TOL = 1e-10  # the largest entry of a generator commutator that counts as commuting
 
 
 def letter_steps(table: dict, word: str) -> list:
@@ -112,9 +114,10 @@ class Representation:
     when every image is a LampertiIsometry (``monomial``) as the pair
     (perm, vals) of its matrix, and words compose as such pairs; otherwise as
     its matrix.  ``element_table`` holds every element of a table group in the
-    same form: the arrays (perms, vals), or one stack of matrices.  Dense
-    matrices of a monomial representation (``letter_matrices``,
-    :meth:`operator`) are built only when read.
+    same form: the arrays (perms, vals), or one stack of matrices.
+    :meth:`operator` is the one dense form of a word (a generator is the
+    one-letter word, its inverse the uppercase letter), built on each call;
+    :meth:`apply` acts on a vector through the letter table.
     """
 
     def __init__(self, group, space: LpSpace, images: dict, require_isometric: bool = True, validate: bool = True):
@@ -158,14 +161,6 @@ class Representation:
     def generator_names(self):
         return self.group.generator_names
 
-    @cached_property
-    def letter_matrices(self) -> dict:
-        """The matrix of each letter (a generator, then its uppercase inverse), built when first read."""
-        return {letter: _dense(op) if self.monomial else op for letter, op in self.letters.items()}
-
-    def generator_matrix(self, name: str) -> np.ndarray:
-        return self.letter_matrices[name]
-
     def _word_op(self, word: str):
         """The image of a word (uppercase = inverse), as the letters act: a (perm, vals) pair or a matrix.
 
@@ -177,7 +172,7 @@ class Representation:
         return op
 
     def operator(self, word: str) -> np.ndarray:
-        """Matrix of the image of a word over generators (uppercase = inverse), densified once."""
+        """Matrix of the image of a word over generators (uppercase = inverse), densified once: the one dense form."""
         op = self._word_op(word)
         return _dense(op) if self.monomial else op
 
@@ -278,19 +273,6 @@ class Representation:
             worst = max(worst, float(np.linalg.norm(self.operator(rel) - eye, 2)))
         return worst, False
 
-    # -- derived representations ---------------------------------------------
-
-    def restriction_matrices(self, generator_names=None) -> list:
-        """(matrix, inverse matrix) pairs for the named generators (all by default)."""
-        names = self.generator_names if generator_names is None else list(generator_names)
-        return [(self.letter_matrices[n], self.letter_matrices[n.upper()]) for n in names]
-
-
-def _stack_fixed_system(pairs, dim: int) -> np.ndarray:
-    eye = np.eye(dim)
-    blocks = [mat - eye for mat, _ in pairs]
-    return np.vstack(blocks) if blocks else np.zeros((0, dim))
-
 
 def null_space(a: np.ndarray, rcond: float) -> np.ndarray:
     """Orthonormal basis, as columns, of the null space of ``a``, by SciPy's ``null_space`` rule.
@@ -303,23 +285,22 @@ def null_space(a: np.ndarray, rcond: float) -> np.ndarray:
     return vh[rank:].T
 
 
-def _fixed_basis(pairs, dim: int) -> np.ndarray:
-    system = _stack_fixed_system(pairs, dim)
-    if system.shape[0] == 0:
+def _fixed_basis(mats, dim: int) -> np.ndarray:
+    """Orthonormal basis, as columns, of the vectors every matrix of ``mats`` fixes (the whole space for none)."""
+    if not mats:
         return np.eye(dim)
-    return null_space(system, rcond=1e-9)
+    eye = np.eye(dim)
+    return null_space(np.vstack([mat - eye for mat in mats]), rcond=1e-9)
 
 
 def fixed_subspace(rep: Representation, generator_names=None) -> np.ndarray:
-    """Orthonormal (Euclidean) basis, as columns, of the common fixed subspace."""
-    return _fixed_basis(rep.restriction_matrices(generator_names), rep.space.dim)
+    """Orthonormal (Euclidean) basis, as columns, of the common fixed subspace of the named generators (all)."""
+    names = rep.generator_names if generator_names is None else list(generator_names)
+    return _fixed_basis([rep.operator(name) for name in names], rep.space.dim)
 
 
-def _dual_image(op, inv_mat, space: LpSpace):
-    """Image of g under the dual representation: the pairing-adjoint of rho(g^-1)."""
-    if isinstance(op, LampertiIsometry):
-        # closed form: same permutation and signs, density power 1/q
-        return LampertiIsometry(op.perm, op.signs, op.source.dual(), op.target.dual())
+def _dual_matrix(inv_mat: np.ndarray, space: LpSpace) -> np.ndarray:
+    """Matrix of g under the dual representation: the pairing-adjoint of rho(g^-1), from its matrix ``inv_mat``."""
     w = space.weights
     return (inv_mat.T * w[None, :]) / w[:, None]
 
@@ -327,11 +308,15 @@ def _dual_image(op, inv_mat, space: LpSpace):
 def dual_rep(rep: Representation) -> Representation:
     """Dual representation on the lq space, <x, rho*(g) y> = <rho(g^-1) x, y>."""
     dual_space = rep.space.dual()
-    # a matrix image makes every letter a matrix, so the inverse letter is one where the formula needs it
-    images = {
-        name: _dual_image(rep.images[name], rep.letters[name.upper()], rep.space)
-        for name in rep.generator_names
-    }
+    images = {}
+    for name in rep.generator_names:
+        op = rep.images[name]
+        if isinstance(op, LampertiIsometry):
+            # closed form: same permutation and signs, density power 1/q
+            images[name] = LampertiIsometry(op.perm, op.signs, op.source.dual(), op.target.dual())
+        else:
+            # a matrix image makes every letter a matrix, so the inverse letter is one where the formula needs it
+            images[name] = _dual_matrix(rep.letters[name.upper()], rep.space)
     return Representation(rep.group, dual_space, images, require_isometric=False)  # isometric by construction
 
 
@@ -361,9 +346,9 @@ def canonical_complement(rep: Representation, generator_names=None) -> Complemen
     space = rep.space
     space.require_smooth()
     dim = space.dim
-    pairs = rep.restriction_matrices(generator_names)
-    fixed = _fixed_basis(pairs, dim)
-    dual_fixed = _fixed_basis([(_dual_image(mat, inv, space), None) for mat, inv in pairs], dim)
+    names = rep.generator_names if generator_names is None else list(generator_names)
+    fixed = _fixed_basis([rep.operator(name) for name in names], dim)
+    dual_fixed = _fixed_basis([_dual_matrix(rep.operator(name.upper()), space) for name in names], dim)
     if dual_fixed.shape[1] != fixed.shape[1]:
         raise RuntimeError(
             f"fixed-space dimensions disagree between primal ({fixed.shape[1]}) and dual ({dual_fixed.shape[1]})"
@@ -381,19 +366,19 @@ def canonical_complement(rep: Representation, generator_names=None) -> Complemen
     return ComplementResult(fixed, comp, proj_fixed, np.eye(dim) - proj_fixed)
 
 
-def functoriality_check(phi, rep1: Representation, rep2: Representation, tol: float = 1e-9):
+def functoriality_check(phi, rep1: Representation, rep2: Representation):
     """Residuals of the two commuting squares of the canonical projections.
 
     ``phi`` must intertwine the representations on generators (checked to
-    ``tol``); returns (fixed-square residual, complement-square residual)
-    in the matrix 2-norm.
+    ``_INTERTWINE_TOL``); returns (fixed-square residual, complement-square
+    residual) in the matrix 2-norm.
     """
     phi = np.asarray(phi, dtype=float)
     if sorted(rep1.generator_names) != sorted(rep2.generator_names):
         raise ValueError("representations must share generator names")
     for name in rep1.generator_names:
-        dev = phi @ rep1.generator_matrix(name) - rep2.generator_matrix(name) @ phi
-        if np.linalg.norm(dev, 2) > tol:
+        dev = phi @ rep1.operator(name) - rep2.operator(name) @ phi
+        if np.linalg.norm(dev, 2) > _INTERTWINE_TOL:
             raise ValueError(f"phi is not an intertwiner on generator {name!r}")
     c1 = canonical_complement(rep1)
     c2 = canonical_complement(rep2)
@@ -428,17 +413,17 @@ def _range_basis(mat: np.ndarray, expected_rank: int) -> np.ndarray:
     return u[:, :expected_rank]
 
 
-def product_decomposition(rep: Representation, gens1, gens2, tol: float = 1e-10) -> ProductDecomposition:
+def product_decomposition(rep: Representation, gens1, gens2) -> ProductDecomposition:
     """Split B into Fix(G) + B0 + B1 + B2 for two commuting generator families.
 
     Fix(G_i) = Fix(G) + B_i holds by construction: the canonical projections
     of the two factors commute, and the four pieces are the ranges of their
-    products.  Refuses families that fail to commute to ``tol``.
+    products.  Refuses families that fail to commute to ``_COMMUTE_TOL``.
     """
     for a in gens1:
         for b in gens2:
-            ma, mb = rep.generator_matrix(a), rep.generator_matrix(b)
-            if np.max(np.abs(ma @ mb - mb @ ma)) > tol:
+            ma, mb = rep.operator(a), rep.operator(b)
+            if np.max(np.abs(ma @ mb - mb @ ma)) > _COMMUTE_TOL:
                 raise Refusal(f"generator families do not commute: [{a!r}, {b!r}]")
     dim = rep.space.dim
     c1 = canonical_complement(rep, gens1)
@@ -502,6 +487,6 @@ def zero_mean_rep(perms: dict, weights, p: float, k_set=None):
 def indicator_displacement(rep: Representation, subset, k_words=None) -> float:
     """max_g ||rho(g) f_E - f_E|| / ||f_E|| over the designated generating set."""
     f = indicator_vector(subset, rep.space.dim)
-    words = list(k_words) if k_words is not None else list(rep.group.k_set)
+    words = k_words_of(rep.group, k_words)
     norm_f = rep.space.norm(f)
     return max(rep.space.norm(rep.apply(w, f) - f) for w in words) / norm_f

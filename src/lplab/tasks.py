@@ -16,7 +16,7 @@ from .convex import fisher_margulis_iterate, fixed_point_circumcenter, klee_sear
 from .errors import Refusal
 from .gap import kazhdan_gap
 from .geometry import modulus_table, schoenberg_scan, schoenberg_violation_search
-from .groups import TableGroup
+from .groups import TableGroup, k_words_of
 from .induction import CosetStructure, fixed_point_transfer, induce_cocycle, induce_rep, split_action, superrigidity_pipeline
 from .lamperti import LampertiIsometry, mazur_composition, mazur_conjugation_residual
 from .reports import Report, check, status_of
@@ -94,8 +94,8 @@ def _task_decompose(scenario, seed, tol):
     cc = canonical_complement(rep)
     idem = float(np.max(np.abs(cc.proj_fixed @ cc.proj_fixed - cc.proj_fixed)))
     comm = max(
-        float(np.max(np.abs(rep.generator_matrix(n) @ cc.proj_fixed - cc.proj_fixed @ rep.generator_matrix(n))))
-        for n in rep.generator_names
+        float(np.max(np.abs(mat @ cc.proj_fixed - cc.proj_fixed @ mat)))
+        for mat in map(rep.operator, rep.generator_names)
     )
     checks = [
         check("projection_idempotency", idem, 1e-10),
@@ -118,7 +118,7 @@ def _task_gap(scenario, seed, tol):
     if est.witness is None:
         checks = [check("complement_dim", est.complement_dim, 0, "eq")]
     else:
-        achieved = max(scenario.space.norm(rep.apply(w, est.witness) - est.witness) for w in k or rep.group.k_set)
+        achieved = max(scenario.space.norm(rep.apply(w, est.witness) - est.witness) for w in k_words_of(rep.group, k))
         checks = [check("witness_achieves_upper", abs(achieved - est.upper), 1e-10)]
     payload = {
         "gap_upper": est.upper,

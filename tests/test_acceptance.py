@@ -103,7 +103,7 @@ def test_criterion_02_canonical_complement():
                 assert cc.fixed_dim + cc.complement_dim == rep.space.dim
                 assert np.max(np.abs(cc.proj_fixed @ cc.proj_fixed - cc.proj_fixed)) <= 1e-10
                 for gen in rep.generator_names:
-                    mat = rep.generator_matrix(gen)
+                    mat = rep.operator(gen)
                     assert np.max(np.abs(mat @ cc.proj_fixed - cc.proj_fixed @ mat)) <= 1e-10
             rep2 = corpus_rep(name, 2.0)
             cc2 = canonical_complement(rep2)

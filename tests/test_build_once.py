@@ -135,8 +135,8 @@ def test_letter_tables_give_each_inverse_letter():
     shift = np.roll(np.eye(3), 1, axis=0)
     rep = Representation(group, space, {"a": shift})
     coc = Cocycle(rep, {"a": [1.0, -1.0, 0.0]})
-    assert list(rep.letter_matrices) == ["a", "A"]
-    assert np.array_equal(rep.letter_matrices["A"], np.linalg.inv(shift))
+    assert list(rep.letters) == ["a", "A"]
+    assert np.array_equal(rep.operator("A"), np.linalg.inv(shift))
     assert np.array_equal(coc.letter_values["A"], -np.linalg.inv(shift) @ coc.values["a"])
     mat, val = coc.walk("aaA")
     assert np.array_equal(mat, rep.operator("aaA"))

@@ -198,7 +198,7 @@ def test_unvalidated_cocycle_extends_only_when_its_residual_is_read():
     space = LpSpace(5, 3.0)
     rep = Representation(group, space, {"a": LampertiIsometry(np.roll(np.arange(5), 1), np.ones(5), space, space)})
     v = np.random.default_rng(3).standard_normal(5)
-    values = {"a": v - rep.generator_matrix("a") @ v}  # a coboundary, so a cocycle up to rounding
+    values = {"a": v - rep.operator("a") @ v}  # a coboundary, so a cocycle up to rounding
     lazy = []
     counts = count_calls([Cocycle.element_values], lambda: lazy.append(Cocycle(rep, values, validate=False)))
     assert counts == {"Cocycle.element_values": 0}

@@ -77,7 +77,7 @@ class TestInduceRep:
         rep = Representation(cs.subgroup, space, {"a": image})
         ind, rep_g = induce_rep(cs, rep)
         assert ind.index == 1
-        assert np.allclose(rep_g.generator_matrix("a"), rep.generator_matrix("a"), atol=1e-14)
+        assert np.allclose(rep_g.operator("a"), rep.operator("a"), atol=1e-14)
 
     def test_trivial_subgroup_gives_regular_representation(self):
         group = cyclic_group(2, "s")
@@ -86,12 +86,12 @@ class TestInduceRep:
         rep = Representation(cs.subgroup, space, {})
         ind, rep_g = induce_rep(cs, rep)
         assert ind.ambient.dim == 2
-        assert np.allclose(rep_g.generator_matrix("s"), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+        assert np.allclose(rep_g.operator("s"), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
     def test_sign_rep_induces_rotation(self):
         cs, rep = sign_z2_in_z4()
         _, rep_g = induce_rep(cs, rep)
-        assert np.allclose(rep_g.generator_matrix("a"), [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
+        assert np.allclose(rep_g.operator("a"), [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
         assert np.allclose(rep_g.operator("aaaa"), np.eye(2), atol=1e-12)
         assert rep_g.relation_residual <= 1e-10
 
@@ -104,7 +104,7 @@ class TestInduceRep:
         ind, rep_g = induce_rep(cs, rep)
         v = rng.standard_normal(ind.ambient.dim)
         for name in rep_g.generator_names:
-            assert abs(ind.ambient.norm(rep_g.generator_matrix(name) @ v) - ind.ambient.norm(v)) <= 1e-10
+            assert abs(ind.ambient.norm(rep_g.operator(name) @ v) - ind.ambient.norm(v)) <= 1e-10
 
 
 class TestInduceCocycle:
@@ -122,7 +122,7 @@ class TestInduceCocycle:
         coc = coboundary_of(rep, v)
         coc_g = induce_cocycle(cs, coc, rep_g)
         section = np.tile(v, cs.index)
-        expected = {name: section - rep_g.generator_matrix(name) @ section for name in rep_g.generator_names}
+        expected = {name: section - rep_g.operator(name) @ section for name in rep_g.generator_names}
         for name in rep_g.generator_names:
             assert np.max(np.abs(coc_g.values[name] - expected[name])) <= 1e-10
 
@@ -190,7 +190,7 @@ def grid_setup(p=3.0):
 
 class TestSplitAction:
     def engineered_cocycle(self, rep, t=0.8, u=-0.6, mix=0.5):
-        a_mat, b_mat = rep.generator_matrix("a"), rep.generator_matrix("b")
+        a_mat, b_mat = rep.operator("a"), rep.operator("b")
         b1a = t * np.array([1.0, 1.0, -1.0, -1.0])
         b2b = u * np.array([1.0, -1.0, 1.0, -1.0])
         v0 = mix * np.array([1.0, -1.0, -1.0, 1.0])
@@ -387,7 +387,7 @@ class TestInducedOperators:
         assert not rep_g.monomial
         assert rep_g.relation_residual <= 1e-10
         for name, big in hand_blocks(cs, rep.operator).items():
-            assert np.array_equal(rep_g.generator_matrix(name), big), name
+            assert np.array_equal(rep_g.operator(name), big), name
         coc_g = induce_cocycle(cs, coboundary_of(rep, [0.3, -1.2]), rep_g)
         assert coc_g.relator_residual <= 1e-10
 
@@ -413,6 +413,6 @@ class TestInducedOperators:
         assert rep_g.relation_residual <= 1e-12
         # the densities come from the tiled weights, not from the element table's products: equal to rounding
         for name, big in hand_blocks(cs, rep.operator).items():
-            mat = rep_g.generator_matrix(name)
+            mat = rep_g.operator(name)
             assert np.array_equal(mat != 0, big != 0), (case, name)
             assert np.all(np.abs(mat - big) <= 4 * np.finfo(float).eps * np.abs(big)), (case, name)

@@ -99,8 +99,8 @@ class TestRepresentation:
         rep = Representation(cyclic_group(3), space, {"a": iso.matrix()})
         image = rep.images["a"]
         assert isinstance(image, LampertiIsometry) and image.same_permutation(iso)
-        assert np.array_equal(rep.letter_matrices["a"], iso.matrix())
-        assert np.array_equal(rep.letter_matrices["A"], iso.inverse().matrix())
+        assert np.array_equal(rep.operator("a"), iso.matrix())
+        assert np.array_equal(rep.operator("A"), iso.inverse().matrix())
 
     def test_unchecked_images_are_kept_as_given(self):
         space = LpSpace(2, 3.0)

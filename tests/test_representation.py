@@ -187,7 +187,7 @@ class TestRepresentation:
 
     def test_word_operator(self):
         rep = regular_z3()
-        a = rep.generator_matrix("a")
+        a = rep.operator("a")
         assert np.allclose(rep.operator("aa"), a @ a, atol=1e-15)
         assert np.allclose(rep.operator("aA"), np.eye(3), atol=1e-15)
 
@@ -210,7 +210,7 @@ class TestFixedSubspace:
         assert np.allclose(basis[:, 0] / basis[0, 0], np.ones(3), atol=1e-12)
         rep = regular_z3()
         for vec in basis.T:
-            assert np.max(np.abs(rep.generator_matrix("a") @ vec - vec)) <= 1e-10
+            assert np.max(np.abs(rep.operator("a") @ vec - vec)) <= 1e-10
 
 
 class TestDualRep:
@@ -220,7 +220,7 @@ class TestDualRep:
         space = rep.space
         for _ in range(20):
             x, y = rng.standard_normal(2), rng.standard_normal(2)
-            lhs = space.pairing(x, dual.generator_matrix("s") @ y)
+            lhs = space.pairing(x, dual.operator("s") @ y)
             rhs = space.pairing(rep.operator("S") @ x, y)
             assert abs(lhs - rhs) <= 1e-12
 
@@ -237,10 +237,10 @@ class TestDualRep:
         rep = Representation(group, space, {"a": rot})
         dual = dual_rep(rep)
         # rho*(g) is the transpose of rho(g^-1); orthogonal images are self-dual
-        assert np.allclose(dual.generator_matrix("a"), rep.operator("A").T, atol=1e-12)
-        assert np.allclose(dual.generator_matrix("a"), rot, atol=1e-12)
+        assert np.allclose(dual.operator("a"), rep.operator("A").T, atol=1e-12)
+        assert np.allclose(dual.operator("a"), rot, atol=1e-12)
         ident_rep = Representation(cyclic_group(2, "s"), space, {"s": np.eye(3)})
-        assert np.allclose(dual_rep(ident_rep).generator_matrix("s"), np.eye(3), atol=1e-15)
+        assert np.allclose(dual_rep(ident_rep).operator("s"), np.eye(3), atol=1e-15)
 
     def test_p1_rejected(self):
         with pytest.raises(ValueError, match="p > 1"):
@@ -255,7 +255,7 @@ class TestDualRep:
             unit = vec / rep.space.norm(vec)
             image = duality_map(rep.space, unit)
             for name in dual.generator_names:
-                assert np.max(np.abs(dual.generator_matrix(name) @ image - image)) <= 1e-10
+                assert np.max(np.abs(dual.operator(name) @ image - image)) <= 1e-10
 
 
 class TestCanonicalComplement:
@@ -287,7 +287,7 @@ class TestCanonicalComplement:
         v = cc.complement_basis[:, 0]
         assert abs(rep.space.pairing(v, lam)) <= 1e-12
         # B' is invariant under the swap
-        image = rep.generator_matrix("s") @ v
+        image = rep.operator("s") @ v
         assert abs(rep.space.pairing(image, lam)) <= 1e-12
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
@@ -306,7 +306,7 @@ class TestCanonicalComplement:
         assert np.max(np.abs(p_f @ p_f - p_f)) <= 1e-10
         assert np.max(np.abs(p_c @ p_c - p_c)) <= 1e-10
         for name in rep.generator_names:
-            mat = rep.generator_matrix(name)
+            mat = rep.operator(name)
             assert np.max(np.abs(mat @ p_f - p_f @ mat)) <= 1e-10
 
     def test_hilbert_case_matches_orthogonal_complement(self, rng):

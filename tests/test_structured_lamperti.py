@@ -146,7 +146,7 @@ def _cocycles(scenario):
         return [scenario.cocycle]
     rep, rng = scenario.representation, np.random.default_rng(len(scenario.name))
     v = rng.standard_normal(rep.space.dim)
-    values = {name: v - rep.letter_matrices[name] @ v for name in rep.generator_names}
+    values = {name: v - rep.operator(name) @ v for name in rep.generator_names}
     noise = {name: rng.standard_normal(rep.space.dim) for name in rep.generator_names}
     return [Cocycle(rep, values, validate=False), Cocycle(rep, noise, validate=False)]
 
@@ -163,7 +163,7 @@ def test_element_table_equals_the_dense_products(structured):
         for g, mat in oracle.items():
             assert _same_bits(mats[g], mat), (scenario.name, g)
         for name, mat in dense_letters(rep).items():
-            assert _same_bits(rep.letter_matrices[name], mat), (scenario.name, name)
+            assert _same_bits(rep.operator(name), mat), (scenario.name, name)
 
 
 def test_element_images_and_word_operators_equal_the_dense_products(structured):

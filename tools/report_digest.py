@@ -93,7 +93,7 @@ def _twin(name: str, directory: Path) -> Path:
     raw = json.loads(bundled_scenario_path(name).read_text())
     rep = parse_scenario(raw).representation
     raw["representation"]["images"] = {
-        gen: {"kind": "matrix", "entries": rep.generator_matrix(gen).tolist()} for gen in rep.generator_names
+        gen: {"kind": "matrix", "entries": rep.operator(gen).tolist()} for gen in rep.generator_names
     }
     path = directory / f"{name}.json"
     path.write_text(json.dumps(raw))

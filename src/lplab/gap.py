@@ -4,12 +4,31 @@ The gap of a representation over a generating set K is
 
     inf { max_{g in K} ||rho(g) v - v|| : v in the unit sphere of B' }.
 
-The estimator minimizes the (scale-invariant) displacement ratio by
-multistart adaptive subgradient descent over complement coordinates, seeded
-with the weighted-l2 eigenvector heuristic and, in complement dimension
-2 to 4, the best three of 2,048 seeded uniform sphere directions
-(normalised Gaussian vectors, Muller 1959).  The value at the best witness
-found is always a true upper bound for the gap.
+Each estimate is the displacement ratio evaluated at an explicit witness, so
+it is always a true upper bound for the gap.  ``kazhdan_gap`` first tries a
+witness that is exact, and returns it only when its own evaluated ratio
+proves it optimal:
+
+- In complement dimension 1 the sphere is +-b, so the ratio at the
+  normalised start is the gap, for every p.
+- At p = 2 the gap squared is min_c max_k c^T Q_k c / c^T G c, with
+  A_k = (rho(k) - I)B, Q_k = A_k^T W A_k and G = B^T W B.  For every t in
+  the simplex, max_k c^T Q_k c >= sum_k t_k c^T Q_k c >= lambda_min(sum_k
+  t_k Q_k, G) c^T G c, so sqrt(lambda*), with lambda* the largest such
+  lambda_min, is a lower bound for the gap.  With one word t = 1 and the
+  witness is the eigenvector start; with two words a golden section over t
+  finds lambda*, and the witness is a vector of the lambda_min eigenspace at
+  that t on which neither form exceeds lambda* (Polyak, *Convexity of
+  quadratic transformations*, 1998, explains why one exists).  The witness
+  is returned when its evaluated ratio is at most sqrt(lambda*) (1 + 1e-12);
+  that check, not the theorem, is what the result rests on.
+
+Otherwise -- p != 2, three or more words, a singular G, or a witness that
+misses its check -- the estimate is a search: multistart adaptive
+subgradient descent over complement coordinates, seeded with the
+weighted-l2 eigenvector start and, in complement dimension 2 to 4, the best
+three of 2,048 seeded uniform sphere directions (normalised Gaussian
+vectors, Muller 1959).
 
 The restarts descend in lockstep as arrays with one row per live restart.
 Each iteration moves every row with the same handful of array operations,
@@ -23,6 +42,7 @@ that loop's bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +58,12 @@ MAX_RESTARTS = 1024
 _ITERS = 400  # descent iterations per restart
 _MARK_AT = int(0.8 * _ITERS)  # the ratio after this iteration sets the heuristic lower bound
 _SWEEP_STREAM = 1959  # keeps the sphere sweep's draws apart from the restarts' default_rng(seed)
-# eigenvalues within this much of lambda_min, times max(1, |lambda_max|), are one eigenspace for the start
+# eigenvalues within this much of lambda_min, times max(1, |lambda_max|), are one eigenspace
 _CLUSTER_TOL = 1e-9
+# an exact p = 2 witness is returned when its ratio is at most sqrt(lambda*) (1 + _ATTAINED)
+_ATTAINED = 1e-12
+# golden-section probes over t in [0, 1]; the bracket shrinks to 0.618**72 < 1e-15
+_GOLDEN_PROBES = 72
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,25 +122,150 @@ def _generalized_eigh(quad: np.ndarray, gram: np.ndarray):
     return vals, chol_inv.T @ vecs
 
 
-def _eigen_start(quad: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """A lambda_min eigenvector of quad v = lam gram v that does not depend on the eigensolver's choice.
+def _projection(cols: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """A vector of span(cols) that is the same for every gram-orthonormal basis ``cols`` of it.
 
-    The eigenvalues within ``_CLUSTER_TOL * max(1, |lambda_max|)`` of
-    lambda_min are taken as one eigenspace.  When it is a line the start is
-    the solver's vector for lambda_min; otherwise it is the gram-orthogonal
-    projection onto the eigenspace of the first coordinate vector e_j whose
-    projection has gram norm above 1e-8 times that of e_j, which is the same
-    for every gram-orthonormal basis of the eigenspace.  Raises
-    ``LinAlgError`` as ``_generalized_eigh``.
+    It is the gram-orthogonal projection onto the span of the first
+    coordinate vector e_j whose projection has gram norm above 1e-8 times
+    that of e_j.
+    """
+    # column j holds the coordinates of e_j's projection, whose gram norm is theirs
+    coords = cols.T @ gram
+    j = np.flatnonzero(np.linalg.norm(coords, axis=0) > 1e-8 * np.sqrt(np.diag(gram)))[0]
+    return cols @ coords[:, j]
+
+
+def _lowest(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The columns of ``vecs`` whose ascending ``vals`` are within ``_CLUSTER_TOL * max(1, |max|)`` of the least."""
+    return vecs[:, vals - vals[0] <= _CLUSTER_TOL * max(1.0, abs(vals[-1]))]
+
+
+def _eigen_start(quad: np.ndarray, gram: np.ndarray):
+    """lambda_min of quad v = lam gram v, and an eigenvector for it that does not depend on the eigensolver's choice.
+
+    The eigenvalues ``_lowest`` keeps are taken as one eigenspace.  When it
+    is a line the start is the solver's vector for lambda_min; otherwise it
+    is the eigenspace's ``_projection``.  Raises ``LinAlgError`` as
+    ``_generalized_eigh``.
     """
     vals, vecs = _generalized_eigh(quad, gram)
-    cluster = vecs[:, vals - vals[0] <= _CLUSTER_TOL * max(1.0, abs(vals[-1]))]
-    if cluster.shape[1] == 1:
-        return cluster[:, 0]
-    # column j holds the eigenspace coordinates of e_j's projection, whose gram norm is theirs
-    coords = cluster.T @ gram
-    j = np.flatnonzero(np.linalg.norm(coords, axis=0) > 1e-8 * np.sqrt(np.diag(gram)))[0]
-    return cluster @ coords[:, j]
+    cluster = _lowest(vals, vecs)
+    return float(vals[0]), cluster[:, 0] if cluster.shape[1] == 1 else _projection(cluster, gram)
+
+
+def _two_word_point(forms, gram: np.ndarray):
+    """(lambda*, c): the maximum over t in [0, 1] of lambda_min(t Q_0 + (1 - t) Q_1, G), and a witness for it.
+
+    lambda_min of the pencil is concave in t.  A golden section keeps the
+    largest value it finds, with both ends probed too; G is factored once,
+    and each probe takes one ``eigvalsh``.  On gram-unit vectors of the
+    lambda_min eigenspace E at that t, Q_0 = lambda + (1 - t) D and Q_1 =
+    lambda - t D with D = Q_0 - Q_1, so neither form exceeds lambda where D
+    is 0 (or, at t = 1, >= 0; at t = 0, <= 0).  The witness is E's
+    ``_projection`` when D there is right; otherwise it is combined with
+    the ``_projection`` of E's D-eigenspace for the extreme eigenvalue of
+    the other sign, so that D vanishes.  Neither depends on the basis the
+    eigensolver returns.  Where E holds no such vector, E's projection is
+    returned, and the caller's check refuses it.
+    """
+    chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    m0, m1 = (chol_inv @ q @ chol_inv.T for q in forms)
+
+    def lam_min(t):
+        return float(np.linalg.eigvalsh(t * m0 + (1.0 - t) * m1)[0])
+
+    gold = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 1.0
+    a, b = hi - gold, gold
+    fa, fb = lam_min(a), lam_min(b)
+    best = max((lam_min(0.0), 0.0), (lam_min(1.0), 1.0), (fa, a), (fb, b))
+    for _ in range(_GOLDEN_PROBES):
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + gold * (hi - lo)
+            fb = lam_min(b)
+            best = max(best, (fb, b))
+        else:
+            hi, b, fb = b, a, fa
+            a = hi - gold * (hi - lo)
+            fa = lam_min(a)
+            best = max(best, (fa, a))
+    lam, t = best
+
+    diff = forms[0] - forms[1]
+    vals, vecs = _generalized_eigh(t * forms[0] + (1.0 - t) * forms[1], gram)
+    eig = _lowest(vals, vecs)
+
+    def unit(v):
+        v = _projection(v, gram)
+        return v / math.sqrt(v @ gram @ v), v @ diff @ v / (v @ gram @ v)
+
+    x, d = unit(eig)
+    tol = 1e-13 * abs(lam)
+    if abs(d) <= tol or (t == 1.0 and d > 0.0) or (t == 0.0 and d < 0.0):
+        return lam, x
+    mus, rot = np.linalg.eigh(eig.T @ diff @ eig)
+    other = _lowest(mus, rot) if d > 0.0 else _lowest(-mus[::-1], rot[:, ::-1])
+    y, e = unit(eig @ other)
+    if d * e >= 0.0:
+        return lam, x
+    # D(x + s y) = d + 2 s cross + s^2 e = 0 has one root of each sign; take the positive one
+    cross = x @ diff @ y
+    s = (-cross + math.copysign(math.sqrt(cross * cross - d * e), e)) / e
+    return lam, x + s * y
+
+
+def _evaluate(ops: np.ndarray, w, p, cs: np.ndarray):
+    """The rows ops @ c, their norms and the displacement ratio, for each row c of ``cs``."""
+    rows = _matvecs(ops, cs[:, None, :])
+    vals = norms(w, p, rows.reshape(-1, ops.shape[1])).reshape(rows.shape[:2])
+    return rows, vals, np.maximum.reduce(vals[:, :-1], axis=1) / vals[:, -1]
+
+
+def _setup(rep: Representation, words, basis: np.ndarray):
+    """What both paths read: ``ops``, the forms Q_k, G, and lambda_min and the eigenvector start.
+
+    ``ops`` stacks the displacement operators (rho(k) - I)B of the words
+    and then the basis B, so that rows 0..K-1 of ops @ c are the K
+    displacements and the last row is the vector itself.  lambda_min and the
+    start are those of sum_k Q_k against G (``_eigen_start``), both None
+    when G is singular.
+    """
+    w = rep.space.weights
+    eye = np.eye(rep.space.dim)
+    ops = np.array([(rep.operator(word) - eye) @ basis for word in words] + [basis])
+    # weighted-l2 forms A^T W A of the displacements, then G
+    forms = [a.T @ (w[:, None] * a) for a in ops]
+    gram = forms.pop()
+    try:
+        lam, start = _eigen_start(sum(forms), gram)
+    except np.linalg.LinAlgError:  # a rank-deficient basis: gram is singular, the random starts remain
+        lam, start = None, None
+    return ops, forms, gram, lam, start
+
+
+def _exact(space, ops: np.ndarray, forms, gram: np.ndarray, lam: float, start: np.ndarray):
+    """The estimate at an exact witness, or None where there is none or it misses its check.
+
+    Complement dimension 1 takes the start at any p; p = 2 takes the start
+    for one word and ``_two_word_point`` for two.  The heuristic lower
+    bound is the descent's with no late gain: upper - 1e-6.
+    """
+    m = ops.shape[2]
+    if m == 1:
+        c, bound = start, None
+    elif space.p != 2.0 or len(forms) > 2:
+        return None
+    elif len(forms) == 1:
+        c, bound = start, lam
+    else:
+        bound, c = _two_word_point(forms, gram)
+    c = c[None] / _l2_norms(c[None])[:, None]
+    upper = _evaluate(ops, space.weights, space.p, c)[2].tolist()[0]
+    if bound is not None and not (bound > 0.0 and upper <= math.sqrt(bound) * (1.0 + _ATTAINED)):
+        return None
+    witness = _matvecs(ops[-1], c)[0]
+    return GapEstimate(upper, max(0.0, upper - 1e-6), _canonical_sign(witness / space.norm(witness)), m)
 
 
 def kazhdan_gap(
@@ -128,16 +277,17 @@ def kazhdan_gap(
 ) -> GapEstimate:
     """Estimate the gap of ``rep`` over the word set K on the canonical complement.
 
-    ``basis`` overrides the complement basis.
-    Returns an upper bound (value at the best witness), a heuristic lower
-    bound (upper minus the observed descent slack), and the witness itself.
-    An empty complement yields the +inf sentinel.  At most
-    ``MAX_RESTARTS`` restarts are allowed; they descend in lockstep, each
-    with its own step size, for at most 400 iterations.  A restart stops
-    once a rejected step leaves its step size below 1e-14, and its row is
-    then removed from the live arrays.  The stopped and final points are
-    reduced in index order, so the result is deterministic for a fixed seed;
-    ties between witnesses break toward the lexicographically smaller vector.
+    ``basis`` overrides the complement basis.  Returns an upper bound (the
+    ratio at the witness), a heuristic lower bound, and the witness itself.
+    An empty complement yields the +inf sentinel.
+
+    In complement dimension 1, and at p = 2 with one or two words, the
+    witness is exact (see the module docstring): it is returned when its
+    ratio passes its check, with the heuristic lower bound upper - 1e-6, and
+    ``restarts`` and ``seed`` are unused.  Otherwise, and where the check
+    fails, the estimate is the descent's (``_descent``), whose result is the
+    same as if no exact witness had been tried.  At most ``MAX_RESTARTS``
+    restarts are allowed, on either path.
     """
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
@@ -145,27 +295,36 @@ def kazhdan_gap(
     if basis is None:
         basis = canonical_complement(rep).complement_basis
     basis = np.ascontiguousarray(basis)  # the products below then depend on its values only, not its strides
-    m = basis.shape[1]
-    if m == 0:
+    if basis.shape[1] == 0:
         return GapEstimate(np.inf, np.inf, None, 0)
+    ops, forms, gram, lam, start = _setup(rep, words, basis)
+    exact = None if start is None else _exact(rep.space, ops, forms, gram, lam, start)
+    return exact if exact is not None else _descent(rep.space, ops, start, restarts, seed)
 
-    space = rep.space
+
+def _descent(space, ops: np.ndarray, start: np.ndarray | None, restarts: int, seed: int) -> GapEstimate:
+    """The search: multistart adaptive subgradient descent on the ratio over complement coordinates.
+
+    ``ops`` and ``start`` are ``_setup``'s; the starts are ``start`` (when
+    not None), the sphere sweep's best three in complement dimension 2 to
+    4, and standard normal vectors from ``default_rng(seed)`` up to
+    ``restarts``.  They descend in lockstep, each with its own step size,
+    for at most 400 iterations.  A restart stops once a rejected step leaves
+    its step size below 1e-14, and its row is then removed from the live
+    arrays.  The heuristic lower bound is the upper bound minus
+    max(1e-6, ten times the winning restart's gain after iteration 320).
+    The stopped and final points are reduced in index order, so the result
+    is deterministic for a fixed seed; ties between witnesses break toward
+    the lexicographically smaller vector.
+    """
     w, p, n = space.weights, space.p, space.dim
-    eye = np.eye(n)
-    disp_ops = [(rep.operator(word) - eye) @ basis for word in words]
-    # rows 0..K-1 of ops @ c are the K displacements, the last row is the vector itself
-    ops = np.array(disp_ops + [basis])
-
-    def evaluate(cs):
-        """The rows ops @ c, their norms and the displacement ratio, for each row c of ``cs``."""
-        rows = _matvecs(ops, cs[:, None, :])
-        vals = norms(w, p, rows.reshape(-1, n)).reshape(rows.shape[:2])
-        return rows, vals, np.maximum.reduce(vals[:, :-1], axis=1) / vals[:, -1]
+    basis = ops[-1]
+    m = basis.shape[1]
 
     def subgrad(rows, vals, at):
         """Subgradient of the ratio at the points ``at``, through the first largest displacement.
 
-        It is taken from the rows and norms that ``evaluate`` returned for them.
+        It is taken from the rows and norms that ``_evaluate`` returned for them.
         """
         picked = pick[: len(at)]
         picked[:, 0] = vals[at, :-1].argmax(axis=1)
@@ -177,17 +336,10 @@ def kazhdan_gap(
         return (g_num * pair[:, 1:] - pair[:, :1] * g_den) / den_sq[:, None]
 
     rng = np.random.default_rng(seed)
-    starts = []
-    # weighted-l2 displacement quadratic form: exact at p = 2 for one word
-    quad = sum(a.T @ (w[:, None] * a) for a in disp_ops)
-    gram = basis.T @ (w[:, None] * basis)
-    try:
-        starts.append(_eigen_start(quad, gram))
-    except np.linalg.LinAlgError:  # a rank-deficient basis: gram is singular, the random starts remain
-        pass
+    starts = [] if start is None else [start]
     if m <= 4:
         dense = _sphere_directions(m, 1 << 11, seed)
-        for idx in np.argsort(evaluate(dense)[2])[:3]:
+        for idx in np.argsort(_evaluate(ops, w, p, dense)[2])[:3]:
             starts.append(dense[idx])
     while len(starts) < restarts:
         starts.append(rng.standard_normal(m))
@@ -195,8 +347,8 @@ def kazhdan_gap(
     # one row per live restart: point, ratio, subgradient, step size, mark and index
     c = np.array(starts)
     c /= _l2_norms(c)[:, None]
-    pick = np.full((len(c), 2), len(words))  # per point: its largest displacement, then the vector itself
-    rows, vals, val = evaluate(c)
+    pick = np.full((len(c), 2), len(ops) - 1)  # per point: its largest displacement, then the vector itself
+    rows, vals, val = _evaluate(ops, w, p, c)
     grad = subgrad(rows, vals, np.arange(len(c)))
     step = np.full(len(c), 0.2)
     mark = val.copy()
@@ -211,7 +363,7 @@ def kazhdan_gap(
             tiny = norm < 1e-14
             cand[tiny], norm[tiny] = c[tiny], 1.0
         cand /= norm[:, None]
-        cand_rows, cand_vals, cand_val = evaluate(cand)
+        cand_rows, cand_vals, cand_val = _evaluate(ops, w, p, cand)
         better = cand_val < val
         acc = np.flatnonzero(better)
         if acc.size:

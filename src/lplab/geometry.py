@@ -1,14 +1,19 @@
 """Convexity moduli, quotient norms, and positive-definiteness probes.
 
-The convexity modulus delta(eps) = inf {1 - ||x+y||/2 : ||x||,||y|| <= 1,
-||x-y|| >= eps} is estimated from above by sampled feasible pairs plus a
-stochastic polish; every reported value is certified by an explicit witness
-pair, so the estimate is always an upper bound for the true modulus.
+The convexity modulus is delta(eps) = inf {1 - ||x+y||/2 : ||x||,||y|| <= 1,
+||x-y|| >= eps}.  Every reported value is the objective evaluated at an
+explicit feasible witness pair, so it is always an upper bound for the true
+modulus.  Where the modulus of weighted l_p^dim is known in closed form the
+witness attains it: at eps = 2 an antipodal pair gives delta(2) = 1 for every
+p > 1, and for p >= 2 and dim >= 2 Clarkson's pair gives 1 - (1 -
+(eps/2)^p)^(1/p).  Elsewhere (1 < p < 2 below eps = 2, dim 1, or a caller's
+norm) the estimate is sampled feasible pairs plus a stochastic polish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -50,6 +55,7 @@ _BLOCK = 256
 # the first speculative polish window; it doubles, up to _BLOCK, after each window without an acceptance
 _WINDOW = 16
 _MAX_ROUNDS = 60  # rounds of inflation and clipping after which _make_feasible gives a candidate up
+_NUDGES = 64  # one-ulp steps the closed-form pair may take to be feasible in rounded norms
 
 
 def _shrink_fits(norm_fn, mid, d):
@@ -145,14 +151,94 @@ def convexity_modulus(
     norm_fn=None,
     polish_iters: int = 300,
 ) -> ModulusEstimate:
-    """Upper-bound estimate of the convexity modulus at ``eps``.
+    """The convexity modulus at ``eps``: exact where a closed form applies, else an upper-bound estimate.
+
+    With the space's own norm, eps = 2 at any p > 1 and every eps at p >= 2
+    in dim >= 2 take the closed-form pair (``_closed_form_pair``), and
+    ``budget``, ``seed`` and ``polish_iters`` are unused.  Otherwise the
+    estimate is sampled (``_sample``): ``budget`` feasible pairs from
+    ``default_rng(seed)`` and a polish of ``polish_iters`` steps.
+    ``norm_fn`` may override the space norm (used for estimating the
+    modulus of constructed invariant norms, e.g.
+    :meth:`InvariantNorm.norms`); it maps a stack of rows to their norms,
+    and always takes the sampler.  p = 1 with the default norm is rejected
+    since l1 has no positive modulus.
+
+    Returns the estimate together with the witness pair; the witness is
+    feasible (at eps = 2 up to the 1e-12 allowance of ``_make_feasible``),
+    hence delta_hat >= delta(eps).
+    """
+    if not (0.0 < eps <= 2.0):
+        raise ValueError("eps must lie in (0, 2]")
+    if norm_fn is None:
+        space.require_smooth()
+        exact = _closed_form_pair(space, eps)
+        if exact is not None:
+            return exact
+    return _sample(space, eps, budget, seed, norm_fn, polish_iters)
+
+
+def _closed_form_pair(space: LpSpace, eps: float) -> ModulusEstimate | None:
+    """The pair that attains the modulus of weighted l_p^dim at ``eps``, or None where no closed form applies.
+
+    With u_i = w_i^(-1/p) e_i, b = eps/2 and a = (1 - b^p)^(1/p), the pair
+    is x = b u_0 + a u_1 and y = -b u_0 + a u_1: ||x|| = ||y|| = 1, ||x -
+    y|| = eps and delta = 1 - a.  For p >= 2 and dim >= 2 it is Clarkson's
+    (1936); at eps = 2, a = 0 and it is the antipodal pair u_0, -u_0, so
+    delta(2) = 1 for every p > 1 and dim >= 1.  In rounded norms b is then
+    raised to the least value with ||x - y|| >= eps and a lowered until
+    ||x|| <= 1, one ulp at a time and at most ``_NUDGES`` steps each.  The
+    pair goes through ``_make_feasible``, which leaves a feasible pair as it
+    is, and ``_objective``, so the reported delta is the objective evaluated
+    at it.  Below eps = 2 the pair comes out feasible and delta within
+    about 1e-15 of the closed form.  At eps = 2 the rounded norms can leave
+    no float multiple of u_0 with ||x|| <= 1 and ||2x|| >= 2; then
+    ``_make_feasible`` scales the difference to (1 + 1e-12) times eps, so
+    ||x|| = ||y|| = 1 + 1e-12 up to rounding -- the allowance of every
+    eps = 2 pair it settles that way -- and delta is still 1.
+    """
+    p, dim, w = space.p, space.dim, space.weights
+    if eps < 2.0 and (p < 2.0 or dim < 2):
+        return None
+    norm_fn = partial(norms, w, p)
+    b = eps / 2.0
+    a = (1.0 - b**p) ** (1.0 / p)
+    x = np.zeros(dim)
+    x[0] = b * w[0] ** (-1.0 / p)
+    if a > 0.0:
+        x[1] = a * w[1] ** (-1.0 / p)
+    diff = np.zeros((1, dim))  # x - y = 2 x_0 e_0, exactly
+
+    def spread(x0):
+        diff[0, 0] = 2.0 * x0
+        return norm_fn(diff)[0]
+
+    for _ in range(_NUDGES):
+        if spread(x[0]) >= eps:
+            break
+        x[0] = np.nextafter(x[0], np.inf)
+    for _ in range(_NUDGES):
+        if spread(np.nextafter(x[0], 0.0)) < eps:
+            break
+        x[0] = np.nextafter(x[0], 0.0)
+    for _ in range(_NUDGES):
+        if a == 0.0 or norm_fn(x[None])[0] <= 1.0:
+            break
+        x[1] = np.nextafter(x[1], 0.0)
+    y = x.copy()
+    y[0] = -x[0]
+    x, y, ok = _make_feasible(norm_fn, x[None], y[None], eps)
+    if not ok[0]:
+        return None
+    return ModulusEstimate(eps=eps, delta=float(_objective(norm_fn, x, y, ok)[0]), witness_x=x[0], witness_y=y[0])
+
+
+def _sample(space: LpSpace, eps: float, budget: int, seed: int, norm_fn, polish_iters: int) -> ModulusEstimate:
+    """The sampled upper-bound estimate of the convexity modulus at ``eps``: ``convexity_modulus``'s search.
 
     Samples ``budget`` feasible pairs, keeps the best, and polishes it with
-    a shrinking-step random search that preserves feasibility.  ``norm_fn``
-    may override the space norm (used for estimating the modulus of
-    constructed invariant norms, e.g. :meth:`InvariantNorm.norms`); it maps
-    a stack of rows to their norms.  p = 1 with the default norm is
-    rejected since l1 has no positive modulus.
+    a shrinking-step random search that preserves feasibility.
+    ``norm_fn`` maps a stack of rows to their norms; None means the space's.
 
     The candidates are drawn as one (budget, 2, dim) normal stack, which is
     the stream of per-candidate draws, and evaluated as stacks of rows in
@@ -169,17 +255,10 @@ def convexity_modulus(
     those of the one-at-a-time loop, so the estimate and its witness are
     too.
 
-    Returns the estimate together with the witness pair; the witness is
-    feasible, hence delta_hat >= delta(eps).
+    Returns the estimate together with its feasible witness pair.
     """
-    if not (0.0 < eps <= 2.0):
-        raise ValueError("eps must lie in (0, 2]")
     if norm_fn is None:
-        space.require_smooth()
-        w, p = space.weights, space.p
-
-        def norm_fn(rows):
-            return norms(w, p, rows)
+        norm_fn = partial(norms, space.weights, space.p)
     rng = np.random.default_rng(seed)
     dim = space.dim
 

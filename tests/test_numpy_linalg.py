@@ -119,7 +119,8 @@ def eigh_inputs(tmp_path_factory):
     runs.append(["sweep", "superrigid-diagonal-s3", "--p", "1.5,3,4"])
     runs += [["run", str(path)] for path in _scale_paths(tmp_path) if path.name.endswith("-gap.json")]
     with pytest.MonkeyPatch.context() as monkeypatch:
-        return _recorded(monkeypatch, gap, "_generalized_eigh", runs)
+        # the eigenvector start's inputs; the two-word p = 2 witness takes its own _generalized_eigh calls
+        return _recorded(monkeypatch, gap, "_eigen_start", runs)
 
 
 def test_seed_matches_scipy_generalized_eigh(eigh_inputs):
@@ -177,7 +178,7 @@ def _rotated_eigh(monkeypatch, seed):
 
 def test_eigen_start_lies_in_the_lambda_min_eigenspace(eigh_inputs):
     for quad, gram in _start_problems(eigh_inputs):
-        start = gap._eigen_start(quad, gram)
+        start = gap._eigen_start(quad, gram)[1]
         lam = linalg.eigh(quad, gram, eigvals_only=True)[0]
         scale = np.linalg.norm(quad) + abs(lam) * np.linalg.norm(gram)
         assert np.linalg.norm(quad @ start - lam * gram @ start) <= 1e-9 * scale * np.linalg.norm(start)
@@ -186,7 +187,7 @@ def test_eigen_start_lies_in_the_lambda_min_eigenspace(eigh_inputs):
 
 def test_eigen_start_is_the_same_for_every_basis_of_the_eigenspace(eigh_inputs, monkeypatch):
     problems = _start_problems(eigh_inputs)
-    starts = [gap._eigen_start(quad, gram) for quad, gram in problems]
+    starts = [gap._eigen_start(quad, gram)[1] for quad, gram in problems]
     repeated = 0
     for seed in (1, 2, 3):
         _rotated_eigh(monkeypatch, seed)
@@ -195,7 +196,7 @@ def test_eigen_start_is_the_same_for_every_basis_of_the_eigenspace(eigh_inputs, 
             if len(vals) == 1 or vals[1] - vals[0] > gap._CLUSTER_TOL * max(1.0, abs(vals[-1])):
                 continue  # a simple lambda_min: the start is the solver's own vector, sign included
             repeated += 1
-            rotated = gap._eigen_start(quad, gram)
+            rotated = gap._eigen_start(quad, gram)[1]
             assert np.max(np.abs(rotated - start)) <= 1e-12 * max(1.0, np.max(np.abs(start)))
     # cyclic3-gap, cyclic5-gap, grid-z2xz2-gap, the superrigid mixing piece and three made-up problems
     assert repeated >= 3 * 10

@@ -112,7 +112,12 @@ def _report(capsys, *argv):
     ("modulus-p2", "budget", None),
     ("schoenberg-p15", "n_configs", "configs"),
 ])
-def test_budget_flag_replaces_the_budget_field(capsys, name, field, payload_key):
+def test_budget_flag_replaces_the_budget_field(tmp_path, capsys, name, field, payload_key):
+    if name == "modulus-p2":
+        # budget reaches only the sampled modulus; at p = 1.5 every eps below 2 is sampled, at p = 2 none
+        path = tmp_path / "modulus-p15.json"
+        path.write_text(json.dumps(_edited(name, {("space", "p"): 1.5})))
+        name = str(path)
     _, plain = _report(capsys, name)
     code, flagged = _report(capsys, name, "--budget", "2")
     assert code == 0

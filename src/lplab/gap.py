@@ -24,20 +24,27 @@ proves it optimal:
   that check, not the theorem, is what the result rests on.
 
 Otherwise -- p != 2, three or more words, a singular G, or a witness that
-misses its check -- the estimate is a search: multistart adaptive
-subgradient descent over complement coordinates, seeded with the
-weighted-l2 eigenvector start and, in complement dimension 2 to 4, the best
-three of 2,048 seeded uniform sphere directions (normalised Gaussian
-vectors, Muller 1959).
+misses its check -- the estimate is a search over complement coordinates, in
+two stages:
 
-The restarts descend in lockstep as arrays with one row per live restart.
-Each iteration moves every row with the same handful of array operations,
-and a row's subgradient is taken when it accepts a step, from the rows and
-norms the evaluation of that step has already computed.  A restart that
-stops writes its point, ratio and mark to the output and its row is
-dropped, so the work of an iteration follows the restarts still descending.
-Every row does the arithmetic of a one-restart loop, so the estimate equals
-that loop's bit for bit.
+- *Seeding.*  Multistart adaptive subgradient descent for 60 iterations,
+  from the weighted-l2 eigenvector start, in complement dimension 2 to 4 the
+  best three of 2,048 seeded uniform sphere directions (normalised Gaussian
+  vectors, Muller 1959), and seeded Gaussian vectors.  The restarts descend
+  in lockstep as arrays with one row per live restart.  Each iteration moves
+  every row with the same handful of array operations, and a row's
+  subgradient is taken when it accepts a step, from the rows and norms the
+  evaluation of that step has already computed.  A restart that stops
+  writes its point, ratio and mark to the output and its row is dropped, so
+  the work of an iteration follows the restarts still descending.  Every
+  row does the arithmetic of a one-restart loop, so the seeding equals that
+  loop's bit for bit.
+- *Polish.*  The best seeded restart is run to convergence by the
+  quasi-Newton ``convex._bfgs`` (Lewis and Overton, *Nonsmooth optimization
+  via quasi-Newton methods*, 2013): on the ratio itself for one word, and
+  for several on softmaxes of the per-word ratios at falling temperatures,
+  then on their maximum.  The polished point replaces the seeded one only
+  when its evaluated ratio is lower.
 """
 
 from __future__ import annotations
@@ -49,14 +56,19 @@ import numpy as np
 
 from .groups import k_words_of
 from .representation import Representation, canonical_complement
-from .spaces import grads_from_roots, norms
+from .spaces import grads_from_roots, norms, norms_and_grads
 
 __all__ = ["MAX_RESTARTS", "GapEstimate", "kazhdan_gap"]
 
 # the restarts descend together, holding (restarts, |K|+1, dim) floats
 MAX_RESTARTS = 1024
-_ITERS = 400  # descent iterations per restart
-_MARK_AT = int(0.8 * _ITERS)  # the ratio after this iteration sets the heuristic lower bound
+_SEED_ITERS = 60  # lockstep descent iterations before the best restart is polished
+# with several words the polish's first softmax temperature, as a fraction of the seeded ratio
+_SOFT_TEMP = 1e-3
+_COOLING = 1e-4  # each polish stage divides the temperature and the step cap by this
+_GTOL = 1e-13  # a polish stage stops once no gradient entry exceeds this fraction of the seeded ratio
+_REACH = 0.5  # the first polish stage takes no step longer than 2 * _REACH; the seeded point has length 1
+_LOWER_SLACK = 1e-6  # heuristic_lower is upper minus this, and at least 0
 _SWEEP_STREAM = 1959  # keeps the sphere sweep's draws apart from the restarts' default_rng(seed)
 # eigenvalues within this much of lambda_min, times max(1, |lambda_max|), are one eigenspace
 _CLUSTER_TOL = 1e-9
@@ -248,8 +260,7 @@ def _exact(space, ops: np.ndarray, forms, gram: np.ndarray, lam: float, start: n
     """The estimate at an exact witness, or None where there is none or it misses its check.
 
     Complement dimension 1 takes the start at any p; p = 2 takes the start
-    for one word and ``_two_word_point`` for two.  The heuristic lower
-    bound is the descent's with no late gain: upper - 1e-6.
+    for one word and ``_two_word_point`` for two.
     """
     m = ops.shape[2]
     if m == 1:
@@ -264,8 +275,7 @@ def _exact(space, ops: np.ndarray, forms, gram: np.ndarray, lam: float, start: n
     upper = _evaluate(ops, space.weights, space.p, c)[2].tolist()[0]
     if bound is not None and not (bound > 0.0 and upper <= math.sqrt(bound) * (1.0 + _ATTAINED)):
         return None
-    witness = _matvecs(ops[-1], c)[0]
-    return GapEstimate(upper, max(0.0, upper - 1e-6), _canonical_sign(witness / space.norm(witness)), m)
+    return _result(space, ops, c[0], upper)
 
 
 def kazhdan_gap(
@@ -283,11 +293,13 @@ def kazhdan_gap(
 
     In complement dimension 1, and at p = 2 with one or two words, the
     witness is exact (see the module docstring): it is returned when its
-    ratio passes its check, with the heuristic lower bound upper - 1e-6, and
-    ``restarts`` and ``seed`` are unused.  Otherwise, and where the check
-    fails, the estimate is the descent's (``_descent``), whose result is the
-    same as if no exact witness had been tried.  At most ``MAX_RESTARTS``
-    restarts are allowed, on either path.
+    ratio passes its check, and ``restarts`` and ``seed`` are unused.
+    Otherwise, and where the check fails, the estimate is the search's
+    (``_descent``), whose result is the same as if no exact witness had been
+    tried.  At most ``MAX_RESTARTS`` restarts are allowed, on either path.
+
+    The heuristic lower bound is max(0, upper - 1e-6) on every path.  It
+    never exceeds the upper bound, nothing checks it, and no verdict reads it.
     """
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
@@ -303,23 +315,45 @@ def kazhdan_gap(
 
 
 def _descent(space, ops: np.ndarray, start: np.ndarray | None, restarts: int, seed: int) -> GapEstimate:
-    """The search: multistart adaptive subgradient descent on the ratio over complement coordinates.
+    """The search: ``_SEED_ITERS`` iterations of ``_lockstep``, then ``_polish`` of the best restart.
+
+    ``ops`` and ``start`` are ``_setup``'s.  The polished point replaces the
+    seeded one only when its evaluated ratio is lower, so the upper bound is
+    always the ratio at the returned witness.
+    """
+    seeded, c = _lockstep(space, ops, start, restarts, seed, _SEED_ITERS)
+    upper = seeded.upper
+    if upper > 0.0:  # a ratio of 0 is already the least
+        polished = _polish(space, ops, c, upper)[None]  # may be c itself, so not normalised in place
+        polished = polished / _l2_norms(polished)[:, None]
+        val = _evaluate(ops, space.weights, space.p, polished)[2].tolist()[0]
+        if val < upper:
+            c, upper = polished[0], val
+    return _result(space, ops, c, upper)
+
+
+def _lockstep(space, ops: np.ndarray, start: np.ndarray | None, restarts: int, seed: int, iters: int):
+    """The seeding: multistart adaptive subgradient descent on the ratio over complement coordinates.
 
     ``ops`` and ``start`` are ``_setup``'s; the starts are ``start`` (when
     not None), the sphere sweep's best three in complement dimension 2 to
     4, and standard normal vectors from ``default_rng(seed)`` up to
     ``restarts``.  They descend in lockstep, each with its own step size,
-    for at most 400 iterations.  A restart stops once a rejected step leaves
-    its step size below 1e-14, and its row is then removed from the live
-    arrays.  The heuristic lower bound is the upper bound minus
-    max(1e-6, ten times the winning restart's gain after iteration 320).
-    The stopped and final points are reduced in index order, so the result
-    is deterministic for a fixed seed; ties between witnesses break toward
-    the lexicographically smaller vector.
+    for at most ``iters`` iterations.  A restart stops once a rejected step
+    leaves its step size below 1e-14, and its row is then removed from the
+    live arrays.  The stopped and final points are reduced in index order, so
+    the result is deterministic for a fixed seed; ties between witnesses
+    break toward the lexicographically smaller vector.
+
+    Returns the estimate at the best restart and that restart's unit
+    coordinates.  The estimate's heuristic lower bound is the upper bound
+    minus max(1e-6, ten times the winning restart's gain after iteration
+    int(0.8 * iters)); ``_descent`` replaces it.
     """
     w, p, n = space.weights, space.p, space.dim
     basis = ops[-1]
     m = basis.shape[1]
+    mark_at = int(0.8 * iters)
 
     def subgrad(rows, vals, at):
         """Subgradient of the ratio at the points ``at``, through the first largest displacement.
@@ -354,7 +388,7 @@ def _descent(space, ops: np.ndarray, start: np.ndarray | None, restarts: int, se
     mark = val.copy()
     live = np.arange(len(c))
     out_c, out_val, out_mark = np.empty_like(c), np.empty_like(val), np.empty_like(val)
-    for t in range(_ITERS):
+    for t in range(iters):
         cand = c - step[:, None] * grad
         norm = _l2_norms(cand)
         tiny = None
@@ -380,7 +414,7 @@ def _descent(space, ops: np.ndarray, start: np.ndarray | None, restarts: int, se
             stop = (step < 1e-14) & ~better
             if tiny is not None:
                 stop &= ~tiny
-        if t == _MARK_AT:
+        if t == mark_at:
             moved = np.ones(len(c), dtype=bool) if tiny is None else ~tiny
             if stop is not None:
                 moved &= ~stop
@@ -393,20 +427,65 @@ def _descent(space, ops: np.ndarray, start: np.ndarray | None, restarts: int, se
                 break
     out_c[live], out_val[live], out_mark[live] = c, val, mark
 
-    best_val, best_witness = np.inf, None
+    best_val, best = np.inf, None
     witnesses = _matvecs(basis, out_c)
-    for witness_vec, v, mark in zip(witnesses, out_val.tolist(), out_mark.tolist()):
+    for i, (witness_vec, v, mark) in enumerate(zip(witnesses, out_val.tolist(), out_mark.tolist())):
         witness_vec = _canonical_sign(witness_vec / space.norm(witness_vec))
-        if best_witness is None or v < best_val - 1e-12:
-            best_val, best_witness = v, (witness_vec, mark - v)
-        elif abs(v - best_val) <= 1e-12 and tuple(witness_vec) < tuple(best_witness[0]):
-            best_val, best_witness = v, (witness_vec, mark - v)
+        if best is None or v < best_val - 1e-12:
+            best_val, best = v, (witness_vec, mark - v, i)
+        elif abs(v - best_val) <= 1e-12 and tuple(witness_vec) < tuple(best[0]):
+            best_val, best = v, (witness_vec, mark - v, i)
 
-    witness, last_gain = best_witness
+    witness, last_gain, i = best
     slack = max(1e-6, 10.0 * last_gain)
-    return GapEstimate(
-        upper=best_val,
-        heuristic_lower=max(0.0, best_val - slack),
-        witness=witness,
-        complement_dim=m,
-    )
+    return GapEstimate(best_val, max(0.0, best_val - slack), witness, m), out_c[i]
+
+
+def _polish(space, ops: np.ndarray, c: np.ndarray, val: float) -> np.ndarray:
+    """The seeded point ``c``, of ratio ``val``, polished by ``convex._bfgs``: the point its last stage ends at.
+
+    With f_k(c) = ||A_k c|| / ||B c|| for the rows of ``ops``, f_k has the
+    gradient (A_k^T g_k - f_k B^T g) / ||B c||, for g_k and g the norm
+    gradients of A_k c and B c.  With one word BFGS minimizes f_0.  With
+    several, the minimum is often a kink of max_k f_k, where steepest
+    descent from a nearby point rises for every step that 20 halvings
+    reach.  So BFGS minimizes the softmax T log sum_k exp(f_k / T) at
+    T = 1e-3, 1e-7 and 1e-11 times ``val`` in turn, each stage from the
+    last one's point, and then max_k f_k itself through its first largest
+    term (BFGS on a nonsmooth max: Lewis and Overton 2013).  A later stage
+    starts within about the earlier temperature of its minimizer, so stage j
+    takes no step longer than 2 * ``_REACH`` * ``_COOLING``**j.  Every f_k
+    is unchanged by scaling c, whose seeded length is 1.
+    """
+    from .convex import _bfgs  # convex imports cocycle, which imports this module
+
+    w, p = space.weights, space.p
+
+    def objective(temp):
+        def f_grad(x):
+            vals, grads = norms_and_grads(w, p, ops @ x)
+            if vals[-1] == 0.0:  # only a rank-deficient basis maps c != 0 to 0; no point there is better
+                return np.inf, np.zeros_like(x)
+            back = (grads[:, None, :] @ ops)[:, 0]
+            f = vals[:-1] / vals[-1]
+            df = (back[:-1] - f[:, None] * back[-1]) / vals[-1]
+            top = int(np.argmax(f))
+            if temp is None:
+                return float(f[top]), df[top]
+            soft = np.exp((f - f[top]) / temp)
+            return float(f[top] + temp * np.log(soft.sum())), (soft / soft.sum()) @ df
+
+        return f_grad
+
+    # one word: the ratio itself; several: softmax temperatures 1e-3, 1e-7 and 1e-11 of val, then the max
+    temps = [None] if len(ops) == 2 else [_SOFT_TEMP * _COOLING**j * val for j in range(3)] + [None]
+    for j, temp in enumerate(temps):
+        c = _bfgs(objective(temp), c, _GTOL * val, _REACH * _COOLING**j, np.linalg.norm)
+    return c
+
+
+def _result(space, ops: np.ndarray, c: np.ndarray, upper: float) -> GapEstimate:
+    """The estimate whose upper bound ``upper`` is the ratio at the unit coordinates ``c``."""
+    witness = _matvecs(ops[-1], c[None])[0]
+    return GapEstimate(upper, max(0.0, upper - _LOWER_SLACK), _canonical_sign(witness / space.norm(witness)),
+                       ops.shape[2])

@@ -118,15 +118,29 @@ def sequential_gap(rep, k_words=None, restarts=64, iters=400, seed=0, cand_norm=
     return best_val, max(0.0, best_val - max(1e-6, 10.0 * last_gain)), witness
 
 
-def search_gap(rep, k_words=None, restarts=64, seed=0):
-    """``kazhdan_gap``'s descent on its own, from the inputs ``kazhdan_gap`` gives it.
-
-    The descent is what ``kazhdan_gap`` returns wherever it has no exact
-    witness; this runs it also where it has one.
-    """
+def _search_inputs(rep, k_words):
+    """The space, ``ops`` and start that ``kazhdan_gap`` hands its search."""
     basis = np.ascontiguousarray(canonical_complement(rep).complement_basis)
     ops, *_, start = gap._setup(rep, k_words_of(rep.group, k_words), basis)
-    return gap._descent(rep.space, ops, start, restarts, seed)
+    return rep.space, ops, start
+
+
+def lockstep_gap(rep, k_words=None, restarts=64, seed=0, iters=400):
+    """The search's lockstep seeding on its own, run for ``iters`` iterations: its estimate.
+
+    At 400 iterations this is the whole search as it was before the polish;
+    ``sequential_gap`` with the same ``iters`` is its reference.
+    """
+    return gap._lockstep(*_search_inputs(rep, k_words), restarts, seed, iters)[0]
+
+
+def search_gap(rep, k_words=None, restarts=64, seed=0):
+    """``kazhdan_gap``'s search on its own (the seeding, then the polish), from the inputs ``kazhdan_gap`` gives it.
+
+    The search is what ``kazhdan_gap`` returns wherever it has no exact
+    witness; this runs it also where it has one.
+    """
+    return gap._descent(*_search_inputs(rep, k_words), restarts, seed)
 
 
 def sampled_modulus(space, eps, budget, seed, polish_iters=300):
@@ -340,9 +354,7 @@ def test_lockstep_gap_equals_per_restart_descent(name, p):
     scenario = parse_scenario(json.loads(bundled_scenario_path(name).read_text())).with_exponent(p)
     rep, task = scenario.representation, scenario.task
     restarts = task.get("restarts", 16)
-    # at p = 2 (one or two words here) kazhdan_gap returns its exact witness, so the descent is called itself
-    estimate = search_gap if p == 2.0 else kazhdan_gap
-    est = estimate(rep, k_words=task.get("k"), restarts=restarts, seed=scenario.seed)
+    est = lockstep_gap(rep, k_words=task.get("k"), restarts=restarts, seed=scenario.seed)
     upper, lower, witness = sequential_gap(rep, k_words=task.get("k"), restarts=restarts, seed=scenario.seed)
     assert est.upper == upper
     assert est.heuristic_lower == lower
@@ -351,7 +363,7 @@ def test_lockstep_gap_equals_per_restart_descent(name, p):
 
 def test_lockstep_gap_equals_per_restart_descent_at_library_defaults():
     scenario = parse_scenario(json.loads(bundled_scenario_path("grid-z2xz2-gap").read_text())).with_exponent(3.0)
-    est = kazhdan_gap(scenario.representation, seed=5)
+    est = lockstep_gap(scenario.representation, seed=5)
     upper, lower, witness = sequential_gap(scenario.representation, seed=5)
     assert (est.upper, est.heuristic_lower) == (upper, lower)
     assert np.array_equal(est.witness, witness)
@@ -372,18 +384,18 @@ def scale_gap_raws(tmp_path_factory):
     return raws
 
 
-def _assert_gap_equals_oracle(scenario, restarts, estimate=kazhdan_gap, **oracle_kw):
+def _assert_gap_equals_oracle(scenario, restarts, iters=400, **oracle_kw):
     rep, task = scenario.representation, scenario.task
-    est = estimate(rep, k_words=task["k"], restarts=restarts, seed=scenario.seed)
-    upper, lower, witness = sequential_gap(rep, k_words=task["k"], restarts=restarts, seed=scenario.seed,
-                                           **oracle_kw)
+    est = lockstep_gap(rep, k_words=task["k"], restarts=restarts, seed=scenario.seed, iters=iters)
+    upper, lower, witness = sequential_gap(rep, k_words=task["k"], restarts=restarts, iters=iters,
+                                           seed=scenario.seed, **oracle_kw)
     assert est.upper == upper
     assert est.heuristic_lower == lower
     assert np.array_equal(est.witness, witness)
 
 
 def _live_rows_per_iteration(scenario, restarts):
-    """How many restarts are still descending at each iteration of ``kazhdan_gap``'s descent."""
+    """How many restarts are still descending at each of 400 lockstep iterations."""
     counts = []
 
     def counting(vecs):
@@ -392,7 +404,7 @@ def _live_rows_per_iteration(scenario, restarts):
 
     l2_norms, gap._l2_norms = gap._l2_norms, counting
     try:
-        search_gap(scenario.representation, k_words=scenario.task["k"], restarts=restarts, seed=scenario.seed)
+        lockstep_gap(scenario.representation, k_words=scenario.task["k"], restarts=restarts, seed=scenario.seed)
     finally:
         gap._l2_norms = l2_norms
     return counts[1:]  # the first call normalises the starts
@@ -406,9 +418,7 @@ def test_lockstep_gap_equals_per_restart_descent_on_scale_inputs(scale_gap_raws,
     assert 11 <= canonical_complement(scenario.representation).complement_dim <= 23
     capped = len(_live_rows_per_iteration(scenario, scenario.task["restarts"])) == 400
     assert capped == (name != "cyclic-uniform24-gap")
-    # the uniform shift is one word at p = 2: kazhdan_gap returns its exact witness there
-    _assert_gap_equals_oracle(scenario, scenario.task["restarts"],
-                              estimate=search_gap if name == "cyclic-uniform24-gap" else kazhdan_gap)
+    _assert_gap_equals_oracle(scenario, scenario.task["restarts"])
 
 
 def test_lockstep_gap_equals_per_restart_descent_with_stops_around_the_mark(scale_gap_raws):
@@ -417,7 +427,7 @@ def test_lockstep_gap_equals_per_restart_descent_with_stops_around_the_mark(scal
     live = _live_rows_per_iteration(scenario, 64)
     stopped_in = {t - 1 for t in range(1, len(live)) if live[t] < live[t - 1]}
     assert {318, 320} <= stopped_in and max(stopped_in) > 320
-    _assert_gap_equals_oracle(scenario, 64, estimate=search_gap)
+    _assert_gap_equals_oracle(scenario, 64)
 
 
 @pytest.mark.parametrize("restarts", (1, 4, 16))
@@ -443,6 +453,14 @@ def test_lockstep_gap_equals_per_restart_descent_with_tiny_candidates(restarts, 
         warnings.simplefilter("error")
         _assert_gap_equals_oracle(scenario, restarts, cand_norm=lambda v: 0.0 if tiny(v) else np.linalg.norm(v))
     assert sum(hits) > 10
+
+
+@pytest.mark.parametrize("p", (1.5, 3.0))
+@pytest.mark.parametrize("name", _gap_scenarios())
+def test_lockstep_seeding_at_the_search_count_equals_per_restart_descent(name, p):
+    # the seeding kazhdan_gap runs before its polish, at the iteration count the search uses
+    scenario = parse_scenario(json.loads(bundled_scenario_path(name).read_text())).with_exponent(p)
+    _assert_gap_equals_oracle(scenario, scenario.task["restarts"], iters=gap._SEED_ITERS)
 
 
 def test_gap_restarts_are_bounded():

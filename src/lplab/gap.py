@@ -31,14 +31,12 @@ two stages:
   from the weighted-l2 eigenvector start, in complement dimension 2 to 4 the
   best three of 2,048 seeded uniform sphere directions (normalised Gaussian
   vectors, Muller 1959), and seeded Gaussian vectors.  The restarts descend
-  in lockstep as arrays with one row per live restart.  Each iteration moves
-  every row with the same handful of array operations, and a row's
-  subgradient is taken when it accepts a step, from the rows and norms the
-  evaluation of that step has already computed.  A restart that stops
-  writes its point, ratio and mark to the output and its row is dropped, so
-  the work of an iteration follows the restarts still descending.  Every
-  row does the arithmetic of a one-restart loop, so the seeding equals that
-  loop's bit for bit.
+  in lockstep as arrays with one row per restart, every one for all 60
+  iterations.  Each iteration moves every row with the same handful of
+  array operations, and a row's subgradient is taken when it accepts a
+  step, from the rows and norms the evaluation of that step has already
+  computed.  Every row does the arithmetic of a one-restart loop, so the
+  seeding equals that loop's bit for bit.
 - *Polish.*  The best seeded restart is run to convergence by the
   quasi-Newton ``convex._bfgs`` (Lewis and Overton, *Nonsmooth optimization
   via quasi-Newton methods*, 2013): on the ratio itself for one word, and
@@ -296,13 +294,14 @@ def kazhdan_gap(
     ratio passes its check, and ``restarts`` and ``seed`` are unused.
     Otherwise, and where the check fails, the estimate is the search's
     (``_descent``), whose result is the same as if no exact witness had been
-    tried.  At most ``MAX_RESTARTS`` restarts are allowed, on either path.
+    tried.  ``restarts`` must be an integer from 1 to ``MAX_RESTARTS``, on
+    either path.
 
     The heuristic lower bound is max(0, upper - 1e-6) on every path.  It
     never exceeds the upper bound, nothing checks it, and no verdict reads it.
     """
-    if restarts > MAX_RESTARTS:
-        raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or not 1 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must be an integer between 1 and {MAX_RESTARTS}, got {restarts!r}")
     words = k_words_of(rep.group, k_words)
     if basis is None:
         basis = canonical_complement(rep).complement_basis
@@ -315,14 +314,13 @@ def kazhdan_gap(
 
 
 def _descent(space, ops: np.ndarray, start: np.ndarray | None, restarts: int, seed: int) -> GapEstimate:
-    """The search: ``_SEED_ITERS`` iterations of ``_lockstep``, then ``_polish`` of the best restart.
+    """The search: ``_lockstep``'s seeding, then ``_polish`` of its best restart.
 
     ``ops`` and ``start`` are ``_setup``'s.  The polished point replaces the
     seeded one only when its evaluated ratio is lower, so the upper bound is
     always the ratio at the returned witness.
     """
-    seeded, c = _lockstep(space, ops, start, restarts, seed, _SEED_ITERS)
-    upper = seeded.upper
+    c, upper = _lockstep(space, ops, start, restarts, seed)
     if upper > 0.0:  # a ratio of 0 is already the least
         polished = _polish(space, ops, c, upper)[None]  # may be c itself, so not normalised in place
         polished = polished / _l2_norms(polished)[:, None]
@@ -332,40 +330,35 @@ def _descent(space, ops: np.ndarray, start: np.ndarray | None, restarts: int, se
     return _result(space, ops, c, upper)
 
 
-def _lockstep(space, ops: np.ndarray, start: np.ndarray | None, restarts: int, seed: int, iters: int):
-    """The seeding: multistart adaptive subgradient descent on the ratio over complement coordinates.
+def _lockstep(space, ops: np.ndarray, start: np.ndarray | None, restarts: int, seed: int):
+    """The seeding: ``_SEED_ITERS`` iterations of multistart adaptive subgradient descent on the ratio.
 
     ``ops`` and ``start`` are ``_setup``'s; the starts are ``start`` (when
     not None), the sphere sweep's best three in complement dimension 2 to
     4, and standard normal vectors from ``default_rng(seed)`` up to
     ``restarts``.  They descend in lockstep, each with its own step size,
-    for at most ``iters`` iterations.  A restart stops once a rejected step
-    leaves its step size below 1e-14, and its row is then removed from the
-    live arrays.  The stopped and final points are reduced in index order, so
-    the result is deterministic for a fixed seed; ties between witnesses
-    break toward the lexicographically smaller vector.
+    which grows by 1.25 (up to 1) on an accepted step and shrinks by 0.6 on
+    a rejected one.  The final points are reduced in index order, so the
+    result is deterministic for a fixed seed; ties between witnesses break
+    toward the lexicographically smaller vector.
 
-    Returns the estimate at the best restart and that restart's unit
-    coordinates.  The estimate's heuristic lower bound is the upper bound
-    minus max(1e-6, ten times the winning restart's gain after iteration
-    int(0.8 * iters)); ``_descent`` replaces it.
+    Returns the best restart's unit coordinates and its ratio.
     """
     w, p, n = space.weights, space.p, space.dim
     basis = ops[-1]
     m = basis.shape[1]
-    mark_at = int(0.8 * iters)
 
     def subgrad(rows, vals, at):
         """Subgradient of the ratio at the points ``at``, through the first largest displacement.
 
         It is taken from the rows and norms that ``_evaluate`` returned for them.
         """
-        picked = pick[: len(at)]
-        picked[:, 0] = vals[at, :-1].argmax(axis=1)
+        top = vals[at, :-1].argmax(axis=1)
+        picked = np.stack([top, np.full_like(top, len(ops) - 1)], axis=1)  # its largest displacement, then itself
         at = at[:, None]
         pair = vals[at, picked]  # (num, den) per point
         grads = grads_from_roots(w, p, rows[at, picked].reshape(-1, n), pair.ravel().tolist())
-        g_num, g_den = _matvecs(ops[picked[:, 0]].transpose(0, 2, 1), grads[0::2]), _matvecs(basis.T, grads[1::2])
+        g_num, g_den = _matvecs(ops[top].transpose(0, 2, 1), grads[0::2]), _matvecs(basis.T, grads[1::2])
         den_sq = np.array([d**2 for d in pair[:, 1].tolist()])  # the scalar power, as for one point
         return (g_num * pair[:, 1:] - pair[:, :1] * g_den) / den_sq[:, None]
 
@@ -378,25 +371,15 @@ def _lockstep(space, ops: np.ndarray, start: np.ndarray | None, restarts: int, s
     while len(starts) < restarts:
         starts.append(rng.standard_normal(m))
 
-    # one row per live restart: point, ratio, subgradient, step size, mark and index
+    # one row per restart: point, ratio, subgradient and step size
     c = np.array(starts)
     c /= _l2_norms(c)[:, None]
-    pick = np.full((len(c), 2), len(ops) - 1)  # per point: its largest displacement, then the vector itself
     rows, vals, val = _evaluate(ops, w, p, c)
     grad = subgrad(rows, vals, np.arange(len(c)))
     step = np.full(len(c), 0.2)
-    mark = val.copy()
-    live = np.arange(len(c))
-    out_c, out_val, out_mark = np.empty_like(c), np.empty_like(val), np.empty_like(val)
-    for t in range(iters):
+    for _ in range(_SEED_ITERS):
         cand = c - step[:, None] * grad
-        norm = _l2_norms(cand)
-        tiny = None
-        if norm.min() < 1e-14:
-            # these skip the iteration: they evaluate their own point, which is no better
-            tiny = norm < 1e-14
-            cand[tiny], norm[tiny] = c[tiny], 1.0
-        cand /= norm[:, None]
+        cand /= _l2_norms(cand)[:, None]  # at least 1 up to rounding: the subgradient is orthogonal to c
         cand_rows, cand_vals, cand_val = _evaluate(ops, w, p, cand)
         better = cand_val < val
         acc = np.flatnonzero(better)
@@ -405,40 +388,14 @@ def _lockstep(space, ops: np.ndarray, start: np.ndarray | None, restarts: int, s
             c = np.where(better[:, None], cand, c)
             val = np.where(better, cand_val, val)
         # a step never exceeds 1, so only a grown one can reach the cap
-        factor = np.where(better, 1.25, 0.6)
-        if tiny is not None:
-            factor[tiny] = 0.5
-        step = np.minimum(step * factor, 1.0)
-        stop = None
-        if step.min() < 1e-14:
-            stop = (step < 1e-14) & ~better
-            if tiny is not None:
-                stop &= ~tiny
-        if t == mark_at:
-            moved = np.ones(len(c), dtype=bool) if tiny is None else ~tiny
-            if stop is not None:
-                moved &= ~stop
-            mark = np.where(moved, val, mark)
-        if stop is not None and stop.any():
-            done, keep = live[stop], ~stop
-            out_c[done], out_val[done], out_mark[done] = c[stop], val[stop], mark[stop]
-            c, val, grad, step, mark, live = c[keep], val[keep], grad[keep], step[keep], mark[keep], live[keep]
-            if not live.size:
-                break
-    out_c[live], out_val[live], out_mark[live] = c, val, mark
+        step = np.minimum(step * np.where(better, 1.25, 0.6), 1.0)
 
     best_val, best = np.inf, None
-    witnesses = _matvecs(basis, out_c)
-    for i, (witness_vec, v, mark) in enumerate(zip(witnesses, out_val.tolist(), out_mark.tolist())):
+    for i, (witness_vec, v) in enumerate(zip(_matvecs(basis, c), val.tolist())):
         witness_vec = _canonical_sign(witness_vec / space.norm(witness_vec))
-        if best is None or v < best_val - 1e-12:
-            best_val, best = v, (witness_vec, mark - v, i)
-        elif abs(v - best_val) <= 1e-12 and tuple(witness_vec) < tuple(best[0]):
-            best_val, best = v, (witness_vec, mark - v, i)
-
-    witness, last_gain, i = best
-    slack = max(1e-6, 10.0 * last_gain)
-    return GapEstimate(best_val, max(0.0, best_val - slack), witness, m), out_c[i]
+        if best is None or v < best_val - 1e-12 or (abs(v - best_val) <= 1e-12 and tuple(witness_vec) < tuple(best)):
+            best_val, best, best_i = v, witness_vec, i
+    return c[best_i], best_val
 
 
 def _polish(space, ops: np.ndarray, c: np.ndarray, val: float) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""The gap search's polish: never worse than the long lockstep descent, and the same gap for isometric twins.
+"""The gap search's polish: never worse than the long subgradient descent, and the same gap for isometric twins.
 
-``kazhdan_gap``'s search runs a short lockstep seeding and then polishes
-the best restart with BFGS.  The reference here is the lockstep descent run
-for 400 iterations, which was the whole search before the polish.  On every
-input below, the search's upper bound is at most that reference's, up to
-1e-12 relative, and it is the ratio evaluated at the returned witness.
+``kazhdan_gap``'s search runs a 60-step lockstep seeding and then polishes
+the best restart with BFGS.  The reference here is the per-restart
+subgradient descent ``sequential_gap`` run for 400 iterations, with the
+same starts and step rule as the seeding; it equals the lockstep descent
+that was the whole search before the polish.  On every input below, the
+search's upper bound is at most that reference's, up to 1e-12 relative,
+and it is the ratio evaluated at the returned witness.
 """
 
 import json
@@ -19,7 +21,7 @@ from lplab.groups import k_words_of
 from lplab.representation import canonical_complement
 from lplab.scenario import parse_scenario
 
-from test_batched_solvers import GAP_EXPONENTS, _gap_scenarios, lockstep_gap, search_gap
+from test_batched_solvers import GAP_EXPONENTS, _gap_scenarios, lockstep_gap, search_gap, sequential_gap
 from test_structured_lamperti import _scale_raws
 
 # rounding may lift the polished ratio above the 400-iteration one by this much, relative
@@ -36,8 +38,8 @@ def _assert_never_worse(rep, k_words, basis, restarts, seed):
     words = k_words_of(rep.group, k_words)
     ops, *_, start = gap._setup(rep, words, np.ascontiguousarray(basis))
     est = gap._descent(rep.space, ops, start, restarts, seed)
-    reference = gap._lockstep(rep.space, ops, start, restarts, seed, 400)[0]
-    assert est.upper <= reference.upper * (1.0 + _NEVER_WORSE)
+    reference = sequential_gap(rep, k_words, restarts, iters=400, seed=seed, basis=basis)[0]
+    assert est.upper <= reference * (1.0 + _NEVER_WORSE)
     assert _ratio_at(rep, words, est.witness) == pytest.approx(est.upper, rel=1e-12)
     assert 0.0 <= est.heuristic_lower == max(0.0, est.upper - 1e-6) <= est.upper
 
@@ -105,7 +107,7 @@ def test_search_starts_from_the_lockstep_seeding(iters, monkeypatch):
     scenario = parse_scenario(json.loads(bundled_scenario_path("grid-z2xz2-gap").read_text())).with_exponent(1.5)
     rep, task = scenario.representation, scenario.task
     monkeypatch.setattr(gap, "_SEED_ITERS", iters)
-    seeded = lockstep_gap(rep, k_words=task["k"], restarts=task["restarts"], seed=scenario.seed, iters=iters)
+    seeded = lockstep_gap(rep, k_words=task["k"], restarts=task["restarts"], seed=scenario.seed)
     est = search_gap(rep, k_words=task["k"], restarts=task["restarts"], seed=scenario.seed)
     assert est.upper < seeded.upper
     monkeypatch.setattr(gap, "_polish", lambda space, ops, c, val: c)

@@ -11,11 +11,12 @@ computed once beforehand and passed in, so only the estimate is timed.
 
 Each case is timed as ``kazhdan_gap`` as a whole and as its search on its
 own (``gap._setup`` and ``gap._descent``, also where ``kazhdan_gap`` returns
-an exact witness).  Where the checkout splits the search into a lockstep
-seeding (``gap._lockstep``) and a BFGS polish of the best seeded restart
-(``gap._polish``), the two stages are timed apart as well, and the polish is
-run once more with ``convex._bfgs`` wrapped, to print for each of its BFGS
-stages how many evaluations it took and why it stopped:
+an exact witness).  Where the checkout splits the search into a 60-step
+lockstep seeding (``gap._lockstep(space, ops, start, restarts, seed)``,
+which returns the best restart's point and ratio) and a BFGS polish of
+that point (``gap._polish``), the two stages are timed apart as well, and
+the polish is run once more with ``convex._bfgs`` wrapped, to print for
+each of its BFGS stages how many evaluations it took and why it stopped:
 
 - ``gradient``: no gradient entry above the tolerance;
 - ``halvings``: 20 halvings of a step found no lower value;
@@ -32,8 +33,9 @@ upper bounds so that two runs can be checked to have computed the same
 thing.  BLAS is pinned to one thread, as in ``bench/run.py``.  ``--src``
 picks the source directory to import ``lplab`` from (default: the ``src/``
 of the checkout that holds this script); a checkout without
-``gap._descent`` is timed through ``kazhdan_gap`` alone.  The last line of
-standard output is the result as one JSON object.
+``gap._descent`` is timed through ``kazhdan_gap`` alone, and one whose
+``_lockstep`` still takes an iteration count is timed without its stages.
+The last line of standard output is the result as one JSON object.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import os
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 import argparse  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -135,7 +138,7 @@ def main(argv=None) -> int:
             walls.append(time.perf_counter() - t0)
         return {"median_s": statistics.median(walls), "min_s": min(walls), "upper": upper(out)}
 
-    staged = hasattr(gap, "_lockstep")
+    staged = hasattr(gap, "_lockstep") and "iters" not in inspect.signature(gap._lockstep).parameters
     results = {}
     for name, raw in _raws():
         scenario = parse_scenario(raw)
@@ -154,12 +157,12 @@ def main(argv=None) -> int:
             if setup is not None:
                 res["search"] = timed(lambda: gap._descent(rep.space, ops, start, restarts, scenario.seed))
             if staged:
-                seeded, c = gap._lockstep(rep.space, ops, start, restarts, scenario.seed, gap._SEED_ITERS)
-                res["seeding"] = timed(lambda: gap._lockstep(rep.space, ops, start, restarts, scenario.seed,
-                                                             gap._SEED_ITERS), upper=lambda out: out[0].upper)
-                res["polish"] = timed(lambda: gap._polish(rep.space, ops, c, seeded.upper),
+                c, val = gap._lockstep(rep.space, ops, start, restarts, scenario.seed)
+                res["seeding"] = timed(lambda: gap._lockstep(rep.space, ops, start, restarts, scenario.seed),
+                                       upper=lambda out: out[1])
+                res["polish"] = timed(lambda: gap._polish(rep.space, ops, c, val),
                                       upper=lambda out: _ratio(gap, rep.space, ops, out))
-                res["polish"]["stages"] = _polish_stages(gap, convex, rep.space, ops, c, seeded.upper)
+                res["polish"]["stages"] = _polish_stages(gap, convex, rep.space, ops, c, val)
             line = "  ".join(f"{kind} {out['median_s'] * 1e3:7.2f}/{out['min_s'] * 1e3:7.2f} ms"
                              for kind, out in res.items() if kind != "path")
             stages = " ".join(f"{n}:{why}" for n, why in res.get("polish", {}).get("stages", []))
